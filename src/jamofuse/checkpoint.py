@@ -39,8 +39,26 @@ class Checkpoint:
         return list(self.tensors)
 
 
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write data to a temp file in the target directory, then replace path.
+
+    An interrupted or failed write leaves the old file as it was and no temp
+    file behind.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".jamofuse-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def save_checkpoint(path: str, params: ParamGroup, seed: int, config: dict) -> None:
-    """Write atomically: a temp file in the target directory, then replace."""
+    """Write the container atomically through write_atomic."""
     header = {
         "format_version": FORMAT_VERSION,
         "seed": seed,
@@ -48,19 +66,9 @@ def save_checkpoint(path: str, params: ParamGroup, seed: int, config: dict) -> N
         "tensors": [{"name": name, "shape": list(t.shape)} for name, t in params.items()],
     }
     header_bytes = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
-            f.write(header_bytes)
-            for _, tensor in params.items():
-                f.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    chunks = [_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header_bytes)), header_bytes]
+    chunks += [np.ascontiguousarray(t.data, dtype="<f8").tobytes() for _, t in params.items()]
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -80,8 +88,15 @@ def load_checkpoint(path: str) -> Checkpoint:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: bad header: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        missing = [key for key in ("seed", "config", "tensors") if key not in header]
+        if missing:
+            raise CheckpointError(f"{path}: header has no {', '.join(missing)}")
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
+            if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
+                raise CheckpointError(f"{path}: tensor entry {entry!r} needs a name and a shape")
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             raw = f.read(count * 8)

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, load_into, save_checkpoint
+from .checkpoint import load_checkpoint, load_into, save_checkpoint, write_atomic
 from .gradcheck import grad_check
 from .oracle import (
     align,
@@ -41,22 +39,9 @@ from .training import (
 )
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jamofuse-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        _write_text(out, text)
+        write_atomic(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -231,7 +216,7 @@ def cmd_oracle_stats(args) -> int:
     stats = corpus_stats(aligned, top_k=args.top_k, partitions=args.partitions)
     _emit(stats_report_json(stats), args.json)
     if args.csv:
-        _write_text(args.csv, stats_report_csv(stats))
+        write_atomic(args.csv, stats_report_csv(stats).encode("utf-8"))
     return 0
 
 
@@ -285,7 +270,7 @@ def cmd_train(args) -> int:
     }
     save_checkpoint(args.out, pipe.params.group, seed=args.seed, config=echo)
     if args.log:
-        _write_text(args.log, log.to_csv())
+        write_atomic(args.log, log.to_csv().encode("utf-8"))
     last = log.epochs[-1]
     print(f"trained {len(log.epochs)} epochs: loss={last.loss!r} "
           f"pair_cos_fused={last.mean_pair_cos_fused!r} random_cos={last.mean_random_cos!r}")

@@ -13,12 +13,7 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .tensor import ParamGroup, Tensor
-
-
-class ConfigError(ValueError):
-    pass
-
+from .tensor import ConfigError, ParamGroup, Tensor
 
 LossFn = Callable[[bool], float]
 Params = Union[ParamGroup, Iterable[tuple[str, Tensor]]]

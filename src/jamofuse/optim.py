@@ -51,9 +51,6 @@ class AdamW:
             if c.weight_decay:
                 tensor.data -= lr * c.weight_decay * tensor.data
 
-    def zero_grads(self) -> None:
-        self.params.zero_grads()
-
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:
     """Cosine decay from base_lr at step 0 to min_lr at total_steps."""

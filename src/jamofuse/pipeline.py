@@ -33,15 +33,11 @@ from .subchar import ROLE_OTHER, SCHEME_NAMES, SubcharScheme, SubcharSequence, S
 from .subword import BoundaryMap, SubwordVocab
 from .subword import align as subword_align
 from .subword import encode as subword_encode
-from .tensor import ParamGroup, ShapeError, Tensor, uniform_init
+from .tensor import ConfigError, ParamGroup, ShapeError, Tensor, uniform_init
 
 COMPRESSIONS = ("principles", "linear", "attention")
 FUSIONS = ("cross-attention", "summation", "concatenation")
 GRANULARITIES = ("subword", "character", "word", "external")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -266,9 +262,7 @@ class Pipeline:
         h_iv, iv_cache = p.gru_iv.forward(x_iv)
         stacked = np.stack([h_iv, h_f])
         conv_out, conv_cache = p.conv.forward(stacked)
-        pooled = conv_out.mean(axis=0)  # height is already 1; kept for structural parity
-
-        h_c = pooled.copy()
+        h_c = conv_out[0].copy()
         for k, s in enumerate(starts):
             if passthrough[k]:
                 h_c[k] = h[s]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Optional
 
 from . import hangul
@@ -93,8 +92,8 @@ class DecompTable:
     """Letter -> atom-sequence maps for consonants and vowels.
 
     The bundled tables are seeded from the stroke-addition and Cheonjiin
-    keyboard systems and are deliberately editable: swap in your own files as
-    long as every inventory letter keeps an entry within the slot widths.
+    keyboard systems. Every inventory letter needs an entry within the slot
+    widths.
     """
 
     def __init__(self, consonant_map: dict[str, tuple[str, ...]], vowel_map: dict[str, tuple[str, ...]]):
@@ -108,14 +107,6 @@ class DecompTable:
             raise ValueError(f"decomposition entries exceed slot widths: {wide_c + wide_v}")
         self.consonant_map = dict(consonant_map)
         self.vowel_map = dict(vowel_map)
-
-    @staticmethod
-    def load(consonant_path: str | Path, vowel_path: str | Path) -> "DecompTable":
-        with open(consonant_path, encoding="utf-8") as f:
-            cmap = parse_decomp_table(f, max_width=4)
-        with open(vowel_path, encoding="utf-8") as f:
-            vmap = parse_decomp_table(f, max_width=5)
-        return DecompTable(cmap, vmap)
 
     @staticmethod
     @lru_cache(maxsize=1)

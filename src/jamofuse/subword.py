@@ -9,12 +9,13 @@ encoding is greedy longest-match, never crossing whitespace.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
+
+from .checkpoint import write_atomic
+from .tensor import ConfigError
 
 UNK = "<unk>"
 PAD = "<pad>"
@@ -24,10 +25,7 @@ EOS = "<eos>"
 SPECIALS = [UNK, PAD, CLS, BOS, EOS]
 
 MODES = ("bpe-lite", "wordlist", "charlist")
-
-
-class ConfigError(ValueError):
-    pass
+_UNESCAPES = {"n": "\n", "t": "\t", "\\": "\\"}
 
 
 class AlignmentError(ValueError):
@@ -228,21 +226,11 @@ def save_vocab(vocab: SubwordVocab, path: str | Path) -> None:
     Tokens are stored with backslash escapes for tab, newline, and backslash
     so whitespace tokens survive the round trip.
     """
-    path = Path(path)
     lines = [f"mode={vocab.mode}\tsize={vocab.size}"]
     for token, idx in sorted(vocab.entries.items(), key=lambda kv: kv[1]):
         escaped = token.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
         lines.append(f"{escaped}\t{idx}")
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_vocab(path: str | Path) -> SubwordVocab:
@@ -251,8 +239,10 @@ def load_vocab(path: str | Path) -> SubwordVocab:
     if not lines or not lines[0].startswith("mode="):
         raise ConfigError(f"{path}: missing vocab header")
     header = dict(part.split("=", 1) for part in lines[0].split("\t"))
+    if "size" not in header:
+        raise ConfigError(f"{path}: vocab header has no size= field")
     entries: dict[str, int] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         escaped, _, idx = line.rpartition("\t")
@@ -260,7 +250,9 @@ def load_vocab(path: str | Path) -> SubwordVocab:
         i = 0
         while i < len(escaped):
             if escaped[i] == "\\" and i + 1 < len(escaped):
-                token_chars.append({"n": "\n", "t": "\t", "\\": "\\"}[escaped[i + 1]])
+                if escaped[i + 1] not in _UNESCAPES:
+                    raise ConfigError(f"{path}:{lineno}: unknown escape \\{escaped[i + 1]} in {escaped!r}")
+                token_chars.append(_UNESCAPES[escaped[i + 1]])
                 i += 2
             else:
                 token_chars.append(escaped[i])

@@ -1,20 +1,23 @@
-"""Dense double-precision tensors and the handful of ops the pipeline needs.
+"""Parameter tensors and the named groups that hold them.
 
-There is no autograd graph. Every op returns its output tensor together with
-a backward closure that accumulates exact analytic gradients into the inputs'
-grad slots; composite layers chain these closures by hand in reverse order.
+There is no autograd graph. A `Tensor` is a float64 array with a grad slot;
+the layers compute analytic gradients by hand and accumulate them there. A
+`ParamGroup` names a model's tensors in a stable order for the optimizer,
+checkpoints and gradient checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-Backward = Callable[[np.ndarray], None]
-
 
 class ShapeError(ValueError):
+    pass
+
+
+class ConfigError(ValueError):
     pass
 
 
@@ -45,172 +48,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, trainable={self.trainable})"
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ShapeError(message)
-
-
-def matmul(a: Tensor, b: Tensor) -> tuple[Tensor, Backward]:
-    _require(
-        a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[0],
-        f"matmul needs (N,K)@(K,M), got {a.shape} and {b.shape}",
-    )
-    out = Tensor(a.data @ b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate(grad @ b.data.T)
-        b.accumulate(a.data.T @ grad)
-
-    return out, backward
-
-
-def add(a: Tensor, b: Tensor) -> tuple[Tensor, Backward]:
-    """Elementwise sum; b may also be a row vector added to every row of a."""
-    row_broadcast = b.data.ndim == 1 and a.data.ndim == 2 and a.shape[1] == b.shape[0]
-    _require(a.shape == b.shape or row_broadcast, f"add shapes {a.shape} and {b.shape} do not match")
-    out = Tensor(a.data + b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate(grad)
-        b.accumulate(grad.sum(axis=0) if row_broadcast else grad)
-
-    return out, backward
-
-
-def mul(a: Tensor, b: Tensor) -> tuple[Tensor, Backward]:
-    _require(a.shape == b.shape, f"mul shapes {a.shape} and {b.shape} do not match")
-    out = Tensor(a.data * b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        a.accumulate(grad * b.data)
-        b.accumulate(grad * a.data)
-
-    return out, backward
-
-
-def sigmoid(x: Tensor) -> tuple[Tensor, Backward]:
-    y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate(grad * y * (1.0 - y))
-
-    return out, backward
-
-
-def tanh(x: Tensor) -> tuple[Tensor, Backward]:
-    y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate(grad * (1.0 - y * y))
-
-    return out, backward
-
-
-def relu(x: Tensor) -> tuple[Tensor, Backward]:
-    y = np.maximum(x.data, 0.0)
-    out = Tensor(y)
-
-    def backward(grad: np.ndarray) -> None:
-        x.accumulate(grad * (x.data > 0.0))
-
-    return out, backward
-
-
-def softmax(x: Tensor, axis: int = -1) -> tuple[Tensor, Backward]:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def backward(grad: np.ndarray) -> None:
-        inner = (grad * y).sum(axis=axis, keepdims=True)
-        x.accumulate(y * (grad - inner))
-
-    return out, backward
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> tuple[Tensor, Backward]:
-    _require(len(tensors) >= 1, "concat needs at least one tensor")
-    ndim = tensors[0].data.ndim
-    for t in tensors[1:]:
-        same_rest = (
-            t.data.ndim == ndim
-            and t.shape[:axis] == tensors[0].shape[:axis]
-            and t.shape[axis + 1 :] == tensors[0].shape[axis + 1 :]
-        )
-        _require(same_rest, f"concat shapes {tensors[0].shape} and {t.shape} differ off axis {axis}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-
-    def backward(grad: np.ndarray) -> None:
-        offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(grad, offsets, axis=axis)):
-            t.accumulate(piece)
-
-    return out, backward
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> tuple[Tensor, Backward]:
-    _require(len(tensors) >= 1, "stack needs at least one tensor")
-    for t in tensors[1:]:
-        _require(t.shape == tensors[0].shape, f"stack shapes {tensors[0].shape} and {t.shape} differ")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-
-    def backward(grad: np.ndarray) -> None:
-        for t, piece in zip(tensors, np.moveaxis(grad, axis, 0)):
-            t.accumulate(piece)
-
-    return out, backward
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> tuple[Tensor, Backward]:
-    size = x.shape[axis]
-    _require(0 <= start <= stop <= size, f"slice [{start}:{stop}] out of range for axis {axis} of {x.shape}")
-    key = tuple(slice(None) if d != axis else slice(start, stop) for d in range(x.data.ndim))
-    out = Tensor(x.data[key])
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[key] = grad
-        x.accumulate(full)
-
-    return out, backward
-
-
-def gather_rows(x: Tensor, indices: Sequence[int]) -> tuple[Tensor, Backward]:
-    _require(x.data.ndim == 2, f"gather_rows needs a matrix, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    _require(
-        idx.size == 0 or (idx.min() >= 0 and idx.max() < x.shape[0]),
-        f"row indices out of range for {x.shape}",
-    )
-    out = Tensor(x.data[idx])
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, grad)
-        x.accumulate(full)
-
-    return out, backward
-
-
-def mean(x: Tensor, axis: Optional[int] = None) -> tuple[Tensor, Backward]:
-    out = Tensor(x.data.mean(axis=axis))
-    count = x.data.size if axis is None else x.shape[axis]
-
-    def backward(grad: np.ndarray) -> None:
-        expanded = np.asarray(grad, dtype=np.float64)
-        if axis is not None:
-            expanded = np.expand_dims(expanded, axis)
-        x.accumulate(np.broadcast_to(expanded, x.shape) / count)
-
-    return out, backward
-
-
-ArrayLike = Union[np.ndarray, float, int]
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -254,9 +91,6 @@ class ParamGroup:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._params.items() if t.trainable]

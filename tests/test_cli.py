@@ -5,6 +5,7 @@ text, so the whole dispatch path runs without spawning subprocesses.
 """
 
 import json
+import struct
 
 import pytest
 from importlib import resources
@@ -16,6 +17,13 @@ from jamofuse.subword import load_vocab
 
 def data_file(name: str) -> str:
     return str(resources.files("jamofuse.data") / name)
+
+
+def assert_one_line_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 PAIRS = data_file("verb_past_pairs.tsv")
@@ -130,6 +138,18 @@ class TestVocabAndEncode:
 
     def test_vocab_train_requires_out(self, capsys):
         assert main(["vocab-train", "--in", "x.txt", "--size", "10"]) == 2
+
+    def test_unknown_escape_in_vocab_is_domain_error(self, tmp_path, capsys):
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text("mode=charlist\tsize=1\na\\x\t0\n", encoding="utf-8")
+        assert main(["encode", "a", "--vocab", str(vocab_path)]) == 1
+        assert_one_line_error(capsys)
+
+    def test_vocab_header_without_size_is_domain_error(self, tmp_path, capsys):
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text("mode=charlist\na\t0\n", encoding="utf-8")
+        assert main(["encode", "a", "--vocab", str(vocab_path)]) == 1
+        assert_one_line_error(capsys)
 
 
 class TestOracleAlign:
@@ -304,6 +324,13 @@ class TestCheckpointRoundTrip:
     def test_model_source_required(self, capsys):
         assert main(["embed", "--text", "하다"]) == 1
         assert "need --ckpt" in capsys.readouterr().err
+
+    def test_header_without_tensors_is_domain_error(self, tmp_path, capsys):
+        header = json.dumps({"format_version": 1, "seed": 0, "config": {}}).encode("utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", b"JFCK", 1, len(header)) + header)
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        assert_one_line_error(capsys)
 
 
 class TestProbes:

@@ -1,15 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
-from jamofuse import tensor as T
+from jamofuse import gradcheck, pipeline, subword, tensor
 from jamofuse.checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_into,
     save_checkpoint,
+    write_atomic,
 )
 from jamofuse.gradcheck import ConfigError, grad_check
+from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.optim import AdamConfig, AdamW, cosine_lr
+from jamofuse.pipeline import Pipeline, PipelineConfig
+from jamofuse.subword import train_vocab
 from jamofuse.tensor import ParamGroup, ShapeError, Tensor, uniform_init
 
 OP_TOL = 1e-6
@@ -17,17 +23,21 @@ SEEDS = range(10)
 
 
 def run_op_check(make_tensors, op, seed):
-    """Gradient-check one op: loss = sum(r * op(tensors)) for a fixed random r."""
+    """Gradient-check one op: loss = sum(r * out) for a fixed random r.
+
+    op(tensors) returns (out, backward); backward(r) accumulates the analytic
+    gradients into whichever of the tensors the check covers.
+    """
     rng = np.random.default_rng(seed)
     tensors = make_tensors(rng)
     out0, _ = op(tensors)
-    r = rng.standard_normal(out0.data.shape)
+    r = rng.standard_normal(out0.shape)
 
     def loss_fn(with_grad):
         out, backward = op(tensors)
         if with_grad:
             backward(r)
-        return float((out.data * r).sum())
+        return float((out * r).sum())
 
     report = grad_check(loss_fn, list(tensors.items()))
     assert report.max_rel_error < OP_TOL, str(report)
@@ -37,42 +47,81 @@ def rand_tensor(rng, shape):
     return Tensor(rng.standard_normal(shape))
 
 
+def fusion_pipeline(fusion, seed):
+    vocab = train_vocab(["대한 민국"], 20, mode="wordlist")
+    return Pipeline.build(PipelineConfig(dim=3, fusion=fusion), vocab, seed=seed)
+
+
+def linear_op(lin, x):
+    def op(_):
+        out, cache = lin.forward(x.data)
+
+        def backward(g):
+            x.accumulate(lin.backward(g, cache))
+
+        return out, backward
+
+    return op
+
+
+def gru_op(gru, x):
+    def op(_):
+        hs, cache = gru.forward(x)
+        return hs, lambda g: gru.backward(g, cache)
+
+    return op
+
+
+def gru_params(gru, names):
+    return {name: gru.params[name] for name in names}
+
+
+def fuse_op(pipe):
+    def op(t):
+        out, cache = pipe.fuse(t["e_s"].data, t["h_s"].data)
+
+        def backward(g):
+            grad_e, grad_h = pipe.backward_fuse(g, cache)
+            t["e_s"].accumulate(grad_e)
+            t["h_s"].accumulate(grad_h)
+
+        return out, backward
+
+    return op
+
+
 class TestCoreOpShapes:
+    """Shape laws of the core ops, in the layers and the fusion step that compute them."""
+
     def test_matmul_shape_law(self):
-        out, _ = T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
+        out, _ = Linear(3, 4, np.random.default_rng(0)).forward(np.ones((2, 3)))
         assert out.shape == (2, 4)
 
     def test_matmul_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+            Linear(4, 2, np.random.default_rng(0)).forward(np.ones((2, 3)))
 
     def test_add_mismatch_rejected(self):
+        pipe = fusion_pipeline("summation", seed=0)
         with pytest.raises(ShapeError):
-            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+            pipe.fuse(np.ones((2, 3)), np.ones((3, 3)))
 
     def test_softmax_of_zeros_is_uniform(self):
-        out, _ = T.softmax(Tensor(np.zeros(2)))
-        assert np.allclose(out.data, [0.5, 0.5])
+        attn = CrossAttention(2, np.random.default_rng(0))
+        attn.params["w_q"].data[:] = 0.0
+        attn.params["b_q"].data[:] = 0.0
+        _, cache = attn.forward(np.ones((1, 2)), np.random.default_rng(1).standard_normal((2, 2)))
+        assert np.allclose(cache.attn, [[[0.5, 0.5]]])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        out, _ = T.softmax(Tensor(rng.standard_normal((5, 9)) * 30.0), axis=-1)
-        assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
-
-    def test_mean_backward_is_uniform(self):
-        x = Tensor(np.array([1.0, 3.0]))
-        out, backward = T.mean(x)
-        assert out.data == 2.0
-        backward(np.array(1.0))
-        assert np.allclose(x.grad, [0.5, 0.5])
-
-    def test_slice_out_of_range_rejected(self):
-        with pytest.raises(ShapeError):
-            T.slice_axis(Tensor(np.ones((3, 2))), 0, 1, 5)
+        attn = CrossAttention(4, rng)
+        _, cache = attn.forward(rng.standard_normal((5, 4)) * 30.0, rng.standard_normal((9, 4)) * 30.0)
+        assert np.abs(cache.attn.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_gather_rows_out_of_range_rejected(self):
         with pytest.raises(ShapeError):
-            T.gather_rows(Tensor(np.ones((3, 2))), [0, 3])
+            Embedding(3, 2, np.random.default_rng(0)).forward([0, 3])
 
     def test_accumulate_rejects_wrong_shape(self):
         x = Tensor(np.ones((2, 2)))
@@ -81,110 +130,99 @@ class TestCoreOpShapes:
 
 
 class TestCoreOpGradients:
+    """Seeded 1e-6 gradient checks of each core op's hand-written backward,
+    isolated to the tensors that reach the loss through that op."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matmul(self, seed):
-        run_op_check(
-            lambda rng: {"a": rand_tensor(rng, (3, 4)), "b": rand_tensor(rng, (4, 2))},
-            lambda t: T.matmul(t["a"], t["b"]),
-            seed,
-        )
+        rng = np.random.default_rng(seed)
+        lin = Linear(4, 2, rng)
+        a = rand_tensor(rng, (3, 4))
+        run_op_check(lambda _: {"a": a, "b": lin.w}, linear_op(lin, a), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_add_same_shape(self, seed):
+        pipe = fusion_pipeline("summation", seed)
         run_op_check(
-            lambda rng: {"a": rand_tensor(rng, (3, 4)), "b": rand_tensor(rng, (3, 4))},
-            lambda t: T.add(t["a"], t["b"]),
+            lambda rng: {"e_s": rand_tensor(rng, (3, 3)), "h_s": rand_tensor(rng, (3, 3))},
+            fuse_op(pipe),
             seed,
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_add_row_broadcast(self, seed):
-        run_op_check(
-            lambda rng: {"a": rand_tensor(rng, (3, 4)), "b": rand_tensor(rng, (4,))},
-            lambda t: T.add(t["a"], t["b"]),
-            seed,
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_mul(self, seed):
-        run_op_check(
-            lambda rng: {"a": rand_tensor(rng, (2, 5)), "b": rand_tensor(rng, (2, 5))},
-            lambda t: T.mul(t["a"], t["b"]),
-            seed,
-        )
+        rng = np.random.default_rng(seed)
+        lin = Linear(3, 4, rng)
+        x = rand_tensor(rng, (3, 3))
+        run_op_check(lambda _: {"b": lin.b}, linear_op(lin, x), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sigmoid(self, seed):
-        run_op_check(
-            lambda rng: {"x": rand_tensor(rng, (3, 3))},
-            lambda t: T.sigmoid(t["x"]),
-            seed,
-        )
+        rng = np.random.default_rng(seed)
+        gru = GRULayer(3, rng)
+        x = rng.standard_normal((3, 3))
+        gates = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r")
+        run_op_check(lambda _: gru_params(gru, gates), gru_op(gru, x), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tanh(self, seed):
-        run_op_check(
-            lambda rng: {"x": rand_tensor(rng, (3, 3))},
-            lambda t: T.tanh(t["x"]),
-            seed,
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_relu(self, seed):
-        def make(rng):
-            data = rng.standard_normal((4, 4))
-            data[np.abs(data) < 1e-2] += 0.05  # keep clear of the kink
-            return {"x": Tensor(data)}
-
-        run_op_check(make, lambda t: T.relu(t["x"]), seed)
+        rng = np.random.default_rng(seed)
+        gru = GRULayer(3, rng)
+        x = rng.standard_normal((3, 3))
+        run_op_check(lambda _: gru_params(gru, ("w_n", "u_n", "b_n")), gru_op(gru, x), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_softmax(self, seed):
-        run_op_check(
-            lambda rng: {"x": rand_tensor(rng, (3, 5))},
-            lambda t: T.softmax(t["x"], axis=-1),
-            seed,
-        )
+        rng = np.random.default_rng(seed)
+        attn = CrossAttention(4, rng)
+        q_in, kv = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+
+        def op(_):
+            out, cache = attn.forward(q_in, kv)
+            return out, lambda g: attn.backward(g, cache)
+
+        # the query and key projections reach the loss only through the softmax
+        run_op_check(lambda _: {"w_q": attn.params["w_q"], "w_k": attn.params["w_k"]}, op, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_concat(self, seed):
+        pipe = fusion_pipeline("concatenation", seed)
         run_op_check(
-            lambda rng: {"a": rand_tensor(rng, (2, 3)), "b": rand_tensor(rng, (4, 3))},
-            lambda t: T.concat([t["a"], t["b"]], axis=0),
+            lambda rng: {"e_s": rand_tensor(rng, (2, 3)), "h_s": rand_tensor(rng, (2, 3))},
+            fuse_op(pipe),
             seed,
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stack(self, seed):
-        run_op_check(
-            lambda rng: {"a": rand_tensor(rng, (3, 2)), "b": rand_tensor(rng, (3, 2))},
-            lambda t: T.stack([t["a"], t["b"]], axis=0),
-            seed,
-        )
+        conv = Conv2x1(2, np.random.default_rng(seed))
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_slice_axis(self, seed):
-        run_op_check(
-            lambda rng: {"x": rand_tensor(rng, (5, 3))},
-            lambda t: T.slice_axis(t["x"], 0, 1, 4),
-            seed,
-        )
+        def op(t):
+            out, cache = conv.forward(np.stack([t["a"].data, t["b"].data]))
+
+            def backward(g):
+                grad = conv.backward(g, cache)
+                t["a"].accumulate(grad[0])
+                t["b"].accumulate(grad[1])
+
+            return out, backward
+
+        run_op_check(lambda rng: {"a": rand_tensor(rng, (3, 2)), "b": rand_tensor(rng, (3, 2))}, op, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gather_rows_with_duplicates(self, seed):
-        run_op_check(
-            lambda rng: {"x": rand_tensor(rng, (4, 3))},
-            lambda t: T.gather_rows(t["x"], [0, 2, 2, 1]),
-            seed,
-        )
+        emb = Embedding(4, 3, np.random.default_rng(seed))
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_mean_axis(self, seed):
-        run_op_check(
-            lambda rng: {"x": rand_tensor(rng, (4, 3))},
-            lambda t: T.mean(t["x"], axis=0),
-            seed,
-        )
+        def op(_):
+            out, cache = emb.forward([0, 2, 2, 1])
+            return out, lambda g: emb.backward(g, cache)
+
+        run_op_check(lambda _: {"x": emb.table}, op, seed)
+
+
+class TestTensor:
+    def test_one_config_error_type(self):
+        assert tensor.ConfigError is pipeline.ConfigError is subword.ConfigError is gradcheck.ConfigError
 
 
 class TestGradCheck:
@@ -342,3 +380,16 @@ class TestCheckpoint:
         save_checkpoint(p1, small_params(), seed=5, config={"fusion": "summation"})
         save_checkpoint(p2, small_params(), seed=5, config={"fusion": "concat"})
         assert open(p1, "rb").read() != open(p2, "rb").read()
+
+    def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(target, b"new\n")
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.glob(".jamofuse-*.tmp")) == []

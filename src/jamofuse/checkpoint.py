@@ -93,16 +93,30 @@ def load_checkpoint(path: str) -> Checkpoint:
         missing = [key for key in ("seed", "config", "tensors") if key not in header]
         if missing:
             raise CheckpointError(f"{path}: header has no {', '.join(missing)}")
+        if type(header["seed"]) is not int:
+            raise CheckpointError(f"{path}: header seed {header['seed']!r} is not an integer")
+        if not isinstance(header["tensors"], list):
+            raise CheckpointError(f"{path}: header tensors is not a list")
         tensors: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
             if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
                 raise CheckpointError(f"{path}: tensor entry {entry!r} needs a name and a shape")
+            if not isinstance(entry["name"], str):
+                raise CheckpointError(f"{path}: tensor name {entry['name']!r} is not a string")
+            if not isinstance(entry["shape"], list) or not all(
+                type(n) is int and n >= 0 for n in entry["shape"]
+            ):
+                raise CheckpointError(
+                    f"{path}: shape {entry['shape']!r} of {entry['name']!r} is not a list of non-negative integers"
+                )
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             raw = f.read(count * 8)
             if len(raw) < count * 8:
                 raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
             tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if f.read(1):
+            raise CheckpointError(f"{path}: bytes remain after the last tensor")
         return Checkpoint(seed=header["seed"], config=header["config"], tensors=tensors)
 
 

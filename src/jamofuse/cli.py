@@ -120,16 +120,34 @@ def _vocab_from_pairs(path: str, size: int) -> SubwordVocab:
     return train_vocab(corpus, size)
 
 
+# Flags a checkpoint would override: its own pipeline config and vocab win.
+_CKPT_FIXED = [*PipelineConfig().to_dict(), "config", "vocab", "pairs_vocab"]
+
+
+def _pipeline_from_checkpoint(path: str) -> Pipeline:
+    ckpt = load_checkpoint(path)
+    stored = ckpt.config if isinstance(ckpt.config, dict) else {}
+    pipeline, vocab = stored.get("pipeline"), stored.get("subword_vocab")
+    if not (isinstance(pipeline, dict) and isinstance(vocab, dict)):
+        raise ConfigError(f"{path}: checkpoint config needs a pipeline object and a subword_vocab object")
+    if not (isinstance(vocab.get("mode"), str) and isinstance(vocab.get("entries"), dict)):
+        raise ConfigError(f"{path}: checkpoint subword_vocab needs a mode string and an entries object")
+    try:
+        subword_vocab = SubwordVocab(vocab["mode"], dict(vocab["entries"]))
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    pipe = Pipeline.build(PipelineConfig.from_dict(pipeline), subword_vocab, seed=ckpt.seed)
+    load_into(pipe.params.group, path)
+    return pipe
+
+
 def _load_pipeline(args) -> Pipeline:
     """Builds the model from a checkpoint, or fresh from flags and a vocab."""
     if getattr(args, "ckpt", None):
-        ckpt = load_checkpoint(args.ckpt)
-        config = PipelineConfig.from_dict(ckpt.config["pipeline"])
-        stored = ckpt.config["subword_vocab"]
-        vocab = SubwordVocab(stored["mode"], {t: int(i) for t, i in stored["entries"].items()})
-        pipe = Pipeline.build(config, vocab, seed=ckpt.seed)
-        load_into(pipe.params.group, args.ckpt)
-        return pipe
+        ignored = ["--" + key.replace("_", "-") for key in _CKPT_FIXED if getattr(args, key, None) is not None]
+        if ignored:
+            raise ConfigError(f"--ckpt fixes the model and its vocab; drop {', '.join(ignored)}")
+        return _pipeline_from_checkpoint(args.ckpt)
     config = _pipeline_config(args)
     if getattr(args, "vocab", None):
         vocab = load_vocab(args.vocab)

@@ -81,6 +81,14 @@ class GRULayer:
         r_t = sigmoid(x_t W_r + h_{t-1} U_r + b_r)
         n_t = tanh(x_t W_n + (r_t * h_{t-1}) U_n + b_n)
         h_t = (1 - z_t) * n_t + z_t * h_{t-1}
+
+    Only the recurrent products stay in the time loop (Appleyard et al.,
+    arXiv:1604.01946). Forward projects the whole input sequence once,
+    x [W_z|W_r|W_n] + [b_z|b_r|b_n], and each step does h [U_z|U_r] and
+    (r * h) U_n. Backward carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T
+    per step, collects the pre-activation gradients [dz|dr|dn] of all steps
+    in one (T, 3d) array g, and forms every weight and bias gradient and
+    grad_x from g as whole-sequence matmuls and column sums after the loop.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -91,71 +99,69 @@ class GRULayer:
             self.params.add(f"u_{gate}", Tensor(uniform_init(rng, (dim, dim), dim), trainable=True))
             self.params.add(f"b_{gate}", Tensor(uniform_init(rng, (dim,), dim), trainable=True))
 
+    def _stacked(self, kind: str, gates: str) -> np.ndarray:
+        # Built on every call, never cached: gradient checks perturb the parameters in place.
+        return np.concatenate([self.params[f"{kind}_{g}"].data for g in gates], axis=-1)
+
     def forward(self, x: np.ndarray, h0: Optional[np.ndarray] = None) -> tuple[np.ndarray, GRUCache]:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"gru input {x.shape} does not match hidden size {self.dim}")
         if x.shape[0] < 1:
             raise ShapeError("gru needs at least one step")
-        p = self.params
-        w_z, u_z, b_z = p["w_z"].data, p["u_z"].data, p["b_z"].data
-        w_r, u_r, b_r = p["w_r"].data, p["u_r"].data, p["b_r"].data
-        w_n, u_n, b_n = p["w_n"].data, p["u_n"].data, p["b_n"].data
+        d = self.dim
+        h = np.zeros(d) if h0 is None else np.asarray(h0, dtype=np.float64)
+        if h.shape != (d,):
+            raise ShapeError(f"gru initial state {h.shape} does not match hidden size {d}")
+        u_zr, u_n = self._stacked("u", "zr"), self.params["u_n"].data
 
         T = x.shape[0]
-        h = np.zeros(self.dim) if h0 is None else np.asarray(h0, dtype=np.float64)
-        if h.shape != (self.dim,):
-            raise ShapeError(f"gru initial state {h.shape} does not match hidden size {self.dim}")
-        hs = np.zeros((T, self.dim))
-        h_prev = np.zeros((T, self.dim))
-        zs, rs, ns, rhs = (np.zeros((T, self.dim)) for _ in range(4))
+        x_proj = x @ self._stacked("w", "zrn") + self._stacked("b", "zrn")
+        x_zr, x_n = x_proj[:, : 2 * d], x_proj[:, 2 * d :]
+        zr = np.empty((T, 2 * d))
+        ns = np.empty((T, d))
+        hs = np.empty((T + 1, d))
+        hs[0] = h
         for t in range(T):
-            h_prev[t] = h
-            z = _sigmoid(x[t] @ w_z + h @ u_z + b_z)
-            r = _sigmoid(x[t] @ w_r + h @ u_r + b_r)
-            rh = r * h
-            n = np.tanh(x[t] @ w_n + rh @ u_n + b_n)
+            gates = _sigmoid(x_zr[t] + h @ u_zr)
+            z = gates[:d]
+            n = np.tanh(x_n[t] + (gates[d:] * h) @ u_n)
             h = (1.0 - z) * n + z * h
-            zs[t], rs[t], ns[t], rhs[t], hs[t] = z, r, n, rh, h
-        return hs, GRUCache(x, h_prev, zs, rs, ns, rhs)
+            zr[t], ns[t], hs[t + 1] = gates, n, h
+        h_prev, rs = hs[:-1], zr[:, d:]
+        return hs[1:], GRUCache(x, h_prev, zr[:, :d], rs, ns, rs * h_prev)
 
     def backward(self, grad_hs: np.ndarray, cache: GRUCache) -> tuple[np.ndarray, np.ndarray]:
         """Returns (grad_x, grad_h0) for upstream gradients on every state."""
         p = self.params
-        w_z, u_z = p["w_z"].data, p["u_z"].data
-        w_r, u_r = p["w_r"].data, p["u_r"].data
-        w_n, u_n = p["w_n"].data, p["u_n"].data
-
+        d = self.dim
         x, h_prev, zs, rs, ns, rhs = cache
+        u_n_t, u_zr_t = p["u_n"].data.T, self._stacked("u", "zr").T
+
+        # dz_pre = dh * fz, dn_pre = dh * fn, dr_pre = (dn_pre U_n^T) * fr
+        fz = (h_prev - ns) * zs * (1.0 - zs)
+        fn = (1.0 - zs) * (1.0 - ns * ns)
+        fr = h_prev * rs * (1.0 - rs)
         T = x.shape[0]
-        grads = {name: np.zeros_like(p[name].data) for name in p.names()}
-        grad_x = np.zeros_like(x)
-        carry = np.zeros(self.dim)
+        g = np.empty((T, 3 * d))
+        g_zr, g_z, g_r, g_n = g[:, : 2 * d], g[:, :d], g[:, d : 2 * d], g[:, 2 * d :]
+        carry = np.zeros(d)
         for t in range(T - 1, -1, -1):
             dh = grad_hs[t] + carry
-            z, r, n, h0 = zs[t], rs[t], ns[t], h_prev[t]
-            dz = dh * (h0 - n)
-            dn = dh * (1.0 - z)
-            carry = dh * z
-            dn_pre = dn * (1.0 - n * n)
-            d_rh = dn_pre @ u_n.T
-            dr = d_rh * h0
-            carry += d_rh * r
-            dz_pre = dz * z * (1.0 - z)
-            dr_pre = dr * r * (1.0 - r)
-            grads["w_z"] += np.outer(x[t], dz_pre)
-            grads["u_z"] += np.outer(h0, dz_pre)
-            grads["b_z"] += dz_pre
-            grads["w_r"] += np.outer(x[t], dr_pre)
-            grads["u_r"] += np.outer(h0, dr_pre)
-            grads["b_r"] += dr_pre
-            grads["w_n"] += np.outer(x[t], dn_pre)
-            grads["u_n"] += np.outer(rhs[t], dn_pre)
-            grads["b_n"] += dn_pre
-            grad_x[t] = dz_pre @ w_z.T + dr_pre @ w_r.T + dn_pre @ w_n.T
-            carry += dz_pre @ u_z.T + dr_pre @ u_r.T
-        for name, g in grads.items():
-            p[name].accumulate(g)
-        return grad_x, carry
+            dn_pre = dh * fn[t]
+            d_rh = dn_pre @ u_n_t
+            g_z[t] = dh * fz[t]
+            g_r[t] = d_rh * fr[t]
+            g_n[t] = dn_pre
+            carry = dh * zs[t] + d_rh * rs[t] + g_zr[t] @ u_zr_t
+
+        grad_w, grad_b = x.T @ g, g.sum(axis=0)
+        grad_u = np.concatenate([h_prev.T @ g_zr, rhs.T @ g_n], axis=1)
+        for k, gate in enumerate("zrn"):
+            cols = slice(k * d, (k + 1) * d)
+            p[f"w_{gate}"].accumulate(grad_w[:, cols])
+            p[f"u_{gate}"].accumulate(grad_u[:, cols])
+            p[f"b_{gate}"].accumulate(grad_b[cols])
+        return g @ self._stacked("w", "zrn").T, carry
 
 
 class Conv2x1:

@@ -52,6 +52,9 @@ class PipelineConfig:
     cls_bypass: bool = False
 
     def validate(self) -> "PipelineConfig":
+        for name, kind in (("dim", int), ("heads", int), ("residual_fusion", bool), ("cls_bypass", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.scheme not in SCHEME_NAMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEME_NAMES}")
         if self.compression not in COMPRESSIONS:

@@ -65,6 +65,9 @@ class SubwordVocab:
 
     def __post_init__(self):
         self.size = len(self.entries)
+        ids = list(self.entries.values())
+        if any(type(i) is not int for i in ids) or sorted(ids) != list(range(self.size)):
+            raise ConfigError(f"vocab ids must be the integers 0..{self.size - 1}, each used once")
         self._by_id = {i: t for t, i in self.entries.items()}
         self._max_len = max((len(t) for t in self.entries if t not in SPECIALS), default=1)
 
@@ -258,7 +261,10 @@ def load_vocab(path: str | Path) -> SubwordVocab:
                 token_chars.append(escaped[i])
                 i += 1
         entries["".join(token_chars)] = int(idx)
-    vocab = SubwordVocab(header["mode"], entries)
+    try:
+        vocab = SubwordVocab(header["mode"], entries)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     if vocab.size != int(header["size"]):
         raise ConfigError(f"{path}: header size {header['size']} != {vocab.size} entries")
     return vocab

@@ -151,6 +151,13 @@ class TestVocabAndEncode:
         assert main(["encode", "a", "--vocab", str(vocab_path)]) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("ids", [("0", "0"), ("0", "2")], ids=["duplicate", "gapped"])
+    def test_vocab_ids_not_0_to_size_are_domain_error(self, tmp_path, capsys, ids):
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text(f"mode=charlist\tsize=2\na\t{ids[0]}\nb\t{ids[1]}\n", encoding="utf-8")
+        assert main(["encode", "ab", "--vocab", str(vocab_path)]) == 1
+        assert_one_line_error(capsys)
+
 
 class TestOracleAlign:
     def test_surface_with_units(self, capsys):
@@ -331,6 +338,52 @@ class TestCheckpointRoundTrip:
         ckpt.write_bytes(struct.pack("<4sIQ", b"JFCK", 1, len(header)) + header)
         assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"config": {}, "tensors": 5},
+            {"config": {}, "tensors": [{"name": "x", "shape": "ab"}]},
+            {"config": [1], "tensors": []},
+            {"config": {}, "tensors": []},
+            {"config": {"pipeline": {"dim": "x"}, "subword_vocab": {"mode": "charlist", "entries": {}}}, "tensors": []},
+        ],
+        ids=["tensors-not-list", "shape-not-list", "config-not-object", "config-without-pipeline", "dim-not-int"],
+    )
+    def test_header_with_wrong_types_is_domain_error(self, tmp_path, capsys, fields):
+        header = json.dumps({"format_version": 1, "seed": 0, **fields}).encode("utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", b"JFCK", 1, len(header)) + header)
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        assert_one_line_error(capsys)
+
+    def test_bytes_after_last_tensor_are_domain_error(self, trained, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        with open(trained["ckpt"], "rb") as stream:
+            ckpt.write_bytes(stream.read() + b"\0")
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        assert_one_line_error(capsys)
+
+    def test_non_integer_seed_is_domain_error(self, trained, tmp_path, capsys):
+        with open(trained["ckpt"], "rb") as stream:
+            blob = stream.read()
+        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+        header = json.loads(blob[16 : 16 + header_len])
+        header["seed"] = "x"
+        new_header = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", magic, version, len(new_header)) + new_header + blob[16 + header_len :])
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags", [["--dim", "8", "--scheme", "bts"], ["--vocab", "vocab.tsv"]], ids=["pipeline", "vocab"]
+    )
+    def test_flags_a_checkpoint_would_ignore_are_domain_error(self, trained, capsys, flags):
+        assert main(["embed", "--ckpt", trained["ckpt"], *flags, "--text", "하다"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(flag in err for flag in flags if flag.startswith("--"))
 
 
 class TestProbes:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jamofuse.gradcheck import grad_check
-from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
+from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear
 from jamofuse.tensor import ShapeError, Tensor
 
 TOL = 1e-6
@@ -10,6 +10,78 @@ TOL = 1e-6
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+_sigmoid = sigmoid  # the name the reference loop below calls
+
+
+def _reference_gru_forward(self, x, h0=None):
+    """The per-step GRU forward that GRULayer.forward replaced, kept as the reference."""
+    if x.ndim != 2 or x.shape[1] != self.dim:
+        raise ShapeError(f"gru input {x.shape} does not match hidden size {self.dim}")
+    if x.shape[0] < 1:
+        raise ShapeError("gru needs at least one step")
+    p = self.params
+    w_z, u_z, b_z = p["w_z"].data, p["u_z"].data, p["b_z"].data
+    w_r, u_r, b_r = p["w_r"].data, p["u_r"].data, p["b_r"].data
+    w_n, u_n, b_n = p["w_n"].data, p["u_n"].data, p["b_n"].data
+
+    T = x.shape[0]
+    h = np.zeros(self.dim) if h0 is None else np.asarray(h0, dtype=np.float64)
+    if h.shape != (self.dim,):
+        raise ShapeError(f"gru initial state {h.shape} does not match hidden size {self.dim}")
+    hs = np.zeros((T, self.dim))
+    h_prev = np.zeros((T, self.dim))
+    zs, rs, ns, rhs = (np.zeros((T, self.dim)) for _ in range(4))
+    for t in range(T):
+        h_prev[t] = h
+        z = _sigmoid(x[t] @ w_z + h @ u_z + b_z)
+        r = _sigmoid(x[t] @ w_r + h @ u_r + b_r)
+        rh = r * h
+        n = np.tanh(x[t] @ w_n + rh @ u_n + b_n)
+        h = (1.0 - z) * n + z * h
+        zs[t], rs[t], ns[t], rhs[t], hs[t] = z, r, n, rh, h
+    return hs, GRUCache(x, h_prev, zs, rs, ns, rhs)
+
+
+def _reference_gru_backward(self, grad_hs, cache):
+    """The per-step GRU backward that GRULayer.backward replaced, kept as the reference."""
+    p = self.params
+    w_z, u_z = p["w_z"].data, p["u_z"].data
+    w_r, u_r = p["w_r"].data, p["u_r"].data
+    w_n, u_n = p["w_n"].data, p["u_n"].data
+
+    x, h_prev, zs, rs, ns, rhs = cache
+    T = x.shape[0]
+    grads = {name: np.zeros_like(p[name].data) for name in p.names()}
+    grad_x = np.zeros_like(x)
+    carry = np.zeros(self.dim)
+    for t in range(T - 1, -1, -1):
+        dh = grad_hs[t] + carry
+        z, r, n, h0 = zs[t], rs[t], ns[t], h_prev[t]
+        dz = dh * (h0 - n)
+        dn = dh * (1.0 - z)
+        carry = dh * z
+        dn_pre = dn * (1.0 - n * n)
+        d_rh = dn_pre @ u_n.T
+        dr = d_rh * h0
+        carry += d_rh * r
+        dz_pre = dz * z * (1.0 - z)
+        dr_pre = dr * r * (1.0 - r)
+        grads["w_z"] += np.outer(x[t], dz_pre)
+        grads["u_z"] += np.outer(h0, dz_pre)
+        grads["b_z"] += dz_pre
+        grads["w_r"] += np.outer(x[t], dr_pre)
+        grads["u_r"] += np.outer(h0, dr_pre)
+        grads["b_r"] += dr_pre
+        grads["w_n"] += np.outer(x[t], dn_pre)
+        grads["u_n"] += np.outer(rhs[t], dn_pre)
+        grads["b_n"] += dn_pre
+        grad_x[t] = dz_pre @ w_z.T + dr_pre @ w_r.T + dn_pre @ w_n.T
+        carry += dz_pre @ u_z.T + dr_pre @ u_r.T
+    for name, g in grads.items():
+        p[name].accumulate(g)
+    return grad_x, carry
 
 
 def check_layer_grads(layer, loss_fn, extra_inputs=()):
@@ -133,6 +205,61 @@ class TestGRULayer:
             return float((hs * r).sum())
 
         check_layer_grads(gru, loss_fn, extra_inputs=[x, h0])
+
+
+EQUIV_TOL = 1e-12
+
+
+def _gru_run(forward, backward, gru, xs, h0s, grads):
+    """Forward every (x, h0), then backward each with its upstream gradient into fresh .grad slots."""
+    gru.params.zero_grads()
+    runs = [forward(gru, x, h0) for x, h0 in zip(xs, h0s)]
+    inputs = [backward(gru, g, cache) for (_, cache), g in zip(runs, grads)]
+    params = {name: t.grad.copy() for name, t in gru.params.items()}
+    return [hs for hs, _ in runs], [cache for _, cache in runs], inputs, params
+
+
+def assert_gru_matches_reference(gru, xs, h0s, grads):
+    new = _gru_run(GRULayer.forward, GRULayer.backward, gru, xs, h0s, grads)
+    ref = _gru_run(_reference_gru_forward, _reference_gru_backward, gru, xs, h0s, grads)
+    (hs, caches, inputs, params), (hs_ref, caches_ref, inputs_ref, params_ref) = new, ref
+    for a, b in zip(hs, hs_ref):
+        assert np.abs(a - b).max() <= EQUIV_TOL
+    for cache, cache_ref in zip(caches, caches_ref):
+        for field in GRUCache._fields:
+            a, b = getattr(cache, field), getattr(cache_ref, field)
+            assert a.shape == b.shape and np.abs(a - b).max() <= EQUIV_TOL, field
+    for (gx, gh0), (gx_ref, gh0_ref) in zip(inputs, inputs_ref):
+        assert np.abs(gx - gx_ref).max() <= EQUIV_TOL
+        assert np.abs(gh0 - gh0_ref).max() <= EQUIV_TOL
+    assert params.keys() == params_ref.keys() and len(params) == 9
+    for name in params:
+        assert np.abs(params[name] - params_ref[name]).max() <= EQUIV_TOL, name
+
+
+class TestGRUReferenceEquivalence:
+    """GRULayer against the per-step loop it replaced, to 1e-12 absolute."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("steps", [1, 2, 7, 40])
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_matches_reference(self, dim, steps, seed, with_h0):
+        rng = np.random.default_rng(seed)
+        gru = GRULayer(dim, rng)
+        x = rng.standard_normal((steps, dim))
+        h0 = rng.standard_normal(dim) if with_h0 else None
+        grad = rng.standard_normal((steps, dim))
+        assert_gru_matches_reference(gru, [x], [h0], [grad])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_backwards_accumulate_like_reference(self, seed):
+        # Training runs both words of a pair forward, then backward, into one .grad per parameter.
+        rng = np.random.default_rng(seed)
+        gru = GRULayer(16, rng)
+        xs = [rng.standard_normal((5, 16)), rng.standard_normal((3, 16))]
+        grads = [rng.standard_normal((5, 16)), rng.standard_normal((3, 16))]
+        assert_gru_matches_reference(gru, xs, [None, rng.standard_normal(16)], grads)
 
 
 class TestConv2x1:

@@ -55,6 +55,9 @@ class TestPipelineConfig:
             {"dim": 0},
             {"heads": 3},
             {"heads": 0},
+            {"dim": "16"},
+            {"heads": 1.0},
+            {"cls_bypass": "yes"},
         ],
     )
     def test_bad_values_rejected(self, overrides):

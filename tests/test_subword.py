@@ -9,6 +9,7 @@ from jamofuse.subword import (
     AlignmentError,
     BoundaryMap,
     ConfigError,
+    SubwordVocab,
     align,
     decode,
     encode,
@@ -61,6 +62,15 @@ def test_target_below_base_rejected():
 def test_unknown_mode_rejected():
     with pytest.raises(ConfigError):
         train_vocab(["가"], 100, mode="magic")
+
+
+@pytest.mark.parametrize(
+    "entries", [{"a": 0, "b": 0}, {"a": 0, "b": 2}, {"a": 1}, {"a": 0, "b": "1"}],
+    ids=["duplicate", "gapped", "not-from-zero", "not-int"],
+)
+def test_vocab_ids_must_be_0_to_size(entries):
+    with pytest.raises(ConfigError):
+        SubwordVocab("charlist", entries)
 
 
 def test_tie_break_is_lexicographic():

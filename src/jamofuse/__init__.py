@@ -3,7 +3,7 @@
 from .hangul import SyllableBlock, compose, decompose, is_syllable
 from .oracle import align, classify_mod, corpus_stats, parse_action_file, reconstruct_targets
 from .pipeline import Pipeline, PipelineConfig, PipelineParams
-from .subchar import SubcharTokenizer, detokenize_subchar, group_roles, tokenize_subchar
+from .subchar import SubcharTokenizer
 from .subword import SubwordVocab, train_vocab
 
 __version__ = "0.1.0"
@@ -20,12 +20,9 @@ __all__ = [
     "compose",
     "corpus_stats",
     "decompose",
-    "detokenize_subchar",
-    "group_roles",
     "is_syllable",
     "parse_action_file",
     "reconstruct_targets",
-    "tokenize_subchar",
     "train_vocab",
     "__version__",
 ]

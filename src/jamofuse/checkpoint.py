@@ -114,15 +114,17 @@ def load_checkpoint(path: str) -> Checkpoint:
             raw = f.read(count * 8)
             if len(raw) < count * 8:
                 raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"{path}: tensor {entry['name']!r} holds NaN or infinite values")
+            tensors[entry["name"]] = values
         if f.read(1):
             raise CheckpointError(f"{path}: bytes remain after the last tensor")
         return Checkpoint(seed=header["seed"], config=header["config"], tensors=tensors)
 
 
-def load_into(params: ParamGroup, path: str) -> Checkpoint:
-    """Restore parameter values in place; names and shapes must match exactly."""
-    ckpt = load_checkpoint(path)
+def restore(params: ParamGroup, ckpt: Checkpoint, path: str) -> None:
+    """Copy a loaded checkpoint's values into params; names and shapes must match exactly."""
     expected = [name for name, _ in params.items()]
     if ckpt.names != expected:
         raise CheckpointError(
@@ -135,4 +137,10 @@ def load_into(params: ParamGroup, path: str) -> Checkpoint:
                 f"{path}: shape {saved.shape} for {name!r} does not match parameter {tensor.shape}"
             )
         tensor.data = saved.copy()
+
+
+def load_into(params: ParamGroup, path: str) -> Checkpoint:
+    """Restore parameter values in place from the checkpoint file at path."""
+    ckpt = load_checkpoint(path)
+    restore(params, ckpt, path)
     return ckpt

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, load_into, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, restore, save_checkpoint, write_atomic
 from .gradcheck import grad_check
 from .oracle import (
     align,
@@ -137,7 +137,7 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
     pipe = Pipeline.build(PipelineConfig.from_dict(pipeline), subword_vocab, seed=ckpt.seed)
-    load_into(pipe.params.group, path)
+    restore(pipe.params.group, ckpt, path)
     return pipe
 
 

@@ -144,17 +144,14 @@ class Stage1Cache:
     seq_cache: GRUCache
     iv_cache: GRUCache
     conv_cache: np.ndarray
-    starts: list[int]
-    passthrough: list[bool]
-    token_count: int
+    passthrough: np.ndarray  # (chars,) bool, True where the character has no slot structure
 
 
 @dataclass
-class AttnPoolUnit:
-    span: tuple[int, int]
-    alpha: np.ndarray
-    window: np.ndarray
-    values: np.ndarray
+class AttnPoolCache:
+    spans: list[tuple[int, int]]  # per unit: [start, stop) token span, together tiling the tokens
+    alpha: np.ndarray  # (tokens,) attention weight of each token within its unit
+    values: np.ndarray  # (tokens, d)
     value_cache: np.ndarray
 
 
@@ -171,7 +168,7 @@ class ForwardCache:
     stage1: Optional[Stage1Cache] = None
     stage2: Optional[GRUCache] = None
     linear_cache: Optional[np.ndarray] = None
-    attn_units: Optional[list[AttnPoolUnit]] = None
+    attn_pool: Optional[AttnPoolCache] = None
     fuse_cache: Optional[object] = None
     cls: bool = False
 
@@ -251,50 +248,33 @@ class Pipeline:
 
         h, seq_cache = p.gru_seq.forward(e)
 
-        starts = [span[0] for span in seq.char_bounds]
-        passthrough = [seq.roles[s] == ROLE_OTHER for s in starts]
-        x_iv = np.zeros((c, d))
-        h_f = np.zeros((c, d))
-        for k, s in enumerate(starts):
-            if passthrough[k]:
-                x_iv[k] = h[s]
-            else:
-                x_iv[k] = h[s : s + wi].sum(axis=0) + h[s + wi : s + wi + wv].sum(axis=0)
-                h_f[k] = h[s + wi + wv : s + w].sum(axis=0)
+        # Character k owns tokens k*w .. (k+1)*w, so its slots are row k of this view.
+        slots = h.reshape(c, w, d)
+        passthrough = np.array([role == ROLE_OTHER for role in seq.roles[::w]])
+        pt = passthrough[:, None]
+        x_iv = np.where(pt, slots[:, 0], slots[:, :wi].sum(axis=1) + slots[:, wi : wi + wv].sum(axis=1))
+        h_f = np.where(pt, 0.0, slots[:, wi + wv :].sum(axis=1))
 
         h_iv, iv_cache = p.gru_iv.forward(x_iv)
-        stacked = np.stack([h_iv, h_f])
-        conv_out, conv_cache = p.conv.forward(stacked)
-        h_c = conv_out[0].copy()
-        for k, s in enumerate(starts):
-            if passthrough[k]:
-                h_c[k] = h[s]
-        return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, starts, passthrough, n)
+        conv_out, conv_cache = p.conv.forward(np.stack([h_iv, h_f]))
+        h_c = np.where(pt, slots[:, 0], conv_out[0])
+        return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, passthrough)
 
     def backward_stage1(self, grad_hc: np.ndarray, cache: Stage1Cache) -> np.ndarray:
         p = self.params
         w = self.tokenizer.scheme.width
         wi, wv, _ = self.tokenizer.scheme.widths
-        d = grad_hc.shape[1]
+        c, d = grad_hc.shape
+        pt = cache.passthrough[:, None]
 
-        grad_h = np.zeros((cache.token_count, d))
-        grad_pooled = grad_hc.copy()
-        for k, s in enumerate(cache.starts):
-            if cache.passthrough[k]:
-                grad_h[s] += grad_hc[k]
-                grad_pooled[k] = 0.0
-
-        grad_stacked = p.conv.backward(grad_pooled[None, :, :], cache.conv_cache)
+        grad_stacked = p.conv.backward(np.where(pt, 0.0, grad_hc)[None, :, :], cache.conv_cache)
         grad_xiv, _ = p.gru_iv.backward(grad_stacked[0], cache.iv_cache)
-        grad_hf = grad_stacked[1]
-        for k, s in enumerate(cache.starts):
-            if cache.passthrough[k]:
-                grad_h[s] += grad_xiv[k]
-            else:
-                grad_h[s : s + wi] += grad_xiv[k]
-                grad_h[s + wi : s + wi + wv] += grad_xiv[k]
-                grad_h[s + wi + wv : s + w] += grad_hf[k]
-        grad_e, _ = p.gru_seq.backward(grad_h, cache.seq_cache)
+        # A passthrough character's whole gradient goes to slot 0, the state that stood in for it.
+        grad_slots = np.empty((c, w, d))
+        grad_slots[:, : wi + wv] = np.where(pt, 0.0, grad_xiv)[:, None]
+        grad_slots[:, wi + wv :] = np.where(pt, 0.0, grad_stacked[1])[:, None]
+        grad_slots[:, 0] += np.where(pt, grad_hc + grad_xiv, 0.0)
+        grad_e, _ = p.gru_seq.backward(grad_slots.reshape(c * w, d), cache.seq_cache)
         return grad_e
 
     def stage2_char_to_unit(
@@ -336,44 +316,34 @@ class Pipeline:
 
     def compress_attention(
         self, e: np.ndarray, ranges: list[tuple[int, int]]
-    ) -> tuple[np.ndarray, list[AttnPoolUnit]]:
+    ) -> tuple[np.ndarray, AttnPoolCache]:
         p = self.params
         w = self.tokenizer.scheme.width
-        d = e.shape[1]
-        scale = 1.0 / np.sqrt(d)
-        q = p.attn_query.data
-        out = np.zeros((len(ranges), d))
-        units: list[AttnPoolUnit] = []
-        for u, (a, b) in enumerate(ranges):
-            span = (a * w, b * w)
-            window = e[span[0] : span[1]]
-            logits = window @ q * scale
-            shifted = np.exp(logits - logits.max())
-            alpha = shifted / shifted.sum()
-            values, value_cache = p.attn_value.forward(window)
-            out[u] = alpha @ values
-            units.append(AttnPoolUnit(span, alpha, window, values, value_cache))
-        return out, units
+        scale = 1.0 / np.sqrt(e.shape[1])
+        logits = e @ p.attn_query.data * scale
+        values, value_cache = p.attn_value.forward(e)
+        spans = [(a * w, b * w) for a, b in ranges]
+        alpha = np.zeros(e.shape[0])
+        out = np.zeros((len(spans), e.shape[1]))
+        for u, (a, b) in enumerate(spans):
+            shifted = np.exp(logits[a:b] - logits[a:b].max())
+            alpha[a:b] = shifted / shifted.sum()
+            out[u] = alpha[a:b] @ values[a:b]
+        return out, AttnPoolCache(spans, alpha, values, value_cache)
 
-    def backward_compress_attention(
-        self, grad_hs: np.ndarray, units: list[AttnPoolUnit], token_count: int
-    ) -> np.ndarray:
+    def backward_compress_attention(self, grad_hs: np.ndarray, cache: AttnPoolCache) -> np.ndarray:
         p = self.params
-        d = grad_hs.shape[1]
-        scale = 1.0 / np.sqrt(d)
-        q = p.attn_query.data
-        grad_e = np.zeros((token_count, d))
-        grad_q = np.zeros(d)
-        for g, unit in zip(grad_hs, units):
-            d_values = np.outer(unit.alpha, g)
-            d_alpha = unit.values @ g
-            d_logits = unit.alpha * (d_alpha - float(d_alpha @ unit.alpha))
-            grad_window = p.attn_value.backward(d_values, unit.value_cache)
-            grad_window = grad_window + np.outer(d_logits, q) * scale
-            grad_q += unit.window.T @ d_logits * scale
-            grad_e[unit.span[0] : unit.span[1]] += grad_window
-        p.attn_query.accumulate(grad_q)
-        return grad_e
+        scale = 1.0 / np.sqrt(grad_hs.shape[1])
+        alpha, values = cache.alpha, cache.values
+        d_values = np.zeros_like(values)
+        d_logits = np.zeros_like(alpha)
+        for g, (a, b) in zip(grad_hs, cache.spans):
+            d_values[a:b] = np.outer(alpha[a:b], g)
+            d_alpha = values[a:b] @ g
+            d_logits[a:b] = alpha[a:b] * (d_alpha - d_alpha @ alpha[a:b])
+        grad_e = p.attn_value.backward(d_values, cache.value_cache)
+        p.attn_query.accumulate(cache.value_cache.T @ d_logits * scale)
+        return grad_e + np.outer(d_logits, p.attn_query.data) * scale
 
     def fuse(self, e_s: np.ndarray, h_s: np.ndarray) -> tuple[np.ndarray, Optional[object]]:
         if e_s.shape != h_s.shape:
@@ -406,9 +376,7 @@ class Pipeline:
         d = cfg.dim
         seq = self.tokenizer.tokenize(text)
         subword_ids, ranges = self.unit_ranges(text, external_boundary)
-        boundary = BoundaryMap(list(ranges))
-        boundary.validate(seq.char_count)
-        last_indices = subword_align(boundary, seq.char_count) if ranges else []
+        last_indices = subword_align(BoundaryMap(ranges), seq.char_count) if ranges else []
 
         e, subchar_ids = self.embed_subchars(seq)
         cache = ForwardCache(
@@ -423,7 +391,7 @@ class Pipeline:
             elif cfg.compression == "linear":
                 h_s, cache.linear_cache = self.compress_linear(e, last_indices)
             else:
-                h_s, cache.attn_units = self.compress_attention(e, ranges)
+                h_s, cache.attn_pool = self.compress_attention(e, ranges)
             e_s, _ = self.params.subword_emb.forward(subword_ids)
             fused, cache.fuse_cache = self.fuse(e_s, h_s)
             cache.e_S, cache.h_S = e_s, h_s
@@ -459,7 +427,7 @@ class Pipeline:
         elif cfg.compression == "linear":
             grad_e = self.backward_compress_linear(grad_hs, cache.linear_cache, cache.last_indices)
         else:
-            grad_e = self.backward_compress_attention(grad_hs, cache.attn_units, len(cache.seq))
+            grad_e = self.backward_compress_attention(grad_hs, cache.attn_pool)
         self.params.subchar_emb.backward(grad_e, cache.subchar_ids)
 
     def unit_labels(self, cache: ForwardCache) -> list[str]:

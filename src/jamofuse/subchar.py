@@ -314,19 +314,3 @@ class SubcharTokenizer:
             )
         return "".join(self._decode_span(seq, k) for k in range(seq.char_count))
 
-
-@lru_cache(maxsize=8)
-def _default_tokenizer(scheme: str) -> SubcharTokenizer:
-    return SubcharTokenizer(scheme)
-
-
-def tokenize_subchar(text: str, scheme: str = "jamo") -> SubcharSequence:
-    return _default_tokenizer(scheme).tokenize(text)
-
-
-def detokenize_subchar(seq: SubcharSequence) -> str:
-    return _default_tokenizer(seq.scheme.name).detokenize(seq)
-
-
-def group_roles(seq: SubcharSequence, k: int):
-    return _default_tokenizer(seq.scheme.name).group_roles(seq, k)

@@ -508,8 +508,8 @@ def cohesion_report(word_sets: list[tuple[str, list[str]]], pipe: Pipeline) -> C
     for label, words in word_sets:
         if len(words) < 2:
             raise ConfigError(f"set {label!r} needs at least 2 words, got {len(words)}")
-        raw = word_vectors(pipe, words, "raw")
-        fused = word_vectors(pipe, words, "fused")
+        fused, raw, _ = zip(*(_forward_word(pipe, w) for w in words))
+        fused, raw = np.stack(fused), np.stack(raw)
         rows.append(
             CohesionRow(
                 label,

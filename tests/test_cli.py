@@ -5,11 +5,13 @@ text, so the whole dispatch path runs without spawning subprocesses.
 """
 
 import json
+import math
 import struct
 
 import pytest
 from importlib import resources
 
+from jamofuse import checkpoint, cli
 from jamofuse.cli import main
 from jamofuse.oracle import parse_action_file
 from jamofuse.subword import load_vocab
@@ -321,6 +323,19 @@ class TestCheckpointRoundTrip:
         assert lines[0].startswith("token,dim0")
         assert len(lines) >= 2
 
+    def test_embed_reads_checkpoint_once(self, trained, monkeypatch, capsys):
+        calls = []
+        load = checkpoint.load_checkpoint
+
+        def counted(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", counted)
+        monkeypatch.setattr(cli, "load_checkpoint", counted)
+        assert main(["embed", "--ckpt", trained["ckpt"], "--text", "하다"]) == 0
+        assert calls == [trained["ckpt"]]
+
     def test_checkpoint_carries_vocab_and_config(self, trained, tmp_path, capsys):
         """No vocab or pipeline flags are needed once a checkpoint exists."""
         assert main(["probe-pca", "--ckpt", trained["ckpt"], "--words", "하다,했다,가다"]) == 0
@@ -375,6 +390,24 @@ class TestCheckpointRoundTrip:
         ckpt.write_bytes(struct.pack("<4sIQ", magic, version, len(new_header)) + new_header + blob[16 + header_len :])
         assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_tensor_is_domain_error(self, trained, tmp_path, capsys, value):
+        with open(trained["ckpt"], "rb") as stream:
+            blob = bytearray(stream.read())
+        _, _, header_len = struct.unpack_from("<4sIQ", blob)
+        offset = 16 + header_len
+        for entry in json.loads(blob[16:offset])["tensors"]:
+            if entry["name"] == "gru_seq.w_z":
+                break
+            offset += 8 * math.prod(entry["shape"])
+        struct.pack_into("<d", blob, offset + 8, value)
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(bytes(blob))
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "'gru_seq.w_z'" in err
 
     @pytest.mark.parametrize(
         "flags", [["--dim", "8", "--scheme", "bts"], ["--vocab", "vocab.tsv"]], ids=["pipeline", "vocab"]

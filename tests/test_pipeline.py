@@ -15,7 +15,7 @@ from jamofuse.pipeline import (
     PipelineParams,
     embeddings_csv,
 )
-from jamofuse.subchar import SCHEME_NAMES, SubcharScheme
+from jamofuse.subchar import ROLE_OTHER, SCHEME_NAMES, SubcharScheme
 from jamofuse.subword import AlignmentError, BoundaryMap, train_vocab
 from jamofuse.tensor import ShapeError
 
@@ -38,6 +38,124 @@ def zero_non_embedding_params(pipe):
     for name, tensor in pipe.params.group.items():
         if not name.startswith(("subchar_emb", "subword_emb")):
             tensor.data[...] = 0.0
+
+
+def _reference_stage1(self, e, seq):
+    """The per-character stage 1 that Pipeline.stage1_subchar_to_char replaced, kept as the reference."""
+    p = self.params
+    w = self.tokenizer.scheme.width
+    wi, wv, _ = self.tokenizer.scheme.widths
+    n, d = e.shape
+    if n % w != 0:
+        raise ShapeError(f"token count {n} is not a multiple of width {w}")
+    c = n // w
+
+    h, seq_cache = p.gru_seq.forward(e)
+
+    starts = [span[0] for span in seq.char_bounds]
+    passthrough = [seq.roles[s] == ROLE_OTHER for s in starts]
+    x_iv = np.zeros((c, d))
+    h_f = np.zeros((c, d))
+    for k, s in enumerate(starts):
+        if passthrough[k]:
+            x_iv[k] = h[s]
+        else:
+            x_iv[k] = h[s : s + wi].sum(axis=0) + h[s + wi : s + wi + wv].sum(axis=0)
+            h_f[k] = h[s + wi + wv : s + w].sum(axis=0)
+
+    h_iv, iv_cache = p.gru_iv.forward(x_iv)
+    stacked = np.stack([h_iv, h_f])
+    conv_out, conv_cache = p.conv.forward(stacked)
+    h_c = conv_out[0].copy()
+    for k, s in enumerate(starts):
+        if passthrough[k]:
+            h_c[k] = h[s]
+    return h_c, (seq_cache, iv_cache, conv_cache, starts, passthrough, n)
+
+
+def _reference_backward_stage1(self, grad_hc, cache):
+    """The per-character stage 1 backward that Pipeline.backward_stage1 replaced, kept as the reference."""
+    seq_cache, iv_cache, conv_cache, starts, passthrough, token_count = cache
+    p = self.params
+    w = self.tokenizer.scheme.width
+    wi, wv, _ = self.tokenizer.scheme.widths
+    d = grad_hc.shape[1]
+
+    grad_h = np.zeros((token_count, d))
+    grad_pooled = grad_hc.copy()
+    for k, s in enumerate(starts):
+        if passthrough[k]:
+            grad_h[s] += grad_hc[k]
+            grad_pooled[k] = 0.0
+
+    grad_stacked = p.conv.backward(grad_pooled[None, :, :], conv_cache)
+    grad_xiv, _ = p.gru_iv.backward(grad_stacked[0], iv_cache)
+    grad_hf = grad_stacked[1]
+    for k, s in enumerate(starts):
+        if passthrough[k]:
+            grad_h[s] += grad_xiv[k]
+        else:
+            grad_h[s : s + wi] += grad_xiv[k]
+            grad_h[s + wi : s + wi + wv] += grad_xiv[k]
+            grad_h[s + wi + wv : s + w] += grad_hf[k]
+    grad_e, _ = p.gru_seq.backward(grad_h, seq_cache)
+    return grad_e
+
+
+def _reference_compress_attention(self, e, ranges):
+    """The per-unit attention pooling that Pipeline.compress_attention replaced, kept as the reference."""
+    p = self.params
+    w = self.tokenizer.scheme.width
+    d = e.shape[1]
+    scale = 1.0 / np.sqrt(d)
+    q = p.attn_query.data
+    out = np.zeros((len(ranges), d))
+    units = []
+    for u, (a, b) in enumerate(ranges):
+        span = (a * w, b * w)
+        window = e[span[0] : span[1]]
+        logits = window @ q * scale
+        shifted = np.exp(logits - logits.max())
+        alpha = shifted / shifted.sum()
+        values, value_cache = p.attn_value.forward(window)
+        out[u] = alpha @ values
+        units.append((span, alpha, window, values, value_cache))
+    return out, units
+
+
+def _reference_backward_compress_attention(self, grad_hs, units, token_count):
+    """The per-unit backward that Pipeline.backward_compress_attention replaced, kept as the reference."""
+    p = self.params
+    d = grad_hs.shape[1]
+    scale = 1.0 / np.sqrt(d)
+    q = p.attn_query.data
+    grad_e = np.zeros((token_count, d))
+    grad_q = np.zeros(d)
+    for g, (span, alpha, window, values, value_cache) in zip(grad_hs, units):
+        d_values = np.outer(alpha, g)
+        d_alpha = values @ g
+        d_logits = alpha * (d_alpha - float(d_alpha @ alpha))
+        grad_window = p.attn_value.backward(d_values, value_cache)
+        grad_window = grad_window + np.outer(d_logits, q) * scale
+        grad_q += window.T @ d_logits * scale
+        grad_e[span[0] : span[1]] += grad_window
+    p.attn_query.accumulate(grad_q)
+    return grad_e
+
+
+# Passthrough-heavy: ASCII, digits, punctuation, spaces and bare jamo next to syllables.
+REFERENCE_TEXTS = ["했다", "a하 1!", "ab", "ㄱ a ㅏ", "대한 민국?", "x", "12 했", " 하 "]
+
+
+def _run_stage(pipe, forward, backward, text, seed):
+    """One forward and backward of a compression stage; returns (output, grad_e, parameter grads)."""
+    seq = pipe.tokenizer.tokenize(text)
+    e, _ = pipe.embed_subchars(seq)
+    pipe.params.group.zero_grads()
+    out, cache = forward(e, seq)
+    grad_e = backward(np.random.default_rng(seed).normal(size=out.shape), cache)
+    grads = {name: t.grad for name, t in pipe.params.group.items() if t.grad is not None}
+    return out, grad_e, grads
 
 
 class TestPipelineConfig:
@@ -191,20 +309,74 @@ class TestCompressAttention:
         pipe.params.attn_query.data[...] = 0.0
         seq = pipe.tokenizer.tokenize("하다")
         e, _ = pipe.embed_subchars(seq)
-        out, units = pipe.compress_attention(e, [(0, 2)])
+        out, cache = pipe.compress_attention(e, [(0, 2)])
         values, _ = pipe.params.attn_value.forward(e)
         assert np.allclose(out[0], values.mean(axis=0), atol=1e-12)
-        assert np.allclose(units[0].alpha.sum(), 1.0, atol=1e-12)
+        assert np.allclose(cache.alpha[0:6].sum(), 1.0, atol=1e-12)
 
     def test_weights_are_a_distribution_per_unit(self):
         pipe = build(compression="attention")
         seq = pipe.tokenizer.tokenize("했다한")
         e, _ = pipe.embed_subchars(seq)
-        _, units = pipe.compress_attention(e, [(0, 2), (2, 3)])
-        for unit in units:
-            assert (unit.alpha > 0).all()
-            assert abs(unit.alpha.sum() - 1.0) < 1e-12
-        assert units[0].alpha.shape == (6,) and units[1].alpha.shape == (3,)
+        _, cache = pipe.compress_attention(e, [(0, 2), (2, 3)])
+        alphas = [cache.alpha[a:b] for a, b in cache.spans]
+        for alpha in alphas:
+            assert (alpha > 0).all()
+            assert abs(alpha.sum() - 1.0) < 1e-12
+        assert alphas[0].shape == (6,) and alphas[1].shape == (3,)
+
+
+class TestReferenceEquivalence:
+    """Whole-array stage 1 and attention pooling against the per-character and per-unit loops they replaced."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_stage1_bitwise_equal(self, scheme, seed):
+        pipe = Pipeline.build(PipelineConfig(scheme=scheme, dim=6), small_vocab(), seed=seed)
+        for text in REFERENCE_TEXTS:
+            new = _run_stage(pipe, pipe.stage1_subchar_to_char, pipe.backward_stage1, text, seed)
+            ref = _run_stage(
+                pipe,
+                lambda e, seq: _reference_stage1(pipe, e, seq),
+                lambda g, cache: _reference_backward_stage1(pipe, g, cache),
+                text,
+                seed,
+            )
+            (h_c, grad_e, grads), (h_c_ref, grad_e_ref, grads_ref) = new, ref
+            assert np.array_equal(h_c, h_c_ref), text
+            assert np.array_equal(grad_e, grad_e_ref), text
+            assert grads.keys() == grads_ref.keys()
+            assert {name.split(".")[0] for name in grads} == {"gru_seq", "gru_iv", "conv"}
+            for name in grads:
+                assert np.array_equal(grads[name], grads_ref[name]), (text, name)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_attention_pooling_matches(self, scheme, seed):
+        pipe = Pipeline.build(PipelineConfig(scheme=scheme, dim=6, compression="attention"), small_vocab(), seed=seed)
+        for text in REFERENCE_TEXTS:
+            _, ranges = pipe.unit_ranges(text)
+            token_count = len(pipe.tokenizer.tokenize(text))
+            new = _run_stage(
+                pipe,
+                lambda e, seq: pipe.compress_attention(e, ranges),
+                pipe.backward_compress_attention,
+                text,
+                seed,
+            )
+            ref = _run_stage(
+                pipe,
+                lambda e, seq: _reference_compress_attention(pipe, e, ranges),
+                lambda g, units: _reference_backward_compress_attention(pipe, g, units, token_count),
+                text,
+                seed,
+            )
+            (out, grad_e, grads), (out_ref, grad_e_ref, grads_ref) = new, ref
+            assert np.abs(out - out_ref).max() <= 1e-12, text
+            assert np.abs(grad_e - grad_e_ref).max() <= 1e-12, text
+            assert grads.keys() == grads_ref.keys() and len(grads) == 3
+            for name in grads:
+                assert np.abs(grads[name] - grads_ref[name]).max() <= 1e-12, (text, name)
 
 
 class TestFuse:
@@ -298,8 +470,9 @@ class TestForward:
         assert cache.ranges == [(0, 2)] and out.shape == (1, 6)
         with pytest.raises(ConfigError, match="external"):
             pipe.forward("했다")
-        with pytest.raises(AlignmentError):
-            pipe.forward("했다", external_boundary=BoundaryMap([(0, 1)]))
+        for bad in ([(0, 1)], [(1, 2)], [(0, 3)], [(0, 0), (0, 2)]):
+            with pytest.raises(AlignmentError):
+                pipe.forward("했다", external_boundary=BoundaryMap(bad))
 
     def test_forward_is_deterministic(self):
         a, _ = build().forward("한국어 시험")

@@ -298,6 +298,19 @@ class TestCohesionReport:
         with pytest.raises(ConfigError, match="at least 2"):
             cohesion_report([("하다", ["하다"])], tiny_pipeline())
 
+    def test_one_forward_per_word(self, monkeypatch):
+        calls = []
+        forward = Pipeline.forward
+
+        def counted(self, text, *args):
+            calls.append(text)
+            return forward(self, text, *args)
+
+        monkeypatch.setattr(Pipeline, "forward", counted)
+        sets = [("춥다", ["춥다", "추움", "추위"]), ("걷다", ["걷다", "걸음"])]
+        cohesion_report(sets, tiny_pipeline())
+        assert calls == ["춥다", "추움", "추위", "걷다", "걸음"]
+
     def test_csv_layout(self):
         sets = [("춥다", ["춥다", "추움", "추위"]), ("걷다", ["걷다", "걸음"])]
         report = cohesion_report(sets, tiny_pipeline())

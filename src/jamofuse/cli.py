@@ -166,7 +166,7 @@ def _load_pipeline(args) -> Pipeline:
 def cmd_decompose(args) -> int:
     tokenizer = SubcharTokenizer(args.scheme or "jamo")
     seq = tokenizer.tokenize(args.text)
-    lines = [f"{tokenizer.vocab.atom(t)}\t{r}" for t, r in zip(seq.tokens, seq.roles)]
+    lines = [f"{tokenizer.vocab.atom(t)}\t{r}" for t, r in zip(seq.tokens.tolist(), seq.roles)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -174,7 +174,7 @@ def cmd_decompose(args) -> int:
 def cmd_tokenize(args) -> int:
     tokenizer = SubcharTokenizer(args.scheme or "jamo")
     seq = tokenizer.tokenize(args.text)
-    lines = [f"{t}\t{tokenizer.vocab.atom(t)}\t{r}" for t, r in zip(seq.tokens, seq.roles)]
+    lines = [f"{t}\t{tokenizer.vocab.atom(t)}\t{r}" for t, r in zip(seq.tokens.tolist(), seq.roles)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

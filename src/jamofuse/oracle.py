@@ -355,7 +355,11 @@ def corpus_stats(
     aligned: Iterable[AlignedChar], top_k: int = DEFAULT_TOP_K, partitions: int = 1
 ) -> CorpusStats:
     """Aggregate action counts; partitioned aggregation merges to the same result."""
-    if partitions <= 1:
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
+    if partitions < 1:
+        raise ValueError(f"partitions must be >= 1, got {partitions}")
+    if partitions == 1:
         stats = CorpusStats(top_k=top_k)
         for ac in aligned:
             stats.add(ac)

@@ -29,9 +29,8 @@ import csv
 import numpy as np
 
 from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear
-from .subchar import ROLE_OTHER, SCHEME_NAMES, SubcharScheme, SubcharSequence, SubcharTokenizer
-from .subword import BoundaryMap, SubwordVocab
-from .subword import align as subword_align
+from .subchar import SCHEME_NAMES, SubcharScheme, SubcharSequence, SubcharTokenizer
+from .subword import AlignmentError, BoundaryMap, SubwordVocab
 from .subword import encode as subword_encode
 from .tensor import ConfigError, ParamGroup, ShapeError, Tensor, uniform_init
 
@@ -159,7 +158,6 @@ class AttnPoolCache:
 class ForwardCache:
     text: str
     seq: SubcharSequence
-    subchar_ids: np.ndarray
     subword_ids: list[int]
     ranges: list[tuple[int, int]]
     last_indices: list[int]
@@ -225,6 +223,8 @@ class Pipeline:
                 raise ConfigError("granularity 'external' needs an explicit boundary map")
             external_boundary.validate(len(text))
             ranges = list(external_boundary.ranges)
+            if any(a == b for a, b in ranges):
+                raise AlignmentError("external boundary has an empty range, which has no last character")
         entries = self.subword_vocab.entries
         unk = self.subword_vocab.unk_id
         ids = [entries.get(text[a:b], unk) for a, b in ranges]
@@ -250,15 +250,14 @@ class Pipeline:
 
         # Character k owns tokens k*w .. (k+1)*w, so its slots are row k of this view.
         slots = h.reshape(c, w, d)
-        passthrough = np.array([role == ROLE_OTHER for role in seq.roles[::w]])
-        pt = passthrough[:, None]
+        pt = seq.passthrough[:, None]
         x_iv = np.where(pt, slots[:, 0], slots[:, :wi].sum(axis=1) + slots[:, wi : wi + wv].sum(axis=1))
         h_f = np.where(pt, 0.0, slots[:, wi + wv :].sum(axis=1))
 
         h_iv, iv_cache = p.gru_iv.forward(x_iv)
         conv_out, conv_cache = p.conv.forward(np.stack([h_iv, h_f]))
         h_c = np.where(pt, slots[:, 0], conv_out[0])
-        return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, passthrough)
+        return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, seq.passthrough)
 
     def backward_stage1(self, grad_hc: np.ndarray, cache: Stage1Cache) -> np.ndarray:
         p = self.params
@@ -376,11 +375,11 @@ class Pipeline:
         d = cfg.dim
         seq = self.tokenizer.tokenize(text)
         subword_ids, ranges = self.unit_ranges(text, external_boundary)
-        last_indices = subword_align(BoundaryMap(ranges), seq.char_count) if ranges else []
+        last_indices = [b - 1 for _, b in ranges]
 
-        e, subchar_ids = self.embed_subchars(seq)
+        e, _ = self.embed_subchars(seq)
         cache = ForwardCache(
-            text, seq, subchar_ids, subword_ids, ranges, last_indices,
+            text, seq, subword_ids, ranges, last_indices,
             e_S=np.zeros((0, d)), h_S=np.zeros((0, d)), cls=cfg.cls_bypass,
         )
 
@@ -428,7 +427,7 @@ class Pipeline:
             grad_e = self.backward_compress_linear(grad_hs, cache.linear_cache, cache.last_indices)
         else:
             grad_e = self.backward_compress_attention(grad_hs, cache.attn_pool)
-        self.params.subchar_emb.backward(grad_e, cache.subchar_ids)
+        self.params.subchar_emb.backward(grad_e, cache.seq.tokens)
 
     def unit_labels(self, cache: ForwardCache) -> list[str]:
         """One label per output row: unit texts, preceded by <cls> if bypassed."""

@@ -11,9 +11,11 @@ scheme:
 A syllable fills its (I, V, F) slots with the decomposition atoms of its three
 letters, left-packed and padded; a missing final is marked with the empty-final
 token. A bare consonant letter fills only the I slots, a bare vowel only the V
-slots. Any other character becomes a single passthrough token plus padding,
-with every slot labeled Other. The fixed width keeps the token count law
-N = W * chars for any input and makes per-character role grouping trivial.
+slots. Any other character becomes a single passthrough token plus padding
+and is flagged in the sequence's passthrough mask. The fixed width keeps the
+token count law N = W * chars for any input, so the ids form a (chars, W) grid
+and a token's role follows from its offset in its window. Each tokenizer
+decomposes a character once, the first time it sees it, and looks it up after.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
+
+import numpy as np
 
 from . import hangul
 
@@ -156,72 +160,69 @@ class SubcharVocab:
         return self.atoms[token_id]
 
     @staticmethod
-    def build(table: Optional[DecompTable] = None, ascii_bank: bool = True) -> "SubcharVocab":
-        table = table or DecompTable.bundled()
+    def build() -> "SubcharVocab":
         atoms: dict[str, None] = {}
         for a in [PAD, EMPTY_FINAL, CLS, OTHER]:
             atoms.setdefault(a)
         for a in list(hangul.CHOSEONG) + list(hangul.JUNGSEONG) + list(hangul.JONGSEONG[1:]):
             atoms.setdefault(a)
-        for a in table.atom_inventory():
+        for a in DecompTable.bundled().atom_inventory():
             atoms.setdefault(a)
-        if ascii_bank:
-            # '-' already exists as the stroke atom; the shared id is fine
-            # because roles tell a passthrough hyphen from a stroke at decode.
-            for c in range(0x20, 0x7F):
-                atoms.setdefault(chr(c))
+        # '-' already exists as the stroke atom; the shared id is fine
+        # because the passthrough mask tells a hyphen from a stroke at decode.
+        for c in range(0x20, 0x7F):
+            atoms.setdefault(chr(c))
         return SubcharVocab(list(atoms))
 
 
 class MalformedSequenceError(ValueError):
-    """A token sequence violates the per-character role pattern."""
+    """A token sequence fits no character of its scheme."""
 
 
 @dataclass
 class SubcharSequence:
     scheme: SubcharScheme
-    tokens: list[int]
-    roles: list[str]
-    char_bounds: list[tuple[int, int]]  # per character: [start, stop) token span
-    text: str  # source characters, one per span
-
-    def __post_init__(self):
-        assert len(self.tokens) == len(self.roles)
-        assert len(self.char_bounds) == len(self.text)
+    text: str  # source characters, one per W-token window
+    tokens: np.ndarray  # (chars * W,) int64 ids; character k owns tokens k*W .. (k+1)*W
+    passthrough: np.ndarray  # (chars,) bool, True where the character has no slot structure
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     @property
     def char_count(self) -> int:
-        return len(self.char_bounds)
+        return len(self.text)
+
+    @property
+    def roles(self) -> list[str]:
+        """One role per token: the scheme's I/V/F slot layout, or Other for a passthrough character."""
+        wi, wv, wf = self.scheme.widths
+        slots = [ROLE_I] * wi + [ROLE_V] * wv + [ROLE_F] * wf
+        other = [ROLE_OTHER] * self.scheme.width
+        return [role for pt in self.passthrough for role in (other if pt else slots)]
 
 
 class SubcharTokenizer:
-    def __init__(
-        self,
-        scheme: str | SubcharScheme = "jamo",
-        table: Optional[DecompTable] = None,
-        vocab: Optional[SubcharVocab] = None,
-    ):
-        self.scheme = scheme if isinstance(scheme, SubcharScheme) else SubcharScheme.by_name(scheme)
-        self.table = table or DecompTable.bundled()
-        self.vocab = vocab or SubcharVocab.build(self.table)
+    def __init__(self, scheme: str = "jamo"):
+        self.scheme = SubcharScheme.by_name(scheme)
+        self.vocab = SubcharVocab.build()
+        table = DecompTable.bundled()
         # jamo keeps letters whole; stroke splits consonants, cji splits vowels
         self.consonant_map = (
-            self.table.consonant_map if self.scheme.name in ("stroke", "bts") else _IDENTITY_CONSONANTS
+            table.consonant_map if self.scheme.name in ("stroke", "bts") else _IDENTITY_CONSONANTS
         )
-        self.vowel_map = self.table.vowel_map if self.scheme.name in ("cji", "bts") else _IDENTITY_VOWELS
+        self.vowel_map = table.vowel_map if self.scheme.name in ("cji", "bts") else _IDENTITY_VOWELS
         self._inv_consonant = {atoms: c for c, atoms in self.consonant_map.items()}
         self._inv_vowel = {atoms: v for v, atoms in self.vowel_map.items()}
+        # character -> (its W ids, passthrough flag), filled by _char_tokens on first sight
+        self._chars: dict[str, tuple[list[int], bool]] = {}
 
     def _slot(self, atoms: tuple[str, ...], width: int) -> list[int]:
         ids = [self.vocab.id(a) for a in atoms]
         return ids + [self.vocab.pad_id] * (width - len(ids))
 
-    def _char_tokens(self, ch: str) -> tuple[list[int], list[str]]:
+    def _char_tokens(self, ch: str) -> tuple[list[int], bool]:
         wi, wv, wf = self.scheme.widths
-        roles = [ROLE_I] * wi + [ROLE_V] * wv + [ROLE_F] * wf
         block = hangul.decompose(ch)
         if block is not None:
             cho, jung, jong = block.letters
@@ -229,53 +230,44 @@ class SubcharTokenizer:
                 self._slot((EMPTY_FINAL,), wf) if jong == "" else self._slot(self.consonant_map[jong], wf)
             )
             tokens = self._slot(self.consonant_map[cho], wi) + self._slot(self.vowel_map[jung], wv) + f_slot
-            return tokens, roles
+            return tokens, False
         if ch in self.consonant_map:
             pad = [self.vocab.pad_id]
-            return self._slot(self.consonant_map[ch], wi) + pad * wv + pad * wf, roles
+            return self._slot(self.consonant_map[ch], wi) + pad * wv + pad * wf, False
         if ch in self.vowel_map:
             pad = [self.vocab.pad_id]
-            return pad * wi + self._slot(self.vowel_map[ch], wv) + pad * wf, roles
+            return pad * wi + self._slot(self.vowel_map[ch], wv) + pad * wf, False
         token = self.vocab.index.get(ch, self.vocab.other_id)
-        width = self.scheme.width
-        return [token] + [self.vocab.pad_id] * (width - 1), [ROLE_OTHER] * width
+        return [token] + [self.vocab.pad_id] * (self.scheme.width - 1), True
 
     def tokenize(self, text: str) -> SubcharSequence:
-        tokens: list[int] = []
-        roles: list[str] = []
-        bounds: list[tuple[int, int]] = []
+        chars = self._chars
         for ch in text:
-            char_tokens, char_roles = self._char_tokens(ch)
-            bounds.append((len(tokens), len(tokens) + len(char_tokens)))
-            tokens += char_tokens
-            roles += char_roles
-        return SubcharSequence(self.scheme, tokens, roles, bounds, text)
+            if ch not in chars:
+                chars[ch] = self._char_tokens(ch)
+        rows = [chars[ch] for ch in text]
+        tokens = np.array([ids for ids, _ in rows], dtype=np.int64).reshape(len(text) * self.scheme.width)
+        passthrough = np.array([pt for _, pt in rows], dtype=bool)
+        return SubcharSequence(self.scheme, text, tokens, passthrough)
 
     def group_roles(self, seq: SubcharSequence, k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         """Token index spans of the (I, V, F) slots of character k."""
         if not 0 <= k < seq.char_count:
             raise IndexError(f"character index {k} out of range for {seq.char_count} characters")
-        start, stop = seq.char_bounds[k]
-        if seq.roles[start] == ROLE_OTHER:
+        if seq.passthrough[k]:
             raise ValueError(f"character {k} is a passthrough span with no role structure")
-        wi, wv, wf = self.scheme.widths
-        assert stop - start == wi + wv + wf
+        wi, wv, _ = self.scheme.widths
+        start, stop = k * self.scheme.width, (k + 1) * self.scheme.width
         return (start, start + wi), (start + wi, start + wi + wv), (start + wi + wv, stop)
 
     def _decode_span(self, seq: SubcharSequence, k: int) -> str:
-        start, stop = seq.char_bounds[k]
-        wi, wv, wf = self.scheme.widths
-        expected = [ROLE_I] * wi + [ROLE_V] * wv + [ROLE_F] * wf
-        span_roles = seq.roles[start:stop]
-        if span_roles == [ROLE_OTHER] * self.scheme.width:
+        wi, wv, _ = self.scheme.widths
+        start, stop = k * self.scheme.width, (k + 1) * self.scheme.width
+        if seq.passthrough[k]:
             token = seq.tokens[start]
             if token == self.vocab.other_id:
                 return seq.text[k]
             return self.vocab.atom(token)
-        if span_roles != expected:
-            raise MalformedSequenceError(
-                f"character {k}: role pattern {''.join(span_roles)} != {''.join(expected)}"
-            )
         pad = self.vocab.pad_id
         i_atoms = tuple(self.vocab.atom(t) for t in seq.tokens[start : start + wi] if t != pad)
         v_atoms = tuple(self.vocab.atom(t) for t in seq.tokens[start + wi : start + wi + wv] if t != pad)

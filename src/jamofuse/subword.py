@@ -212,17 +212,6 @@ def decode(ids: list[int], vocab: SubwordVocab) -> str:
     return "".join(vocab.token(i) for i in ids if i != vocab.cls_id)
 
 
-def align(boundary: BoundaryMap, char_count: int) -> list[int]:
-    """Last character index per subword; the selection stage-2 pooling uses."""
-    boundary.validate(char_count)
-    last: list[int] = []
-    for a, b in boundary.ranges:
-        if b == a:
-            raise AlignmentError("empty range (CLS) has no last character; strip it before aligning")
-        last.append(b - 1)
-    return last
-
-
 def save_vocab(vocab: SubwordVocab, path: str | Path) -> None:
     """One `<token> TAB <id>` line per entry after a mode/size header.
 

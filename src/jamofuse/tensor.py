@@ -68,15 +68,6 @@ class ParamGroup:
         self._params[name] = tensor
         return tensor
 
-    def create(
-        self, name: str, shape: tuple[int, ...], rng: np.random.Generator, fan_in: Optional[int] = None
-    ) -> Tensor:
-        fan = fan_in if fan_in is not None else shape[-1]
-        return self.add(name, Tensor(uniform_init(rng, shape, fan), trainable=True))
-
-    def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self.add(name, Tensor(np.zeros(shape), trainable=True))
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
 import csv
+import math
 import numpy as np
 
 from .hangul import is_syllable
@@ -105,12 +106,14 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
         if not 0.0 <= self.margin < 1.0:
             raise ConfigError(f"margin must lie in [0, 1), got {self.margin}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be non-negative, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and non-negative, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight decay must be finite and non-negative, got {self.weight_decay}")
         return self
 
     def to_dict(self) -> dict:
@@ -317,6 +320,16 @@ def first_batch_loss(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> 
     return _classification_batch(pipe, data.records, batch, head, labels, accumulate=False)
 
 
+def _require_finite(group: ParamGroup, what: str, epoch: int, batch: int) -> None:
+    """Stops training at the first NaN or inf in a trainable gradient or parameter."""
+    for name, tensor in group.trainable_items():
+        values = tensor.grad if what == "gradient" else tensor.data
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"epoch {epoch}, batch {batch}: non-finite {what} in {name}")
+
+
+# _require_finite names the first non-finite gradient or parameter, in place of numpy's warnings
+@np.errstate(all="ignore")
 def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
     """Optimizes pipe's parameters in place, returning the per-epoch log."""
     config.validate()
@@ -346,7 +359,7 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
     for epoch in range(config.epochs):
         order = rng.permutation(len(records))
         batch_losses = []
-        for batch in _batches(order, config.batch_size):
+        for batch_no, batch in enumerate(_batches(order, config.batch_size)):
             train_group.zero_grads()
             if config.objective == "contrastive-pairs":
                 negatives = [_draw_negative(rng, i, len(records)) for i in batch]
@@ -355,7 +368,9 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
                 loss = _classification_batch(pipe, records, batch, head, labels, accumulate=True)
             if log.first_batch_loss is None:
                 log.first_batch_loss = loss
+            _require_finite(train_group, "gradient", epoch, batch_no)
             optimizer.step(lr=cosine_lr(step, total_steps, config.lr))
+            _require_finite(train_group, "parameter", epoch, batch_no)
             step += 1
             batch_losses.append(loss)
         fused, raw, rand = _pair_metric(pipe, records, random_partners)

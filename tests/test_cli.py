@@ -225,6 +225,13 @@ class TestOracleStats:
         assert main(["oracle-stats", "--in", CORPUS, "--partitions", "4"]) == 0
         assert capsys.readouterr().out == sequential
 
+    @pytest.mark.parametrize("flags", [["--top-k", "-1"], ["--partitions", "0"], ["--partitions", "-3"]])
+    def test_bad_counts_are_domain_error(self, capsys, flags):
+        assert main(["oracle-stats", "--in", CORPUS, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_json_to_file(self, tmp_path, capsys):
         json_path = tmp_path / "stats.json"
         assert main(["oracle-stats", "--in", CORPUS, "--json", str(json_path)]) == 0
@@ -314,6 +321,26 @@ class TestTrainCommand:
             "train", "--pairs", PAIRS, "--out", str(tmp_path / "m.ckpt"),
             "--objective", "nope",
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lr", "1e300"], "non-finite gradient in model."),
+            (["--lr", "nan"], "learning rate"),
+            (["--weight-decay", "nan"], "weight decay"),
+            (["--epochs", "0"], "epochs"),
+        ],
+        ids=["lr-overflow", "lr-nan", "weight-decay-nan", "no-epochs"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_bad_training_run_is_domain_error(self, tmp_path, capsys, flags, message):
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        assert main([
+            "train", "--pairs", PAIRS, "--out", str(ckpt), "--log", str(log), "--dim", "8", *flags,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert not ckpt.exists() and not log.exists()
 
 
 class TestCheckpointRoundTrip:

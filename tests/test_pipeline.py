@@ -52,7 +52,7 @@ def _reference_stage1(self, e, seq):
 
     h, seq_cache = p.gru_seq.forward(e)
 
-    starts = [span[0] for span in seq.char_bounds]
+    starts = range(0, n, w)
     passthrough = [seq.roles[s] == ROLE_OTHER for s in starts]
     x_iv = np.zeros((c, d))
     h_f = np.zeros((c, d))
@@ -265,9 +265,9 @@ class TestStage1:
         e, _ = pipe.embed_subchars(seq)
         h, _ = pipe.params.gru_seq.forward(e)
         h_c, _ = pipe.stage1_subchar_to_char(e, seq)
-        start = seq.char_bounds[0][0]
-        assert np.array_equal(h_c[0], h[start])
-        assert not np.allclose(h_c[1], h[seq.char_bounds[1][0]])
+        w = pipe.tokenizer.scheme.width
+        assert np.array_equal(h_c[0], h[0])
+        assert not np.allclose(h_c[1], h[w])
 
     def test_partial_window_rejected(self):
         pipe = build()
@@ -473,6 +473,13 @@ class TestForward:
         for bad in ([(0, 1)], [(1, 2)], [(0, 3)], [(0, 0), (0, 2)]):
             with pytest.raises(AlignmentError):
                 pipe.forward("했다", external_boundary=BoundaryMap(bad))
+
+    def test_boundary_map_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = BoundaryMap.validate
+        monkeypatch.setattr(BoundaryMap, "validate", lambda self, n: calls.append(n) or validate(self, n))
+        build().forward("하다 했다")
+        assert calls == [5]
 
     def test_forward_is_deterministic(self):
         a, _ = build().forward("한국어 시험")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,12 +7,59 @@ from jamofuse.subchar import (
     CLS,
     EMPTY_FINAL,
     PAD,
+    ROLE_F,
+    ROLE_I,
+    ROLE_OTHER,
+    ROLE_V,
     MalformedSequenceError,
     SubcharScheme,
     SubcharTokenizer,
 )
 
 TOKENIZERS = {name: SubcharTokenizer(name) for name in subchar.SCHEME_NAMES}
+BARE_LETTERS = "".join(sorted(set(hangul.CHOSEONG) | set(hangul.JUNGSEONG) | set(hangul.JONGSEONG[1:])))
+
+
+def _reference_char_tokens(self, ch):
+    """The per-character tokenizer that the lookup table replaced, kept as the reference."""
+    wi, wv, wf = self.scheme.widths
+    roles = [ROLE_I] * wi + [ROLE_V] * wv + [ROLE_F] * wf
+    block = hangul.decompose(ch)
+    if block is not None:
+        cho, jung, jong = block.letters
+        f_slot = (
+            self._slot((EMPTY_FINAL,), wf) if jong == "" else self._slot(self.consonant_map[jong], wf)
+        )
+        tokens = self._slot(self.consonant_map[cho], wi) + self._slot(self.vowel_map[jung], wv) + f_slot
+        return tokens, roles
+    if ch in self.consonant_map:
+        pad = [self.vocab.pad_id]
+        return self._slot(self.consonant_map[ch], wi) + pad * wv + pad * wf, roles
+    if ch in self.vowel_map:
+        pad = [self.vocab.pad_id]
+        return pad * wi + self._slot(self.vowel_map[ch], wv) + pad * wf, roles
+    token = self.vocab.index.get(ch, self.vocab.other_id)
+    width = self.scheme.width
+    return [token] + [self.vocab.pad_id] * (width - 1), [ROLE_OTHER] * width
+
+
+def _reference_tokenize(tok, text):
+    tokens, roles = [], []
+    for ch in text:
+        char_tokens, char_roles = _reference_char_tokens(tok, ch)
+        tokens += char_tokens
+        roles += char_roles
+    return tokens, roles
+
+
+def assert_matches_reference(text):
+    for tok in TOKENIZERS.values():
+        seq = tok.tokenize(text)
+        tokens, roles = _reference_tokenize(tok, text)
+        assert seq.tokens.dtype == np.int64 and seq.tokens.tolist() == tokens
+        assert seq.roles == roles
+        assert seq.passthrough.tolist() == [r == ROLE_OTHER for r in roles[:: tok.scheme.width]]
+        assert tok.detokenize(seq) == text
 
 
 def atoms_of(tok, seq):
@@ -78,17 +126,17 @@ def test_length_law_all_schemes():
     for name, tok in TOKENIZERS.items():
         seq = tok.tokenize(text)
         assert len(seq) == tok.scheme.width * len(text)
-        assert seq.char_bounds == [
-            (k * tok.scheme.width, (k + 1) * tok.scheme.width) for k in range(len(text))
-        ]
+        assert seq.tokens.shape == (tok.scheme.width * len(text),)
+        assert seq.passthrough.tolist() == [ch == " " for ch in text]
 
 
 def test_role_pattern_per_character():
     for tok in TOKENIZERS.values():
         wi, wv, wf = tok.scheme.widths
+        w = tok.scheme.width
         seq = tok.tokenize("한a국")
-        for k, (start, stop) in enumerate(seq.char_bounds):
-            span = seq.roles[start:stop]
+        for k in range(seq.char_count):
+            span = seq.roles[k * w : (k + 1) * w]
             if seq.text[k] == "a":
                 assert span == ["O"] * tok.scheme.width
             else:
@@ -142,17 +190,37 @@ def test_round_trip_every_syllable_every_scheme():
 
 
 def test_round_trip_bare_letters():
-    letters = "".join(sorted(set(hangul.CHOSEONG) | set(hangul.JUNGSEONG) | set(hangul.JONGSEONG[1:])))
     for tok in TOKENIZERS.values():
-        assert tok.detokenize(tok.tokenize(letters)) == letters
+        assert tok.detokenize(tok.tokenize(BARE_LETTERS)) == BARE_LETTERS
 
 
-def test_malformed_role_pattern_rejected():
-    tok = TOKENIZERS["jamo"]
-    seq = tok.tokenize("한")
-    seq.roles[0] = "V"  # V-role token in an I slot
-    with pytest.raises(MalformedSequenceError):
-        tok.detokenize(seq)
+def test_every_syllable_matches_reference_tokenizer():
+    assert_matches_reference("".join(chr(c) for c in range(hangul.SYLLABLE_BASE, hangul.SYLLABLE_LAST + 1)))
+
+
+def test_bare_letters_match_reference_tokenizer():
+    assert_matches_reference(BARE_LETTERS)
+
+
+def test_each_character_is_decomposed_once_per_tokenizer(monkeypatch):
+    calls = []
+    decompose = hangul.decompose
+    monkeypatch.setattr(hangul, "decompose", lambda ch: calls.append(ch) or decompose(ch))
+    tok = SubcharTokenizer("bts")
+    first = tok.tokenize("했다 했다 a")
+    assert sorted(calls) == sorted(set("했다 a"))
+    calls.clear()
+    again = tok.tokenize("했다 했다 a")
+    assert calls == []
+    assert np.array_equal(first.tokens, again.tokens) and np.array_equal(first.passthrough, again.passthrough)
+
+
+def test_malformed_passthrough_flag_rejected():
+    for tok in TOKENIZERS.values():
+        seq = tok.tokenize("a")
+        seq.passthrough[0] = False  # an ascii id read as the atoms of an initial slot
+        with pytest.raises(MalformedSequenceError):
+            tok.detokenize(seq)
 
 
 def test_malformed_atom_content_rejected():
@@ -208,3 +276,9 @@ def test_round_trip_mixed_property(text, scheme):
     seq = tok.tokenize(text)
     assert len(seq) == tok.scheme.width * len(text)
     assert tok.detokenize(seq) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=hangul_or_ascii)
+def test_mixed_text_matches_reference_tokenizer(text):
+    assert_matches_reference(text)

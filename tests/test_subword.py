@@ -10,7 +10,6 @@ from jamofuse.subword import (
     BoundaryMap,
     ConfigError,
     SubwordVocab,
-    align,
     decode,
     encode,
     load_vocab,
@@ -144,22 +143,11 @@ def test_decode_round_trip():
         assert decode(ids, vocab) == text
 
 
-def test_align_last_char_indices():
-    vocab = small_vocab(["대한 민국 대한 민국 대한민국"], extra=2)
-    ids, boundary = encode("대한민국", vocab)
-    assert align(boundary, 4) == [1, 3]
-    ids2, boundary2 = encode("가나", small_vocab(["가나"], mode="charlist"))
-    assert align(boundary2, 2) == [0, 1]
-
-
-def test_align_mismatch_rejected():
-    boundary = BoundaryMap([(0, 2), (2, 4)])
+def test_boundary_mismatch_rejected():
     with pytest.raises(AlignmentError):
-        align(boundary, 3)
+        BoundaryMap([(0, 2), (2, 4)]).validate(3)
     with pytest.raises(AlignmentError):
         BoundaryMap([(0, 2), (3, 4)]).validate(4)
-    with pytest.raises(AlignmentError):
-        align(BoundaryMap([(0, 0), (0, 2)]), 2)  # un-stripped CLS
 
 
 def test_vocab_file_round_trip(tmp_path):
@@ -196,4 +184,3 @@ def test_encode_boundary_covers_text_property(words, extra):
     ids, boundary = encode(text, vocab)
     boundary.validate(len(text))
     assert decode(ids, vocab) == text
-    assert align(boundary, len(text)) == [b - 1 for _, b in boundary.ranges]

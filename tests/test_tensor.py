@@ -299,14 +299,14 @@ class TestParamGroup:
         params = ParamGroup()
         rng = np.random.default_rng(0)
         for name in ("zeta", "alpha", "mid"):
-            params.create(name, (2, 2), rng)
+            params.add(name, Tensor(uniform_init(rng, (2, 2), 2), trainable=True))
         assert params.names() == ["zeta", "alpha", "mid"]
 
     def test_duplicate_name_rejected(self):
         params = ParamGroup()
-        params.zeros("w", (1,))
+        params.add("w", Tensor(np.zeros(1), trainable=True))
         with pytest.raises(ValueError):
-            params.zeros("w", (1,))
+            params.add("w", Tensor(np.zeros(1), trainable=True))
 
     def test_seeded_init_is_reproducible(self):
         a = uniform_init(np.random.default_rng(42), (4, 4), 4)
@@ -318,9 +318,9 @@ class TestParamGroup:
 def small_params(seed=3) -> ParamGroup:
     params = ParamGroup()
     rng = np.random.default_rng(seed)
-    params.create("emb.table", (5, 3), rng)
-    params.create("head.w", (3, 2), rng)
-    params.zeros("head.b", (2,))
+    params.add("emb.table", Tensor(uniform_init(rng, (5, 3), 3), trainable=True))
+    params.add("head.w", Tensor(uniform_init(rng, (3, 2), 2), trainable=True))
+    params.add("head.b", Tensor(np.zeros(2), trainable=True))
     return params
 
 
@@ -351,7 +351,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, small_params(), seed=0, config={})
         other = ParamGroup()
-        other.zeros("different", (2,))
+        other.add("different", Tensor(np.zeros(2), trainable=True))
         with pytest.raises(CheckpointError):
             load_into(other, path)
 

@@ -93,6 +93,12 @@ class TestTrainConfig:
             {"lr": -0.5},
             {"batch_size": 0},
             {"epochs": -1},
+            {"epochs": 0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"weight_decay": -0.1},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
         ],
     )
     def test_bad_settings_rejected(self, overrides):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .oracle import (
     align,
     corpus_stats,
     read_jsonl_corpus,
+    read_jsonl_records,
     stats_report_csv,
     stats_report_json,
 )
@@ -212,18 +214,9 @@ def cmd_oracle_align(args) -> int:
         aligned = align(args.surface, args.units.split(","))
         _emit(_format_alignment(aligned, args.delim) + "\n", args.out)
         return 0
-    blocks = []
     with open(args.infile, encoding="utf-8") as stream:
-        for line in stream:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            try:
-                surface, units = record["surface"], record["lemma_units"]
-            except (KeyError, TypeError) as e:
-                raise ConfigError(f"{args.infile}: bad corpus record: {line.strip()!r}") from e
-            aligned = align(surface, units)
-            blocks.append(_format_alignment(aligned, args.delim))
+        records = read_jsonl_records(stream)
+        blocks = [_format_alignment(align(surface, units), args.delim) for surface, units in records]
     _emit("\n\n".join(blocks) + "\n", args.out)
     return 0
 
@@ -239,6 +232,8 @@ def cmd_oracle_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     config = _pipeline_config(args)
     if args.d is not None:
         config = PipelineConfig.from_dict({**config.to_dict(), "dim": args.d})

@@ -16,6 +16,7 @@ while pushing 았 onto the following 다 would cost 5.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -122,27 +123,30 @@ def parse_action_file(stream: Iterable[str], delim: str = "\t") -> list[AlignedC
     return out
 
 
-def _letters(text: str) -> list[str]:
-    """Letter sequence of a unit string; syllables expand, everything else stays."""
-    letters: list[str] = []
-    for ch in text:
-        block = hangul.decompose(ch)
-        if block is None:
-            letters.append(ch)
-        else:
-            cho, jung, jong = block.letters
-            letters += [cho, jung] + ([jong] if jong else [])
-    return letters
+@functools.lru_cache(maxsize=None)
+def _letters(ch: str) -> tuple[str, ...]:
+    """Letters of one character; a syllable expands, anything else stays."""
+    block = hangul.decompose(ch)
+    return (ch,) if block is None else tuple(letter for letter in block.letters if letter)
 
 
-def _edit_distance(a: list[str], b: list[str]) -> int:
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
+def _prefix_distances(source: tuple[str, ...], chars: list[str], start: int) -> list[int]:
+    """Edit distance from `source` to the letters of chars[start:j] for every j >= start, read
+    off one Wagner-Fischer pass (J. ACM 21(1), 1974) at the character boundaries."""
+    col = list(range(len(source) + 1))
+    out = [col[-1]]
+    for ch in chars[start:]:
+        for y in _letters(ch):
+            diag = col[0]
+            left = col[0] = diag + 1
+            for k, x in enumerate(source, start=1):
+                up = col[k]
+                gap = (up if up < left else left) + 1
+                cell = diag + (x != y)
+                col[k] = left = cell if cell < gap else gap
+                diag = up
+        out.append(col[-1])
+    return out
 
 
 # tie-break order for equal-cost alignments: prefer KEEP, then MOD, then NOOP
@@ -156,46 +160,35 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     flattened lemma character sequence (empty run = NOOP, exact single-char
     match = KEEP, anything else = MOD per covered lemma unit). Runs are
     scored by letter-level edit distance with unit costs; ties prefer KEEP
-    over MOD over NOOP.
+    over MOD over NOOP, then the earliest run start.
     """
     if not surface or not lemma_units or not all(lemma_units):
         raise ValueError("surface and lemma units must be non-empty")
-    lemma_chars: list[str] = []
-    unit_of: list[int] = []
-    starts_unit: list[bool] = []
-    for u, unit in enumerate(lemma_units):
-        for pos, ch in enumerate(unit):
-            lemma_chars.append(ch)
-            unit_of.append(u)
-            starts_unit.append(pos == 0)
+    lemma_chars = [ch for unit in lemma_units for ch in unit]
+    unit_of = [u for u, unit in enumerate(lemma_units) for _ in unit]
+    starts_unit = [pos == 0 for unit in lemma_units for pos in range(len(unit))]
 
     m, n = len(surface), len(lemma_chars)
-    surface_letters = [_letters(c) for c in surface]
-    lemma_letters = [_letters(c) for c in lemma_chars]
-
-    def group_cost(i: int, a: int, b: int) -> tuple[int, int]:
-        group = lemma_chars[a:b]
-        if not group:
-            return len(surface_letters[i]), _PREF_NOOP
-        if group == [surface[i]]:
-            return 0, _PREF_KEEP
-        target_letters = [letter for k in range(a, b) for letter in lemma_letters[k]]
-        return _edit_distance(surface_letters[i], target_letters), _PREF_MOD
-
-    INF = (10**9, 10**9)
-    best: list[list[tuple[int, int]]] = [[INF] * (n + 1) for _ in range(m + 1)]
+    # (cost, pref) as one integer: a path's summed pref is at most 2m < scale
+    scale = 2 * m + 1
+    INF = 10**18
+    best = [0] + [INF] * n
     choice: list[list[int]] = [[-1] * (n + 1) for _ in range(m + 1)]
-    best[0][0] = (0, 0)
-    for i in range(1, m + 1):
-        for j in range(n + 1):
-            for a in range(j + 1):
-                if best[i - 1][a] == INF:
-                    continue
-                cost, pref = group_cost(i - 1, a, j)
-                cand = (best[i - 1][a][0] + cost, best[i - 1][a][1] + pref)
-                if cand < best[i][j]:
-                    best[i][j] = cand
-                    choice[i][j] = a
+    for i, ch in enumerate(surface, start=1):
+        letters, row, pick = _letters(ch), [INF] * (n + 1), choice[i]
+        for a, base in enumerate(best):
+            if base == INF:
+                continue
+            for j, dist in enumerate(_prefix_distances(letters, lemma_chars, a), start=a):
+                if j == a:
+                    cand = base + len(letters) * scale + _PREF_NOOP
+                elif j == a + 1 and lemma_chars[a] == ch:
+                    cand = base + _PREF_KEEP
+                else:
+                    cand = base + dist * scale + _PREF_MOD
+                if cand < row[j]:
+                    row[j], pick[j] = cand, a
+        best = row
 
     cuts = [n]
     j = n
@@ -373,8 +366,8 @@ def corpus_stats(
     return merged
 
 
-def read_jsonl_corpus(stream: Iterable[str]) -> Iterator[AlignedChar]:
-    """`{"surface": ..., "lemma_units": [...]}` records run through align()."""
+def read_jsonl_records(stream: Iterable[str]) -> Iterator[tuple[str, list[str]]]:
+    """`(surface, lemma_units)` of each `{"surface": ..., "lemma_units": [...]}` line, all text non-empty."""
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -383,8 +376,14 @@ def read_jsonl_corpus(stream: Iterable[str]) -> Iterator[AlignedChar]:
             surface, units = record["surface"], record["lemma_units"]
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise ParseError(f"line {lineno}: bad corpus record: {e}") from e
-        if not isinstance(surface, str) or not isinstance(units, list):
+        if not (isinstance(units, list) and units and all(isinstance(t, str) and t for t in [surface, *units])):
             raise ParseError(f"line {lineno}: bad corpus record: {line.strip()!r}")
+        yield surface, units
+
+
+def read_jsonl_corpus(stream: Iterable[str]) -> Iterator[AlignedChar]:
+    """Corpus records run through align()."""
+    for surface, units in read_jsonl_records(stream):
         yield from align(surface, units)
 
 

@@ -22,7 +22,10 @@ def data_file(name: str) -> str:
 
 
 def assert_one_line_error(capsys) -> None:
-    err = capsys.readouterr().err
+    assert_one_line_error_text(capsys.readouterr().err)
+
+
+def assert_one_line_error_text(err: str) -> None:
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
@@ -198,6 +201,30 @@ class TestOracleAlign:
         assert main(["oracle-align", "했다"]) == 1
 
 
+BAD_CORPUS_LINES = [
+    '{"surface": "하", "lemma_units": [1]}',
+    '{"surface": 5, "lemma_units": ["하"]}',
+    '{"surface": "하", "lemma_units": "하"}',
+    '{"surface": "하", "lemma_units": [["하다"]]}',
+    '{"surface": "하", "lemma_units": [""]}',
+    "{nope",
+]
+
+
+@pytest.mark.parametrize("command", ["oracle-align", "oracle-stats"])
+@pytest.mark.parametrize("bad", BAD_CORPUS_LINES, ids=[
+    "unit-not-text", "surface-not-text", "units-a-string", "unit-a-list", "empty-unit", "invalid-json",
+])
+def test_bad_corpus_record_is_domain_error(tmp_path, capsys, command, bad):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"surface": "했다", "lemma_units": ["하다"]}\n' + bad + "\n", encoding="utf-8")
+    assert main([command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: bad corpus record: ")
+    assert_one_line_error_text(captured.err)
+
+
 class TestOracleStats:
     def test_bundled_corpus_counters(self, capsys):
         assert main(["oracle-stats", "--in", CORPUS]) == 0
@@ -248,6 +275,16 @@ class TestGradcheck:
 
     def test_fails_below_achievable_tolerance(self, capsys):
         assert main(["gradcheck", "--d", "4", "--text", "하다", "--tol", "1e-14"]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_rejected_before_the_check(self, monkeypatch, capsys, tol):
+        calls = []
+        monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: calls.append(args))
+        assert main(["gradcheck", "--d", "4", "--tol", tol]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error_text(captured.err)
 
     def test_other_fusion_and_compression(self, capsys):
         assert main([

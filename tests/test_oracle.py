@@ -1,12 +1,17 @@
 import json
+import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamofuse import hangul
+from jamofuse import hangul, oracle
 from jamofuse.oracle import (
     CHARACTER,
+    KEEP,
+    MOD,
+    NOOP,
     SUBCHARACTER,
     ActionTag,
     AlignedChar,
@@ -19,16 +24,133 @@ from jamofuse.oracle import (
     corpus_stats,
     parse_action_file,
     read_jsonl_corpus,
+    read_jsonl_records,
     reconstruct_targets,
     stats_report_csv,
     stats_report_json,
 )
 
 SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
+BARE_JAMO = st.characters(min_codepoint=0x3131, max_codepoint=0x3163)
+ALIGN_CHARS = st.one_of(SYLLABLES, BARE_JAMO, st.sampled_from("ab z"))
 
 
 def actions_of(aligned: AlignedChar) -> list[str]:
     return [str(a) for a in aligned.actions]
+
+
+def bundled_records() -> list[dict]:
+    path = resources.files("jamofuse.data") / "inflections.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+
+
+# The alignment that the prefix-distance tables replaced, kept as the reference:
+# one edit distance per surface character and lemma span.
+
+
+def _reference_letters(text: str) -> list[str]:
+    """Letter sequence of a unit string; syllables expand, everything else stays."""
+    letters: list[str] = []
+    for ch in text:
+        block = hangul.decompose(ch)
+        if block is None:
+            letters.append(ch)
+        else:
+            cho, jung, jong = block.letters
+            letters += [cho, jung] + ([jong] if jong else [])
+    return letters
+
+
+def _reference_edit_distance(a: list[str], b: list[str]) -> int:
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        cur = [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+_PREF_KEEP, _PREF_MOD, _PREF_NOOP = 0, 1, 2
+
+
+def reference_align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
+    if not surface or not lemma_units or not all(lemma_units):
+        raise ValueError("surface and lemma units must be non-empty")
+    lemma_chars: list[str] = []
+    unit_of: list[int] = []
+    starts_unit: list[bool] = []
+    for u, unit in enumerate(lemma_units):
+        for pos, ch in enumerate(unit):
+            lemma_chars.append(ch)
+            unit_of.append(u)
+            starts_unit.append(pos == 0)
+
+    m, n = len(surface), len(lemma_chars)
+    surface_letters = [_reference_letters(c) for c in surface]
+    lemma_letters = [_reference_letters(c) for c in lemma_chars]
+
+    def group_cost(i: int, a: int, b: int) -> tuple[int, int]:
+        group = lemma_chars[a:b]
+        if not group:
+            return len(surface_letters[i]), _PREF_NOOP
+        if group == [surface[i]]:
+            return 0, _PREF_KEEP
+        target_letters = [letter for k in range(a, b) for letter in lemma_letters[k]]
+        return _reference_edit_distance(surface_letters[i], target_letters), _PREF_MOD
+
+    INF = (10**9, 10**9)
+    best: list[list[tuple[int, int]]] = [[INF] * (n + 1) for _ in range(m + 1)]
+    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(m + 1)]
+    best[0][0] = (0, 0)
+    for i in range(1, m + 1):
+        for j in range(n + 1):
+            for a in range(j + 1):
+                if best[i - 1][a] == INF:
+                    continue
+                cost, pref = group_cost(i - 1, a, j)
+                cand = (best[i - 1][a][0] + cost, best[i - 1][a][1] + pref)
+                if cand < best[i][j]:
+                    best[i][j] = cand
+                    choice[i][j] = a
+
+    cuts = [n]
+    j = n
+    for i in range(m, 0, -1):
+        j = choice[i][j]
+        cuts.append(j)
+    cuts.reverse()
+
+    out: list[AlignedChar] = []
+    for i, ch in enumerate(surface):
+        a, b = cuts[i], cuts[i + 1]
+        group = lemma_chars[a:b]
+        if not group:
+            out.append(AlignedChar(ch, [ActionTag("B", NOOP)]))
+            continue
+        if group == [ch]:
+            bio = "B" if starts_unit[a] else "I"
+            out.append(AlignedChar(ch, [ActionTag(bio, KEEP)]))
+            continue
+        actions: list[ActionTag] = []
+        pos = a
+        while pos < b:
+            unit = unit_of[pos]
+            stop = pos
+            while stop < b and unit_of[stop] == unit:
+                stop += 1
+            target = "".join(lemma_chars[pos:stop])
+            bio = "B" if starts_unit[pos] and pos == a else "I"
+            actions.append(ActionTag(bio, MOD, target))
+            pos = stop
+        out.append(AlignedChar(ch, actions))
+    return out
+
+
+def assert_matches_reference(surface: str, units: list[str]) -> None:
+    got = [(ac.surface, ac.action_string()) for ac in align(surface, units)]
+    want = [(ac.surface, ac.action_string()) for ac in reference_align(surface, units)]
+    assert got == want, (surface, units)
 
 
 class TestActionTag:
@@ -138,6 +260,43 @@ class TestAlign:
                 start = stop
         aligned = align(word, units)
         assert all(a.actions[0].kind == "KEEP" for a in aligned)
+
+
+class TestAlignMatchesReference:
+    def test_bundled_records(self):
+        records = bundled_records()
+        assert len(records) == 200
+        for r in records:
+            assert_matches_reference(r["surface"], r["lemma_units"])
+
+    def test_seeded_joins_of_bundled_records(self):
+        records = bundled_records()
+        rng = random.Random(20)
+        for _ in range(40):
+            chosen = rng.sample(records, rng.randint(2, 4))
+            units: list[str] = []
+            for k, r in enumerate(chosen):
+                units += ([" "] if k else []) + r["lemma_units"]
+            assert_matches_reference(" ".join(r["surface"] for r in chosen), units)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.text(ALIGN_CHARS, min_size=1, max_size=6),
+        st.lists(st.text(ALIGN_CHARS, min_size=1, max_size=3), min_size=1, max_size=4),
+    )
+    def test_mixed_text(self, surface, units):
+        assert_matches_reference(surface, units)
+
+    def test_seen_characters_are_not_decomposed_again(self, monkeypatch):
+        oracle._letters.cache_clear()
+        calls = []
+        decompose = hangul.decompose
+        monkeypatch.setattr(hangul, "decompose", lambda ch: calls.append(ch) or decompose(ch))
+        align("했다", ["하", "았", "다"])
+        assert sorted(calls) == sorted(set("했다하았"))
+        calls.clear()
+        align("했다", ["하", "았", "다"])
+        assert calls == []
 
 
 class TestReconstructTargets:
@@ -315,3 +474,22 @@ class TestJsonlCorpus:
     def test_missing_key_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
             list(read_jsonl_corpus(['{"surface": "하다"}']))
+
+    @pytest.mark.parametrize("record", [
+        {"surface": "하", "lemma_units": [1]},
+        {"surface": 5, "lemma_units": ["하"]},
+        {"surface": "하", "lemma_units": "하"},
+        {"surface": "하", "lemma_units": [["하다"]]},
+        {"surface": "", "lemma_units": ["하"]},
+        {"surface": "하", "lemma_units": []},
+        {"surface": "하", "lemma_units": ["하", ""]},
+        ["하", ["하"]],
+    ])
+    def test_records_need_non_empty_text(self, record):
+        lines = ['{"surface": "하다", "lemma_units": ["하다"]}', "", json.dumps(record, ensure_ascii=False)]
+        with pytest.raises(ParseError, match="^line 3: bad corpus record: "):
+            list(read_jsonl_records(lines))
+
+    def test_records_keep_their_fields(self):
+        lines = ['{"surface": "했다", "lemma_units": ["하", "았", "다"], "note": 1}\n']
+        assert list(read_jsonl_records(lines)) == [("했다", ["하", "았", "다"])]

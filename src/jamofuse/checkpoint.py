@@ -124,7 +124,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def restore(params: ParamGroup, ckpt: Checkpoint, path: str) -> None:
-    """Copy a loaded checkpoint's values into params; names and shapes must match exactly."""
+    """Copy a loaded checkpoint's values into params in place; names and shapes must match exactly."""
     expected = [name for name, _ in params.items()]
     if ckpt.names != expected:
         raise CheckpointError(
@@ -136,7 +136,7 @@ def restore(params: ParamGroup, ckpt: Checkpoint, path: str) -> None:
             raise CheckpointError(
                 f"{path}: shape {saved.shape} for {name!r} does not match parameter {tensor.shape}"
             )
-        tensor.data = saved.copy()
+        tensor.data[...] = saved
 
 
 def load_into(params: ParamGroup, path: str) -> Checkpoint:

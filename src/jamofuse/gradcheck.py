@@ -48,9 +48,7 @@ def grad_check(loss_fn: LossFn, params: Params, eps: float = 1e-5) -> GradCheckR
     for _, tensor in items:
         tensor.zero_grad()
     loss_fn(True)
-    analytic = {
-        name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for name, t in items
-    }
+    analytic = {name: t.grad.copy() for name, t in items}
 
     report = GradCheckReport(0.0, "", (), 0)
     for name, tensor in items:

@@ -34,9 +34,15 @@ class Embedding:
         return self.table.data[idx], idx
 
     def backward(self, grad_out: np.ndarray, cache: np.ndarray) -> None:
-        full = np.zeros_like(self.table.data)
-        np.add.at(full, cache, grad_out)
-        self.table.accumulate(full)
+        # Row-sparse: sum each used row's gradients from zero in lookup order, then
+        # add the sums to the table's rows, the same additions in the same order as
+        # a whole-table scatter. Each row's last lookup is its slot, so no sort is needed.
+        slot = np.empty(self.vocab_size, dtype=np.int64)
+        slot[cache] = np.arange(cache.size)
+        slots = slot[cache]
+        part = np.zeros((cache.size, self.dim))
+        np.add.at(part, slots, grad_out)
+        self.table.grad[cache] += part[slots]  # a repeated row writes the same sum again
 
 
 class Linear:
@@ -82,26 +88,33 @@ class GRULayer:
         n_t = tanh(x_t W_n + (r_t * h_{t-1}) U_n + b_n)
         h_t = (1 - z_t) * n_t + z_t * h_{t-1}
 
+    The parameters are three blocks, W = [W_z|W_r|W_n] and U = [U_z|U_r|U_n]
+    of shape (d, 3d) and b = [b_z|b_r|b_n] of shape (3d,), and each named gate
+    tensor (w_z, u_r, b_n, ...) is a column view of its block, so an in-place
+    change to a gate shows in the block. The gradients have the same layout.
+
     Only the recurrent products stay in the time loop (Appleyard et al.,
     arXiv:1604.01946). Forward projects the whole input sequence once,
-    x [W_z|W_r|W_n] + [b_z|b_r|b_n], and each step does h [U_z|U_r] and
-    (r * h) U_n. Backward carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T
-    per step, collects the pre-activation gradients [dz|dr|dn] of all steps
-    in one (T, 3d) array g, and forms every weight and bias gradient and
-    grad_x from g as whole-sequence matmuls and column sums after the loop.
+    x W + b, and each step does h U[:, :2d] and (r * h) U[:, 2d:]. Backward
+    carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T per step, collects the
+    pre-activation gradients [dz|dr|dn] of all steps in one (T, 3d) array g,
+    and forms the block gradients and grad_x from g as whole-sequence matmuls
+    and column sums after the loop.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
         self.params = ParamGroup()
-        for gate in ("z", "r", "n"):
-            self.params.add(f"w_{gate}", Tensor(uniform_init(rng, (dim, dim), dim), trainable=True))
-            self.params.add(f"u_{gate}", Tensor(uniform_init(rng, (dim, dim), dim), trainable=True))
-            self.params.add(f"b_{gate}", Tensor(uniform_init(rng, (dim,), dim), trainable=True))
-
-    def _stacked(self, kind: str, gates: str) -> np.ndarray:
-        # Built on every call, never cached: gradient checks perturb the parameters in place.
-        return np.concatenate([self.params[f"{kind}_{g}"].data for g in gates], axis=-1)
+        self.w = Tensor(np.empty((dim, 3 * dim)), trainable=True)
+        self.u = Tensor(np.empty((dim, 3 * dim)), trainable=True)
+        self.b = Tensor(np.empty(3 * dim), trainable=True)
+        for k, gate in enumerate("zrn"):
+            cols = slice(k * dim, (k + 1) * dim)
+            for name, block in (("w", self.w), ("u", self.u)):
+                block.data[:, cols] = uniform_init(rng, (dim, dim), dim)
+                self.params.add(f"{name}_{gate}", block.view((slice(None), cols)))
+            self.b.data[cols] = uniform_init(rng, (dim,), dim)
+            self.params.add(f"b_{gate}", self.b.view(cols))
 
     def forward(self, x: np.ndarray, h0: Optional[np.ndarray] = None) -> tuple[np.ndarray, GRUCache]:
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -112,10 +125,11 @@ class GRULayer:
         h = np.zeros(d) if h0 is None else np.asarray(h0, dtype=np.float64)
         if h.shape != (d,):
             raise ShapeError(f"gru initial state {h.shape} does not match hidden size {d}")
-        u_zr, u_n = self._stacked("u", "zr"), self.params["u_n"].data
+        u = self.u.data
+        u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
 
         T = x.shape[0]
-        x_proj = x @ self._stacked("w", "zrn") + self._stacked("b", "zrn")
+        x_proj = x @ self.w.data + self.b.data
         x_zr, x_n = x_proj[:, : 2 * d], x_proj[:, 2 * d :]
         zr = np.empty((T, 2 * d))
         ns = np.empty((T, d))
@@ -132,10 +146,10 @@ class GRULayer:
 
     def backward(self, grad_hs: np.ndarray, cache: GRUCache) -> tuple[np.ndarray, np.ndarray]:
         """Returns (grad_x, grad_h0) for upstream gradients on every state."""
-        p = self.params
         d = self.dim
         x, h_prev, zs, rs, ns, rhs = cache
-        u_n_t, u_zr_t = p["u_n"].data.T, self._stacked("u", "zr").T
+        u_t = self.u.data.T
+        u_zr_t, u_n_t = u_t[: 2 * d], u_t[2 * d :]
 
         # dz_pre = dh * fz, dn_pre = dh * fn, dr_pre = (dn_pre U_n^T) * fr
         fz = (h_prev - ns) * zs * (1.0 - zs)
@@ -154,14 +168,11 @@ class GRULayer:
             g_n[t] = dn_pre
             carry = dh * zs[t] + d_rh * rs[t] + g_zr[t] @ u_zr_t
 
-        grad_w, grad_b = x.T @ g, g.sum(axis=0)
-        grad_u = np.concatenate([h_prev.T @ g_zr, rhs.T @ g_n], axis=1)
-        for k, gate in enumerate("zrn"):
-            cols = slice(k * d, (k + 1) * d)
-            p[f"w_{gate}"].accumulate(grad_w[:, cols])
-            p[f"u_{gate}"].accumulate(grad_u[:, cols])
-            p[f"b_{gate}"].accumulate(grad_b[cols])
-        return g @ self._stacked("w", "zrn").T, carry
+        self.w.grad += x.T @ g
+        self.u.grad[:, : 2 * d] += h_prev.T @ g_zr
+        self.u.grad[:, 2 * d :] += rhs.T @ g_n
+        self.b.grad += g.sum(axis=0)
+        return g @ self.w.data.T, carry
 
 
 class Conv2x1:

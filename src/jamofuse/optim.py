@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ParamGroup, ShapeError
+from .tensor import ParamGroup
 
 
 @dataclass(frozen=True)
@@ -21,35 +21,42 @@ class AdamConfig:
 
 class AdamW:
     """Standard first/second-moment update; decay is applied to the weights
-    directly, never through the moments."""
+    directly, never through the moments.
+
+    The moments are two flat vectors over the trainable runs of params
+    (`ParamGroup.trainable_runs`), found once here: set `trainable` before
+    building the optimizer. Each step updates every run with whole-vector
+    operations, one pass per run rather than per tensor, as Apex's fused
+    multi-tensor Adam does.
+    """
 
     def __init__(self, params: ParamGroup, config: AdamConfig = AdamConfig()):
         self.params = params
         self.config = config
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in params.trainable_items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in params.trainable_items()}
+        self.runs = params.trainable_runs()
+        bounds = np.cumsum([0] + [data.size for data, _ in self.runs]).tolist()
+        self.m, self.v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
+        self._state = [
+            (data, grad, self.m[a:b], self.v[a:b])
+            for (data, grad), a, b in zip(self.runs, bounds, bounds[1:])
+        ]
 
     def step(self, lr: float | None = None) -> None:
         c = self.config
         lr = c.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        for name, tensor in self.params.trainable_items():
-            grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            if grad.shape != tensor.data.shape:
-                raise ShapeError(f"grad shape {grad.shape} does not match param {name} {tensor.data.shape}")
-            m = self._m[name]
-            v = self._v[name]
+        for data, grad, m, v in self._state:
             m *= c.beta1
             m += (1.0 - c.beta1) * grad
             v *= c.beta2
             v += (1.0 - c.beta2) * grad * grad
             m_hat = m / (1.0 - c.beta1**t)
             v_hat = v / (1.0 - c.beta2**t)
-            tensor.data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
+            data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
             if c.weight_decay:
-                tensor.data -= lr * c.weight_decay * tensor.data
+                data -= lr * c.weight_decay * data
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:

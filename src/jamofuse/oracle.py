@@ -288,7 +288,7 @@ class CorpusStats:
     mod_types: Counter = field(default_factory=Counter)  # (surface, targets, granularity) -> count
 
     def add(self, aligned: AlignedChar) -> None:
-        if hangul.decompose(aligned.surface) is None:
+        if not hangul.is_syllable(aligned.surface):
             return
         self.chars_total += 1
         kinds = {a.kind for a in aligned.actions}

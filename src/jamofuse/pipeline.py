@@ -85,7 +85,9 @@ class PipelineParams:
 
     Only the layers the configuration uses are created, so different
     compression or fusion choices produce different parameter sets (and
-    therefore different checkpoints) even at the same seed.
+    therefore different checkpoints) even at the same seed. Every tensor's
+    data and grad are views into group.data and group.grad, one flat vector
+    each.
     """
 
     def __init__(self, config: PipelineConfig, subchar_vocab_size: int, subword_vocab_size: int, seed: int):
@@ -136,6 +138,7 @@ class PipelineParams:
         elif config.fusion == "concatenation":
             self.fuse_proj = Linear(2 * d, d, rng)
             self.group.merge("fuse_proj", self.fuse_proj.params)
+        self.group.flatten()
 
 
 @dataclass

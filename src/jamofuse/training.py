@@ -293,6 +293,7 @@ def _pair_metric(pipe: Pipeline, records: list[PairRecord], random_partners: lis
 def _make_head(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> tuple[Linear, dict[str, int]]:
     relations = data.relations
     head = Linear(pipe.config.dim, len(relations), np.random.default_rng([config.seed, 2]))
+    head.params.flatten()
     return head, {tag: i for i, tag in enumerate(relations)}
 
 
@@ -320,11 +321,17 @@ def first_batch_loss(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> 
     return _classification_batch(pipe, data.records, batch, head, labels, accumulate=False)
 
 
-def _require_finite(group: ParamGroup, what: str, epoch: int, batch: int) -> None:
-    """Stops training at the first NaN or inf in a trainable gradient or parameter."""
-    for name, tensor in group.trainable_items():
-        values = tensor.grad if what == "gradient" else tensor.data
-        if values is not None and not np.isfinite(values).all():
+def _require_finite(optimizer: AdamW, what: str, epoch: int, batch: int) -> None:
+    """Stops training at the first NaN or inf in a trainable gradient or parameter.
+
+    One check per trainable run; only on failure are the tensors searched for
+    the first one to name.
+    """
+    k = 1 if what == "gradient" else 0
+    if all(np.isfinite(run[k]).all() for run in optimizer.runs):
+        return
+    for name, tensor in optimizer.params.trainable_items():
+        if not np.isfinite(tensor.grad if k else tensor.data).all():
             raise ValueError(f"epoch {epoch}, batch {batch}: non-finite {what} in {name}")
 
 
@@ -360,7 +367,9 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
         order = rng.permutation(len(records))
         batch_losses = []
         for batch_no, batch in enumerate(_batches(order, config.batch_size)):
-            train_group.zero_grads()
+            pipe.params.group.zero_grads()  # one flat grad each for the model and the head
+            if head is not None:
+                head.params.zero_grads()
             if config.objective == "contrastive-pairs":
                 negatives = [_draw_negative(rng, i, len(records)) for i in batch]
                 loss = _contrastive_batch(pipe, records, batch, negatives, config.margin, accumulate=True)
@@ -368,9 +377,9 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
                 loss = _classification_batch(pipe, records, batch, head, labels, accumulate=True)
             if log.first_batch_loss is None:
                 log.first_batch_loss = loss
-            _require_finite(train_group, "gradient", epoch, batch_no)
+            _require_finite(optimizer, "gradient", epoch, batch_no)
             optimizer.step(lr=cosine_lr(step, total_steps, config.lr))
-            _require_finite(train_group, "parameter", epoch, batch_no)
+            _require_finite(optimizer, "parameter", epoch, batch_no)
             step += 1
             batch_losses.append(loss)
         fused, raw, rand = _pair_metric(pipe, records, random_partners)

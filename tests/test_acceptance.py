@@ -204,7 +204,7 @@ class RowView:
 
     @property
     def grad(self):
-        return None if self.tensor.grad is None else self.tensor.grad[self.row]
+        return self.tensor.grad[self.row]
 
     def zero_grad(self):
         self.tensor.zero_grad()

@@ -394,6 +394,19 @@ class TestCorpusStats:
         assert stats.keep == 1
         assert stats.noop == 0
 
+    def test_only_mod_sites_are_decomposed(self, monkeypatch):
+        calls = []
+        decompose = hangul.decompose
+        monkeypatch.setattr(hangul, "decompose", lambda ch: calls.append(ch) or decompose(ch))
+        aligned = [
+            AlignedChar("다", [ActionTag("B", "KEEP")]),
+            AlignedChar("a", [ActionTag("B", "KEEP")]),
+            AlignedChar("요", [ActionTag("B", "NOOP")]),
+        ]
+        stats = corpus_stats(aligned)
+        assert (stats.chars_total, stats.keep, stats.noop) == (2, 1, 1)
+        assert calls == []
+
     def test_noop_counted_but_outside_granularity(self):
         aligned = [
             AlignedChar("요", [ActionTag("B", "NOOP")]),

@@ -154,7 +154,8 @@ def _run_stage(pipe, forward, backward, text, seed):
     pipe.params.group.zero_grads()
     out, cache = forward(e, seq)
     grad_e = backward(np.random.default_rng(seed).normal(size=out.shape), cache)
-    grads = {name: t.grad for name, t in pipe.params.group.items() if t.grad is not None}
+    # A parameter counts as touched when any of its gradient entries is nonzero.
+    grads = {name: t.grad.copy() for name, t in pipe.params.group.items() if t.grad.any()}
     return out, grad_e, grads
 
 
@@ -346,7 +347,10 @@ class TestReferenceEquivalence:
             assert np.array_equal(h_c, h_c_ref), text
             assert np.array_equal(grad_e, grad_e_ref), text
             assert grads.keys() == grads_ref.keys()
-            assert {name.split(".")[0] for name in grads} == {"gru_seq", "gru_iv", "conv"}
+            # Only passthrough characters: the slot path gets an all-zero gradient.
+            slot_free = pipe.tokenizer.tokenize(text).passthrough.all()
+            expected = {"gru_seq"} if slot_free else {"gru_seq", "gru_iv", "conv"}
+            assert {name.split(".")[0] for name in grads} == expected, text
             for name in grads:
                 assert np.array_equal(grads[name], grads_ref[name]), (text, name)
 

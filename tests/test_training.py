@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jamofuse.checkpoint import load_into, save_checkpoint
+from jamofuse.optim import AdamW
 from jamofuse.pipeline import ConfigError, Pipeline, PipelineConfig
 from jamofuse.subword import train_vocab
 from jamofuse.training import (
@@ -14,6 +15,7 @@ from jamofuse.training import (
     PairRecord,
     TrainConfig,
     _power_iteration_components,
+    _require_finite,
     cohesion_report,
     cosine,
     first_batch_loss,
@@ -212,6 +214,23 @@ class TestTrain:
         )
         log = train(pipe, data, TrainConfig(objective="tag-classification", epochs=10, lr=0.05, seed=1))
         assert log.epochs[-1].loss < log.epochs[0].loss
+
+    def test_non_finite_check_names_the_first_trainable_tensor(self):
+        group = tiny_pipeline().params.group
+        group["subword_emb.table"].trainable = False
+        optimizer = AdamW(group)
+        _require_finite(optimizer, "gradient", 0, 0)
+        group["subword_emb.table"].grad[0, 0] = np.nan  # frozen: not checked
+        _require_finite(optimizer, "gradient", 0, 0)
+        group["gru_char.b_n"].grad[1] = np.inf
+        group["gru_iv.u_r"].grad[2, 1] = np.nan
+        with pytest.raises(ValueError) as err:
+            _require_finite(optimizer, "gradient", 2, 5)
+        assert str(err.value) == "epoch 2, batch 5: non-finite gradient in gru_iv.u_r"
+        _require_finite(optimizer, "parameter", 2, 5)
+        group["conv.kernel"].data[0, 0, 0] = -np.inf
+        with pytest.raises(ValueError, match="^epoch 2, batch 6: non-finite parameter in conv.kernel$"):
+            _require_finite(optimizer, "parameter", 2, 6)
 
     def test_raw_pair_cosine_constant_while_frozen(self):
         pipe = tiny_pipeline()

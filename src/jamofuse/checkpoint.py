@@ -5,15 +5,21 @@ u64 header length, UTF-8 JSON header, then each tensor's raw little-endian
 float64 bytes in the header's declared order. The header carries the seed and
 a config echo so checkpoints from different configurations are
 distinguishable by content, not just by filename.
+
+The module also owns how every output is written: write_atomic for files and
+csv_text for every CSV report.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -55,6 +61,18 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
+    """RFC 4180 CSV with LF line ends; a field holding a comma, quote or newline is quoted.
+
+    Values are written as they are: floats, numpy's included, as repr(float(v)).
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def save_checkpoint(path: str, params: ParamGroup, seed: int, config: dict) -> None:

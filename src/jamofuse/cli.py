@@ -63,25 +63,29 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_BOOL_FIELDS = {"residual_fusion", "cls_bypass"}
-_INT_FIELDS = {"dim", "heads"}
+_DEFAULTS = PipelineConfig().to_dict()
 
 
 def _coerce_config_value(key: str, value: str):
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _BOOL_FIELDS:
+    """Parse a config file value as the type of the key's PipelineConfig default."""
+    kind = type(_DEFAULTS[key])
+    if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {key} expects a boolean, got {value!r}")
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"config key {key} expects an integer, got {value!r}") from None
     return value
 
 
 def _pipeline_config(args) -> PipelineConfig:
     """Flags beat the config file, which beats the defaults."""
-    values = PipelineConfig().to_dict()
+    values = dict(_DEFAULTS)
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key not in values:
@@ -123,7 +127,7 @@ def _vocab_from_pairs(path: str, size: int) -> SubwordVocab:
 
 
 # Flags a checkpoint would override: its own pipeline config and vocab win.
-_CKPT_FIXED = [*PipelineConfig().to_dict(), "config", "vocab", "pairs_vocab"]
+_CKPT_FIXED = [*_DEFAULTS, "config", "vocab", "pairs_vocab"]
 
 
 def _pipeline_from_checkpoint(path: str) -> Pipeline:
@@ -165,18 +169,15 @@ def _load_pipeline(args) -> Pipeline:
 # subcommands ------------------------------------------------------------------
 
 
-def cmd_decompose(args) -> int:
-    tokenizer = SubcharTokenizer(args.scheme or "jamo")
-    seq = tokenizer.tokenize(args.text)
-    lines = [f"{tokenizer.vocab.atom(t)}\t{r}" for t, r in zip(seq.tokens.tolist(), seq.roles)]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 def cmd_tokenize(args) -> int:
+    """Atom and role of each token; `tokenize` puts the vocab id first, `decompose` leaves it out."""
     tokenizer = SubcharTokenizer(args.scheme or "jamo")
     seq = tokenizer.tokenize(args.text)
-    lines = [f"{t}\t{tokenizer.vocab.atom(t)}\t{r}" for t, r in zip(seq.tokens.tolist(), seq.roles)]
+    with_ids = args.command == "tokenize"
+    lines = [
+        (f"{t}\t" if with_ids else "") + f"{tokenizer.vocab.atom(t)}\t{r}"
+        for t, r in zip(seq.tokens.tolist(), seq.roles)
+    ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="write output to this file instead of stdout")
         return p
 
-    p = add("decompose", cmd_decompose, "print subcharacter atoms with role labels")
+    p = add("decompose", cmd_tokenize, "print subcharacter atoms with role labels")
     p.add_argument("text")
     p.add_argument("--scheme", help="jamo, stroke, cji, or bts")
 

@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional
 
 from . import hangul
+from .checkpoint import csv_text
 
 KEEP = "KEEP"
 MOD = "MOD"
@@ -318,11 +319,10 @@ class CorpusStats:
             self.mod_types + other.mod_types,
         )
 
-    def top_mod_types(self, top_k: Optional[int] = None) -> list[tuple[str, tuple[str, ...], str, int]]:
-        """Most frequent MOD types, ties broken lexicographically."""
-        k = self.top_k if top_k is None else top_k
+    def top_mod_types(self) -> list[tuple[str, tuple[str, ...], str, int]]:
+        """The top_k most frequent MOD types, ties broken lexicographically."""
         ranked = sorted(self.mod_types.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(s, t, g, c) for (s, t, g), c in ranked[:k]]
+        return [(s, t, g, c) for (s, t, g), c in ranked[: self.top_k]]
 
     def fractions(self) -> tuple[Optional[float], Optional[float]]:
         """(subcharacter, character) fractions of MOD sites; None without MODs."""
@@ -391,11 +391,10 @@ def stats_report_json(stats: CorpusStats) -> str:
     return json.dumps(stats.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
 
 
-def stats_report_csv(stats: CorpusStats, top_k: Optional[int] = None) -> str:
+def stats_report_csv(stats: CorpusStats) -> str:
     """Top-K MOD table: rank, surface, targets (joined by +), count, granularity."""
-    rows = ["rank,surface,targets,count,granularity"]
-    for rank, (surface, targets, granularity, count) in enumerate(
-        stats.top_mod_types(top_k), start=1
-    ):
-        rows.append(f"{rank},{surface},{'+'.join(targets)},{count},{granularity}")
-    return "\n".join(rows) + "\n"
+    rows = [
+        (rank, surface, "+".join(targets), count, granularity)
+        for rank, (surface, targets, granularity, count) in enumerate(stats.top_mod_types(), start=1)
+    ]
+    return csv_text(["rank", "surface", "targets", "count", "granularity"], rows)

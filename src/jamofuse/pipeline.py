@@ -22,12 +22,11 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from io import StringIO
 from typing import Optional
 
-import csv
 import numpy as np
 
+from .checkpoint import csv_text
 from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear
 from .subchar import SCHEME_NAMES, SubcharScheme, SubcharSequence, SubcharTokenizer
 from .subword import AlignmentError, BoundaryMap, SubwordVocab
@@ -51,9 +50,10 @@ class PipelineConfig:
     cls_bypass: bool = False
 
     def validate(self) -> "PipelineConfig":
-        for name, kind in (("dim", int), ("heads", int), ("residual_fusion", bool), ("cls_bypass", bool)):
-            if type(getattr(self, name)) is not kind:
-                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for f in fields(self):
+            kind = type(f.default)
+            if type(getattr(self, f.name)) is not kind:
+                raise ConfigError(f"{f.name} must be a {kind.__name__}, got {getattr(self, f.name)!r}")
         if self.scheme not in SCHEME_NAMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEME_NAMES}")
         if self.compression not in COMPRESSIONS:
@@ -451,9 +451,4 @@ def _whitespace_runs(text: str) -> list[tuple[int, int]]:
 
 def embeddings_csv(rows: list[tuple[str, np.ndarray]], dim: int) -> str:
     """`token,dim0,...` CSV of labeled embedding rows."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["token"] + [f"dim{i}" for i in range(dim)])
-    for label, vector in rows:
-        writer.writerow([label] + [repr(float(x)) for x in vector])
-    return buf.getvalue()
+    return csv_text(["token"] + [f"dim{i}" for i in range(dim)], ([label, *vector] for label, vector in rows))

@@ -71,9 +71,6 @@ class SubwordVocab:
         self._by_id = {i: t for t, i in self.entries.items()}
         self._max_len = max((len(t) for t in self.entries if t not in SPECIALS), default=1)
 
-    def id(self, token: str) -> int:
-        return self.entries[token]
-
     def token(self, token_id: int) -> str:
         return self._by_id[token_id]
 

@@ -15,14 +15,13 @@ seeded; identical settings and data give bitwise identical logs and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from io import StringIO
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
-import csv
 import math
 import numpy as np
 
+from .checkpoint import csv_text
 from .hangul import is_syllable
 from .layers import Linear
 from .optim import AdamConfig, AdamW, cosine_lr
@@ -135,15 +134,13 @@ class TrainLog:
     first_batch_loss: Optional[float] = None
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["epoch", "loss", "mean_pair_cos_fused", "mean_pair_cos_raw", "mean_random_cos"])
-        for m in self.epochs:
-            writer.writerow(
-                [m.epoch]
-                + [repr(v) for v in (m.loss, m.mean_pair_cos_fused, m.mean_pair_cos_raw, m.mean_random_cos)]
-            )
-        return buf.getvalue()
+        return csv_text(
+            ["epoch", "loss", "mean_pair_cos_fused", "mean_pair_cos_raw", "mean_random_cos"],
+            [
+                (m.epoch, m.loss, m.mean_pair_cos_fused, m.mean_pair_cos_raw, m.mean_random_cos)
+                for m in self.epochs
+            ],
+        )
 
 
 # word vectors ----------------------------------------------------------------
@@ -397,13 +394,9 @@ class PairSimilarityReport:
     mean_fused: float
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["form_a", "form_b", "relation", "cos_raw", "cos_fused"])
-        for rec, raw, fused in self.rows:
-            writer.writerow([rec.form_a, rec.form_b, rec.relation, repr(raw), repr(fused)])
-        writer.writerow(["[mean]", "", "", repr(self.mean_raw), repr(self.mean_fused)])
-        return buf.getvalue()
+        rows = [(rec.form_a, rec.form_b, rec.relation, raw, fused) for rec, raw, fused in self.rows]
+        rows.append(("[mean]", "", "", self.mean_raw, self.mean_fused))
+        return csv_text(["form_a", "form_b", "relation", "cos_raw", "cos_fused"], rows)
 
 
 def pair_similarity(pipe: Pipeline, data: PairDataset) -> PairSimilarityReport:
@@ -426,13 +419,8 @@ class PcaResult:
     components: np.ndarray  # (k, dim)
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        k = self.coordinates.shape[1]
-        writer.writerow(["word"] + [f"pc{i + 1}" for i in range(k)])
-        for word, coords in zip(self.words, self.coordinates):
-            writer.writerow([word] + [repr(float(c)) for c in coords])
-        return buf.getvalue()
+        header = ["word"] + [f"pc{i + 1}" for i in range(self.coordinates.shape[1])]
+        return csv_text(header, ([word, *coords] for word, coords in zip(self.words, self.coordinates)))
 
 
 def _power_iteration_components(x: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -497,17 +485,13 @@ class CohesionReport:
     rows: list[CohesionRow]
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["set", "size", "dispersion_raw", "dispersion_fused", "spread_raw", "spread_fused"]
+        return csv_text(
+            ["set", "size", "dispersion_raw", "dispersion_fused", "spread_raw", "spread_fused"],
+            [
+                (r.label, r.size, r.dispersion_raw, r.dispersion_fused, r.spread_raw, r.spread_fused)
+                for r in self.rows
+            ],
         )
-        for r in self.rows:
-            writer.writerow(
-                [r.label, r.size]
-                + [repr(v) for v in (r.dispersion_raw, r.dispersion_fused, r.spread_raw, r.spread_fused)]
-            )
-        return buf.getvalue()
 
 
 def _dispersion(vectors: np.ndarray) -> float:

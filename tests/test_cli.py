@@ -321,6 +321,25 @@ class TestConfigPrecedence:
         ]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("dim = abc", "config key dim expects an integer, got 'abc'"),
+            ("heads = 1.5", "config key heads expects an integer, got '1.5'"),
+            ("cls_bypass = maybe", "config key cls_bypass expects a boolean, got 'maybe'"),
+        ],
+        ids=["dim-not-int", "heads-not-int", "cls-bypass-not-bool"],
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main([
+            "embed", "--pairs-vocab", PAIRS, "--text", "하다", "--config", str(cfg),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert message in err
+
     def test_verbose_echoes_config_to_stderr(self, capsys):
         assert main([
             "embed", "--pairs-vocab", PAIRS, "--text", "하다",

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from importlib import resources
@@ -466,6 +468,16 @@ class TestCorpusStats:
         aligned = [AlignedChar("했", [ActionTag("B", "MOD", "하"), ActionTag("I", "MOD", "았")])]
         stats = corpus_stats(aligned, top_k=1)
         assert "했,하+았,1,subcharacter" in stats_report_csv(stats)
+
+    def test_csv_quotes_targets_holding_comma_or_quote(self):
+        aligned = [
+            AlignedChar("했", [ActionTag("B", "MOD", "하,"), ActionTag("I", "MOD", "았")]),
+            AlignedChar("했", [ActionTag("B", "MOD", '하"'), ActionTag("I", "MOD", "았")]),
+        ]
+        rows = list(csv.reader(io.StringIO(stats_report_csv(corpus_stats(aligned)))))
+        assert rows[0] == ["rank", "surface", "targets", "count", "granularity"]
+        assert all(len(row) == 5 for row in rows)
+        assert sorted(row[2] for row in rows[1:]) == sorted(['하,+았', '하"+았'])
 
 
 class TestJsonlCorpus:

@@ -6,6 +6,7 @@ import pytest
 from jamofuse import gradcheck, pipeline, subword, tensor
 from jamofuse.checkpoint import (
     CheckpointError,
+    csv_text,
     load_checkpoint,
     load_into,
     save_checkpoint,
@@ -393,3 +394,12 @@ class TestCheckpoint:
             write_atomic(target, b"new\n")
         assert target.read_bytes() == b"old\n"
         assert list(tmp_path.glob(".jamofuse-*.tmp")) == []
+
+    def test_csv_text_writes_floats_as_repr_and_quotes_only_when_needed(self):
+        values = [0.1, np.float64(1 / 3), np.float64(-0.0), 1e-300, np.float64(1e16)]
+        text = csv_text(["a", "b"], [[7, *values], ['x,y', 'say "hi"', "two\nlines"]])
+        assert text == (
+            "a,b\n"
+            "7," + ",".join(repr(float(v)) for v in values) + "\n"
+            '"x,y","say ""hi""","two\nlines"\n'
+        )

@@ -202,6 +202,21 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _align_writable(surface: str, units: list[str], delim: str):
+    """align(), for output that parse_action_file reads back as written.
+
+    A unit is written inside `;`-joined actions, so it must not hold `;`, the
+    delimiter or a line break, nor end in whitespace, which the reader strips.
+    """
+    for unit in units:
+        if ";" in unit or delim in unit or "\n" in unit or "\r" in unit or unit[-1:].isspace():
+            raise ConfigError(
+                f"unit {unit!r} cannot be written back: it holds ';', the delimiter {delim!r} "
+                "or a line break, or ends in whitespace"
+            )
+    return align(surface, units)
+
+
 def _format_alignment(aligned, delim: str) -> str:
     return "\n".join(f"{ac.surface}{delim}{ac.action_string()}" for ac in aligned)
 
@@ -212,12 +227,12 @@ def cmd_oracle_align(args) -> int:
     if args.surface is not None:
         if not args.units:
             raise ConfigError("--units is required with a surface argument")
-        aligned = align(args.surface, args.units.split(","))
+        aligned = _align_writable(args.surface, args.units.split(","), args.delim)
         _emit(_format_alignment(aligned, args.delim) + "\n", args.out)
         return 0
     with open(args.infile, encoding="utf-8") as stream:
         records = read_jsonl_records(stream)
-        blocks = [_format_alignment(align(surface, units), args.delim) for surface, units in records]
+        blocks = [_format_alignment(_align_writable(surface, units, args.delim), args.delim) for surface, units in records]
     _emit("\n\n".join(blocks) + "\n", args.out)
     return 0
 

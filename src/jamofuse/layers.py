@@ -9,6 +9,8 @@ stay independent.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -66,16 +68,38 @@ class Linear:
 
 
 class GRUCache(NamedTuple):
-    x: np.ndarray  # (T, D)
-    h_prev: np.ndarray  # (T, D), state before each step
-    z: np.ndarray
-    r: np.ndarray
-    n: np.ndarray
-    rh: np.ndarray  # r * h_prev
+    x: np.ndarray  # (rows, d) packed inputs
+    hs: np.ndarray  # (rows, d) packed states, the forward output
+    batch_sizes: Optional[np.ndarray]  # (T,) sequences still running at each step; None for one sequence
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+# Input projections x W + b are formed for runs of whole steps of at most this
+# many packed rows, so a large batch never holds a (rows, 3d) projection.
+PROJECTION_ROWS = 128
+
+
+def _offsets(batch_sizes: Optional[np.ndarray], rows: int) -> list[int]:
+    """The packed row each step starts at, then the end row."""
+    if batch_sizes is None:
+        return list(range(rows + 1))
+    return [0, *accumulate(np.asarray(batch_sizes).tolist())]
+
+
+def _step_blocks(offsets: list[int]) -> list[tuple[int, int]]:
+    """Consecutive step ranges [t0, t1) of at most PROJECTION_ROWS rows each (one step at least)."""
+    steps = len(offsets) - 1
+    if offsets[-1] <= PROJECTION_ROWS:
+        return [(0, steps)]
+    blocks, t0 = [], 0
+    while t0 < steps:
+        t1 = max(bisect_right(offsets, offsets[t0] + PROJECTION_ROWS) - 1, t0 + 1)
+        blocks.append((t0, t1))
+        t0 = t1
+    return blocks
 
 
 class GRULayer:
@@ -86,20 +110,27 @@ class GRULayer:
         z_t = sigmoid(x_t W_z + h_{t-1} U_z + b_z)
         r_t = sigmoid(x_t W_r + h_{t-1} U_r + b_r)
         n_t = tanh(x_t W_n + (r_t * h_{t-1}) U_n + b_n)
-        h_t = (1 - z_t) * n_t + z_t * h_{t-1}
+        h_t = (1 - z_t) * n_t + z_t * h_{t-1},  h_{-1} = 0
 
     The parameters are three blocks, W = [W_z|W_r|W_n] and U = [U_z|U_r|U_n]
     of shape (d, 3d) and b = [b_z|b_r|b_n] of shape (3d,), and each named gate
     tensor (w_z, u_r, b_n, ...) is a column view of its block, so an in-place
     change to a gate shows in the block. The gradients have the same layout.
 
+    Input is a batch of sequences packed as PyTorch's pack_padded_sequence
+    does: sorted longest first, time-major, so the rows of step t are the
+    first batch_sizes[t] sequences and no row is padding. A plain (T, d)
+    sequence is the batch of one (batch_sizes all 1).
+
     Only the recurrent products stay in the time loop (Appleyard et al.,
-    arXiv:1604.01946). Forward projects the whole input sequence once,
-    x W + b, and each step does h U[:, :2d] and (r * h) U[:, 2d:]. Backward
-    carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T per step, collects the
-    pre-activation gradients [dz|dr|dn] of all steps in one (T, 3d) array g,
-    and forms the block gradients and grad_x from g as whole-sequence matmuls
-    and column sums after the loop.
+    arXiv:1604.01946): each step does h U[:, :2d] and (r * h) U[:, 2d:] on the
+    running rows, and x W + b is formed for runs of steps at once. The cache
+    keeps only x and the states. Backward recomputes each step's gates from
+    x and the previous states with the forward's own products, so it sees the
+    forward's values bit for bit, carries dh for the running rows through
+    dn U_n^T and [dz|dr] [U_z|U_r]^T, collects the pre-activation gradients
+    [dz|dr|dn] in one (rows, 3d) array g, and forms the block gradients and
+    grad_x from g as whole-batch matmuls and column sums after the loop.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -116,63 +147,89 @@ class GRULayer:
             self.b.data[cols] = uniform_init(rng, (dim,), dim)
             self.params.add(f"b_{gate}", self.b.view(cols))
 
-    def forward(self, x: np.ndarray, h0: Optional[np.ndarray] = None) -> tuple[np.ndarray, GRUCache]:
+    def _project(self, x: np.ndarray, buf: Optional[np.ndarray]) -> np.ndarray:
+        """x W + b, written into the first rows of buf when one is given."""
+        proj = np.matmul(x, self.w.data, out=None if buf is None else buf[: x.shape[0]])
+        proj += self.b.data
+        return proj
+
+    def forward(self, x: np.ndarray, batch_sizes: Optional[np.ndarray] = None) -> tuple[np.ndarray, GRUCache]:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ShapeError(f"gru input {x.shape} does not match hidden size {self.dim}")
         if x.shape[0] < 1:
             raise ShapeError("gru needs at least one step")
+        offsets = _offsets(batch_sizes, x.shape[0])
+        if offsets[-1] != x.shape[0]:
+            raise ShapeError(f"batch sizes cover {offsets[-1]} rows, input has {x.shape[0]}")
         d = self.dim
-        h = np.zeros(d) if h0 is None else np.asarray(h0, dtype=np.float64)
-        if h.shape != (d,):
-            raise ShapeError(f"gru initial state {h.shape} does not match hidden size {d}")
         u = self.u.data
         u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
 
-        T = x.shape[0]
-        x_proj = x @ self.w.data + self.b.data
-        x_zr, x_n = x_proj[:, : 2 * d], x_proj[:, 2 * d :]
-        zr = np.empty((T, 2 * d))
-        ns = np.empty((T, d))
-        hs = np.empty((T + 1, d))
-        hs[0] = h
-        for t in range(T):
-            gates = _sigmoid(x_zr[t] + h @ u_zr)
-            z = gates[:d]
-            n = np.tanh(x_n[t] + (gates[d:] * h) @ u_n)
-            h = (1.0 - z) * n + z * h
-            zr[t], ns[t], hs[t + 1] = gates, n, h
-        h_prev, rs = hs[:-1], zr[:, d:]
-        return hs[1:], GRUCache(x, h_prev, zr[:, :d], rs, ns, rs * h_prev)
+        hs = np.empty(x.shape)
+        rows = offsets[1]
+        h = np.zeros((rows, d))
+        blocks = _step_blocks(offsets)
+        buf = None if len(blocks) == 1 else np.empty((max(PROJECTION_ROWS, rows), 3 * d))  # serves every block
+        for t0, t1 in blocks:
+            base = offsets[t0]
+            proj = self._project(x[base : offsets[t1]], buf)
+            p_zr, p_n = proj[:, : 2 * d], proj[:, 2 * d :]
+            for t in range(t0, t1):
+                a, c = offsets[t] - base, offsets[t + 1] - base
+                if c - a != rows:
+                    rows = c - a
+                    h = h[:rows]
+                gates = _sigmoid(p_zr[a:c] + h @ u_zr)
+                z = gates[:, :d]
+                n = np.tanh(p_n[a:c] + (gates[:, d:] * h) @ u_n)
+                h = (1.0 - z) * n + z * h
+                hs[base + a : base + c] = h
+        return hs, GRUCache(x, hs, batch_sizes)
 
-    def backward(self, grad_hs: np.ndarray, cache: GRUCache) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (grad_x, grad_h0) for upstream gradients on every state."""
+    def backward(self, grad_hs: np.ndarray, cache: GRUCache) -> np.ndarray:
+        """Returns grad_x for upstream gradients on every packed state."""
         d = self.dim
-        x, h_prev, zs, rs, ns, rhs = cache
-        u_t = self.u.data.T
-        u_zr_t, u_n_t = u_t[: 2 * d], u_t[2 * d :]
+        x, hs, batch_sizes = cache
+        offsets = _offsets(batch_sizes, x.shape[0])
+        u = self.u.data
+        u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
+        u_zr_t, u_n_t = u_zr.T, u_n.T
 
-        # dz_pre = dh * fz, dn_pre = dh * fn, dr_pre = (dn_pre U_n^T) * fr
-        fz = (h_prev - ns) * zs * (1.0 - zs)
-        fn = (1.0 - zs) * (1.0 - ns * ns)
-        fr = h_prev * rs * (1.0 - rs)
-        T = x.shape[0]
-        g = np.empty((T, 3 * d))
-        g_zr, g_z, g_r, g_n = g[:, : 2 * d], g[:, :d], g[:, d : 2 * d], g[:, 2 * d :]
-        carry = np.zeros(d)
-        for t in range(T - 1, -1, -1):
-            dh = grad_hs[t] + carry
-            dn_pre = dh * fn[t]
-            d_rh = dn_pre @ u_n_t
-            g_z[t] = dh * fz[t]
-            g_r[t] = d_rh * fr[t]
-            g_n[t] = dn_pre
-            carry = dh * zs[t] + d_rh * rs[t] + g_zr[t] @ u_zr_t
+        g = np.empty((x.shape[0], 3 * d))
+        h_prev = np.empty(x.shape)
+        rh = np.empty(x.shape)
+        carry = np.zeros((0, d))
+        blocks = _step_blocks(offsets)
+        buf = None if len(blocks) == 1 else np.empty((max(PROJECTION_ROWS, offsets[1]), 3 * d))
+        for t0, t1 in reversed(blocks):
+            base = offsets[t0]
+            proj = self._project(x[base : offsets[t1]], buf)
+            for t in range(t1 - 1, t0 - 1, -1):
+                a, c = offsets[t], offsets[t + 1]
+                p = proj[a - base : c - base]
+                # the step's gates again, from the same products as the forward's
+                hp = hs[offsets[t - 1] : offsets[t - 1] + c - a] if t else np.zeros((c - a, d))
+                gates = _sigmoid(p[:, : 2 * d] + hp @ u_zr)
+                z, r = gates[:, :d], gates[:, d:]
+                rhp = r * hp
+                n = np.tanh(p[:, 2 * d :] + rhp @ u_n)
+                # dz_pre = dh * fz, dn_pre = dh * fn, dr_pre = (dn_pre U_n^T) * fr; a sequence
+                # that ends at step t gets no carry from step t + 1
+                dh = grad_hs[a:c].copy()
+                dh[: len(carry)] += carry
+                dn_pre = dh * ((1.0 - z) * (1.0 - n * n))
+                d_rh = dn_pre @ u_n_t
+                g[a:c, :d] = dh * ((hp - n) * z * (1.0 - z))
+                g[a:c, d : 2 * d] = d_rh * (hp * r * (1.0 - r))
+                g[a:c, 2 * d :] = dn_pre
+                carry = dh * z + d_rh * r + g[a:c, : 2 * d] @ u_zr_t
+                h_prev[a:c], rh[a:c] = hp, rhp
 
         self.w.grad += x.T @ g
-        self.u.grad[:, : 2 * d] += h_prev.T @ g_zr
-        self.u.grad[:, 2 * d :] += rhs.T @ g_n
+        self.u.grad[:, : 2 * d] += h_prev.T @ g[:, : 2 * d]
+        self.u.grad[:, 2 * d :] += rh.T @ g[:, 2 * d :]
         self.b.grad += g.sum(axis=0)
-        return g @ self.w.data.T, carry
+        return g @ self.w.data.T
 
 
 class Conv2x1:

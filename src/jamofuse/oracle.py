@@ -287,6 +287,8 @@ class CorpusStats:
     chars_total: int = 0
     top_k: int = DEFAULT_TOP_K
     mod_types: Counter = field(default_factory=Counter)  # (surface, targets, granularity) -> count
+    # (surface, targets) -> granularity, so each distinct MOD site is decomposed once
+    _classified: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, aligned: AlignedChar) -> None:
         if not hangul.is_syllable(aligned.surface):
@@ -299,13 +301,15 @@ class CorpusStats:
             self.noop += 1
         if MOD in kinds:
             self.mod += 1
-            targets = reconstruct_targets(aligned.surface, aligned.actions)
-            granularity = classify_mod(aligned.surface, targets)
+            site = (aligned.surface, tuple(reconstruct_targets(aligned.surface, aligned.actions)))
+            granularity = self._classified.get(site)
+            if granularity is None:
+                granularity = self._classified[site] = classify_mod(site[0], list(site[1]))
             if granularity is SUBCHARACTER:
                 self.mod_subchar += 1
             else:
                 self.mod_char += 1
-            self.mod_types[(aligned.surface, tuple(targets), granularity.value)] += 1
+            self.mod_types[(*site, granularity.value)] += 1
 
     def merge(self, other: "CorpusStats") -> "CorpusStats":
         return CorpusStats(

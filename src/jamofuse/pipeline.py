@@ -22,7 +22,8 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from itertools import accumulate
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,16 +143,78 @@ class PipelineParams:
 
 
 @dataclass
+class PackedBatch:
+    """Tokenized texts in the packed layout of the principles GRUs.
+
+    Texts are sorted longest first (stable), and every array is time-major,
+    as PyTorch's pack_padded_sequence lays them out: character step k holds
+    the first char_sizes[k] sorted texts, so character k of text i is row
+    char_offsets[k] + rank[i], and no row is padding. Tokens follow the
+    same order at width W: token step k*W + s has char_sizes[k] rows, and
+    slots[r] names the W token rows of character row r. A single text keeps
+    its own order and is one plain sequence, so its char_sizes, rank and
+    char_offsets are None, as GRULayer takes a plain sequence.
+    """
+
+    slots: np.ndarray  # (chars, W) token rows of each character row
+    passthrough: np.ndarray  # (chars,) True where the character has no slot structure
+    tokens: np.ndarray  # (chars * W,) subcharacter ids in packed token order
+    char_sizes: Optional[np.ndarray] = None  # (steps,) texts with more than k characters
+    rank: Optional[np.ndarray] = None  # (texts,) place of each text in the longest-first order
+    char_offsets: Optional[np.ndarray] = None  # (steps + 1,) first row of each character step
+
+    @property
+    def token_sizes(self) -> Optional[np.ndarray]:
+        return None if self.char_sizes is None else np.repeat(self.char_sizes, self.slots.shape[1])
+
+    def slot_states(self, h: np.ndarray, cols: slice) -> np.ndarray:
+        """(chars, k, d): the rows of h at each character's slots[:, cols]."""
+        if self.char_sizes is None:  # one text: character k owns token rows k*W .. (k+1)*W
+            return h.reshape(len(self.slots), -1, h.shape[1])[:, cols]
+        return h[self.slots[:, cols]]
+
+    def char_rows(self, texts: list[int], positions: list[int]) -> np.ndarray:
+        """The row of character positions[u] of text texts[u], for each u."""
+        if self.char_sizes is None:
+            return np.array(positions, dtype=np.int64)
+        return self.char_offsets[positions] + self.rank[texts]
+
+
+def pack(seqs: list[SubcharSequence], width: int) -> PackedBatch:
+    """The packed layout of tokenized texts."""
+    if len(seqs) == 1:
+        (seq,) = seqs
+        return PackedBatch(np.arange(len(seq.tokens)).reshape(-1, width), seq.passthrough, seq.tokens)
+    lengths = np.array([len(s.passthrough) for s in seqs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(seqs))
+    steps = int(lengths.max(initial=0))
+    char_sizes = (lengths[:, None] > np.arange(steps)).sum(axis=0)
+    char_offsets = np.concatenate([[0], np.cumsum(char_sizes)])
+    k = np.repeat(np.arange(steps), char_sizes)  # character position of each row
+    j = np.arange(char_offsets[-1]) - char_offsets[k]  # sorted text of each row
+    # the row's character in the texts' characters, text after text
+    source = (np.cumsum(lengths) - lengths)[order[j]] + k
+    slots = (width * char_offsets[k] + j)[:, None] + np.arange(width) * char_sizes[k][:, None]
+    tokens = np.empty(slots.size, dtype=np.int64)
+    tokens[slots] = np.concatenate([s.tokens for s in seqs]).reshape(-1, width)[source]
+    passthrough = np.concatenate([s.passthrough for s in seqs])[source]
+    return PackedBatch(slots, passthrough, tokens, char_sizes, rank, char_offsets)
+
+
+@dataclass
 class Stage1Cache:
     seq_cache: GRUCache
     iv_cache: GRUCache
     conv_cache: np.ndarray
-    passthrough: np.ndarray  # (chars,) bool, True where the character has no slot structure
+    batch: PackedBatch
 
 
 @dataclass
 class AttnPoolCache:
-    spans: list[tuple[int, int]]  # per unit: [start, stop) token span, together tiling the tokens
+    starts: np.ndarray  # (units,) first token row of each unit; the units tile the tokens
+    sizes: np.ndarray  # (units,) tokens of each unit
     alpha: np.ndarray  # (tokens,) attention weight of each token within its unit
     values: np.ndarray  # (tokens, d)
     value_cache: np.ndarray
@@ -159,19 +222,33 @@ class AttnPoolCache:
 
 @dataclass
 class ForwardCache:
-    text: str
-    seq: SubcharSequence
-    subword_ids: list[int]
-    ranges: list[tuple[int, int]]
-    last_indices: list[int]
+    texts: list[str]
+    seqs: list[SubcharSequence]
+    ranges: list[tuple[int, int]]  # every unit's character range within its text, text after text
+    unit_offsets: np.ndarray  # (texts + 1,) first unit of each text
     e_S: np.ndarray
     h_S: np.ndarray
+    subword_ids: Optional[np.ndarray] = None
+    last_indices: Optional[np.ndarray] = None  # (units,) row of each unit's last character in the compression's layout
+    tokens: Optional[np.ndarray] = None  # subcharacter ids in the order of the compression's token rows
     stage1: Optional[Stage1Cache] = None
     stage2: Optional[GRUCache] = None
     linear_cache: Optional[np.ndarray] = None
     attn_pool: Optional[AttnPoolCache] = None
     fuse_cache: Optional[object] = None
     cls: bool = False
+
+    @property
+    def unit_rows(self) -> np.ndarray:
+        """Output row of each unit."""
+        if not self.cls:
+            return np.arange(len(self.ranges))
+        return np.arange(len(self.ranges)) + np.repeat(np.arange(1, len(self.texts) + 1), np.diff(self.unit_offsets))
+
+    @property
+    def cls_rows(self) -> np.ndarray:
+        """Output row of each text's <cls> row."""
+        return self.unit_offsets[:-1] + np.arange(len(self.texts))
 
 
 class Pipeline:
@@ -235,68 +312,59 @@ class Pipeline:
 
     # pipeline stages --------------------------------------------------------
 
-    def embed_subchars(self, seq: SubcharSequence) -> tuple[np.ndarray, np.ndarray]:
-        return self.params.subchar_emb.forward(seq.tokens)
-
-    def stage1_subchar_to_char(
-        self, e: np.ndarray, seq: SubcharSequence
-    ) -> tuple[np.ndarray, Stage1Cache]:
+    def stage1_subchar_to_char(self, e: np.ndarray, batch: PackedBatch) -> tuple[np.ndarray, Stage1Cache]:
+        """Packed token rows to packed character rows."""
         p = self.params
         w = self.tokenizer.scheme.width
         wi, wv, _ = self.tokenizer.scheme.widths
-        n, d = e.shape
-        if n % w != 0:
-            raise ShapeError(f"token count {n} is not a multiple of width {w}")
-        c = n // w
+        n = e.shape[0]
+        if n != batch.slots.size:
+            raise ShapeError(f"token count {n} is not the multiple of width {w} that {len(batch.slots)} characters fill")
 
-        h, seq_cache = p.gru_seq.forward(e)
+        h, seq_cache = p.gru_seq.forward(e, batch.token_sizes)
 
-        # Character k owns tokens k*w .. (k+1)*w, so its slots are row k of this view.
-        slots = h.reshape(c, w, d)
-        pt = seq.passthrough[:, None]
-        x_iv = np.where(pt, slots[:, 0], slots[:, :wi].sum(axis=1) + slots[:, wi : wi + wv].sum(axis=1))
-        h_f = np.where(pt, 0.0, slots[:, wi + wv :].sum(axis=1))
+        pt = batch.passthrough[:, None]
+        initial, vowel = batch.slot_states(h, slice(0, wi)), batch.slot_states(h, slice(wi, wi + wv))
+        first = initial[:, 0]
+        x_iv = np.where(pt, first, initial.sum(axis=1) + vowel.sum(axis=1))
+        h_f = np.where(pt, 0.0, batch.slot_states(h, slice(wi + wv, None)).sum(axis=1))
 
-        h_iv, iv_cache = p.gru_iv.forward(x_iv)
+        h_iv, iv_cache = p.gru_iv.forward(x_iv, batch.char_sizes)
         conv_out, conv_cache = p.conv.forward(np.stack([h_iv, h_f]))
-        h_c = np.where(pt, slots[:, 0], conv_out[0])
-        return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, seq.passthrough)
+        h_c = np.where(pt, first, conv_out[0])
+        return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, batch)
 
     def backward_stage1(self, grad_hc: np.ndarray, cache: Stage1Cache) -> np.ndarray:
         p = self.params
-        w = self.tokenizer.scheme.width
         wi, wv, _ = self.tokenizer.scheme.widths
-        c, d = grad_hc.shape
-        pt = cache.passthrough[:, None]
+        slots, pt = cache.batch.slots, cache.batch.passthrough[:, None]
 
         grad_stacked = p.conv.backward(np.where(pt, 0.0, grad_hc)[None, :, :], cache.conv_cache)
-        grad_xiv, _ = p.gru_iv.backward(grad_stacked[0], cache.iv_cache)
+        grad_xiv = p.gru_iv.backward(grad_stacked[0], cache.iv_cache)
         # A passthrough character's whole gradient goes to slot 0, the state that stood in for it.
-        grad_slots = np.empty((c, w, d))
-        grad_slots[:, : wi + wv] = np.where(pt, 0.0, grad_xiv)[:, None]
-        grad_slots[:, wi + wv :] = np.where(pt, 0.0, grad_stacked[1])[:, None]
-        grad_slots[:, 0] += np.where(pt, grad_hc + grad_xiv, 0.0)
-        grad_e, _ = p.gru_seq.backward(grad_slots.reshape(c * w, d), cache.seq_cache)
-        return grad_e
+        grad_h = np.empty((slots.size, grad_hc.shape[1]))
+        grad_h[slots[:, : wi + wv]] = np.where(pt, 0.0, grad_xiv)[:, None]
+        grad_h[slots[:, wi + wv :]] = np.where(pt, 0.0, grad_stacked[1])[:, None]
+        grad_h[slots[:, 0]] += np.where(pt, grad_hc + grad_xiv, 0.0)
+        return p.gru_seq.backward(grad_h, cache.seq_cache)
 
     def stage2_char_to_unit(
-        self, h_c: np.ndarray, last_indices: list[int]
+        self, h_c: np.ndarray, last_indices: np.ndarray, char_sizes: np.ndarray
     ) -> tuple[np.ndarray, GRUCache]:
-        if last_indices and max(last_indices) >= h_c.shape[0]:
-            raise ShapeError(f"selection index {max(last_indices)} out of range for {h_c.shape[0]} characters")
-        hs, cache = self.params.gru_char.forward(h_c)
-        return hs[np.asarray(last_indices, dtype=np.int64)], cache
+        """Packed character rows to the states at each unit's last character row."""
+        last_indices = np.asarray(last_indices, dtype=np.int64)
+        if last_indices.size and last_indices.max() >= h_c.shape[0]:
+            raise ShapeError(f"selection index {last_indices.max()} out of range for {h_c.shape[0]} characters")
+        hs, cache = self.params.gru_char.forward(h_c, char_sizes)
+        return hs[last_indices], cache
 
-    def backward_stage2(
-        self, grad_hs: np.ndarray, cache: GRUCache, last_indices: list[int]
-    ) -> np.ndarray:
+    def backward_stage2(self, grad_hs: np.ndarray, cache: GRUCache, last_indices: np.ndarray) -> np.ndarray:
         grad_states = np.zeros_like(cache.x)
-        np.add.at(grad_states, np.asarray(last_indices, dtype=np.int64), grad_hs)
-        grad_hc, _ = self.params.gru_char.backward(grad_states, cache)
-        return grad_hc
+        np.add.at(grad_states, last_indices, grad_hs)
+        return self.params.gru_char.backward(grad_states, cache)
 
     def compress_linear(
-        self, e: np.ndarray, last_indices: list[int]
+        self, e: np.ndarray, last_indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         w = self.tokenizer.scheme.width
         n, d = e.shape
@@ -304,58 +372,71 @@ class Pipeline:
             raise ShapeError(f"token count {n} is not a multiple of width {w}")
         flat = e.reshape(n // w, w * d)
         per_char, cache = self.params.char_proj.forward(flat)
-        return per_char[np.asarray(last_indices, dtype=np.int64)], cache
+        return per_char[last_indices], cache
 
     def backward_compress_linear(
-        self, grad_hs: np.ndarray, cache: np.ndarray, last_indices: list[int]
+        self, grad_hs: np.ndarray, cache: np.ndarray, last_indices: np.ndarray
     ) -> np.ndarray:
         w = self.tokenizer.scheme.width
         c = cache.shape[0]
         grad_char = np.zeros((c, grad_hs.shape[1]))
-        np.add.at(grad_char, np.asarray(last_indices, dtype=np.int64), grad_hs)
+        np.add.at(grad_char, last_indices, grad_hs)
         grad_flat = self.params.char_proj.backward(grad_char, cache)
         return grad_flat.reshape(c * w, grad_hs.shape[1])
 
     def compress_attention(
         self, e: np.ndarray, ranges: list[tuple[int, int]]
     ) -> tuple[np.ndarray, AttnPoolCache]:
+        """One attention-pooled vector per unit; the character ranges must tile e's characters.
+
+        The softmax runs per unit span as a segment softmax: maxima and sums over
+        the spans come from np.maximum.reduceat and np.add.reduceat.
+        """
         p = self.params
         w = self.tokenizer.scheme.width
+        bounds = np.array(ranges, dtype=np.int64).reshape(-1, 2) * w
+        starts, sizes = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+        if starts.size and (starts[0] != 0 or (starts[1:] != bounds[:-1, 1]).any() or bounds[-1, 1] != e.shape[0]):
+            raise ShapeError(f"unit ranges do not tile {e.shape[0] // w} characters")
         scale = 1.0 / np.sqrt(e.shape[1])
         logits = e @ p.attn_query.data * scale
         values, value_cache = p.attn_value.forward(e)
-        spans = [(a * w, b * w) for a, b in ranges]
-        alpha = np.zeros(e.shape[0])
-        out = np.zeros((len(spans), e.shape[1]))
-        for u, (a, b) in enumerate(spans):
-            shifted = np.exp(logits[a:b] - logits[a:b].max())
-            alpha[a:b] = shifted / shifted.sum()
-            out[u] = alpha[a:b] @ values[a:b]
-        return out, AttnPoolCache(spans, alpha, values, value_cache)
+        shifted = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
+        alpha = shifted / np.repeat(np.add.reduceat(shifted, starts), sizes)
+        out = np.add.reduceat(alpha[:, None] * values, starts, axis=0)
+        return out, AttnPoolCache(starts, sizes, alpha, values, value_cache)
 
     def backward_compress_attention(self, grad_hs: np.ndarray, cache: AttnPoolCache) -> np.ndarray:
         p = self.params
         scale = 1.0 / np.sqrt(grad_hs.shape[1])
         alpha, values = cache.alpha, cache.values
-        d_values = np.zeros_like(values)
-        d_logits = np.zeros_like(alpha)
-        for g, (a, b) in zip(grad_hs, cache.spans):
-            d_values[a:b] = np.outer(alpha[a:b], g)
-            d_alpha = values[a:b] @ g
-            d_logits[a:b] = alpha[a:b] * (d_alpha - d_alpha @ alpha[a:b])
+        grad_tokens = np.repeat(grad_hs, cache.sizes, axis=0)  # each token's unit gradient
+        d_values = alpha[:, None] * grad_tokens
+        d_alpha = (values * grad_tokens).sum(axis=1)
+        d_logits = alpha * (d_alpha - np.repeat(np.add.reduceat(d_alpha * alpha, cache.starts), cache.sizes))
         grad_e = p.attn_value.backward(d_values, cache.value_cache)
         p.attn_query.accumulate(cache.value_cache.T @ d_logits * scale)
         return grad_e + np.outer(d_logits, p.attn_query.data) * scale
 
-    def fuse(self, e_s: np.ndarray, h_s: np.ndarray) -> tuple[np.ndarray, Optional[object]]:
+    def fuse(
+        self, e_s: np.ndarray, h_s: np.ndarray, unit_offsets: np.ndarray
+    ) -> tuple[np.ndarray, Optional[object]]:
+        """Fuses the unit rows of every text; cross-attention stays within each text's units."""
         if e_s.shape != h_s.shape:
             raise ShapeError(f"fusion inputs {e_s.shape} and {h_s.shape} do not match")
         mode = self.config.fusion
         if mode == "summation":
             return e_s + h_s, None
-        if mode == "cross-attention":
-            return self.params.fuse_attn.forward(e_s, h_s)
-        return self.params.fuse_proj.forward(np.concatenate([e_s, h_s], axis=1))
+        if mode == "concatenation":
+            return self.params.fuse_proj.forward(np.concatenate([e_s, h_s], axis=1))
+        offsets = np.asarray(unit_offsets).tolist()
+        outs, caches = [], []
+        for a, b in zip(offsets, offsets[1:]):
+            if b > a:
+                out, cache = self.params.fuse_attn.forward(e_s[a:b], h_s[a:b])
+                outs.append(out)
+                caches.append(((a, b), cache))
+        return (outs[0] if len(outs) == 1 else np.concatenate(outs)), caches
 
     def backward_fuse(
         self, grad_out: np.ndarray, fuse_cache: Optional[object]
@@ -363,64 +444,98 @@ class Pipeline:
         mode = self.config.fusion
         if mode == "summation":
             return grad_out, grad_out.copy()
-        if mode == "cross-attention":
-            return self.params.fuse_attn.backward(grad_out, fuse_cache)
-        grad_cat = self.params.fuse_proj.backward(grad_out, fuse_cache)
-        d = grad_out.shape[1]
-        return grad_cat[:, :d], grad_cat[:, d:]
+        if mode == "concatenation":
+            grad_cat = self.params.fuse_proj.backward(grad_out, fuse_cache)
+            d = grad_out.shape[1]
+            return grad_cat[:, :d], grad_cat[:, d:]
+        grad_es, grad_hs = np.empty_like(grad_out), np.empty_like(grad_out)
+        for (a, b), cache in fuse_cache:
+            grad_es[a:b], grad_hs[a:b] = self.params.fuse_attn.backward(grad_out[a:b], cache)
+        return grad_es, grad_hs
 
     # end to end -------------------------------------------------------------
 
     def forward(
-        self, text: str, external_boundary: Optional[BoundaryMap] = None
+        self,
+        texts: Union[str, Sequence[str]],
+        external_boundary: Union[None, BoundaryMap, Sequence[BoundaryMap]] = None,
     ) -> tuple[np.ndarray, ForwardCache]:
+        """The output rows of one text, or of a batch of texts, text after text.
+
+        A text's rows are a <cls> row when cls_bypass is set, then one fused
+        vector per unit. A text without characters has no unit rows. For a
+        batch, external_boundary holds one boundary map per text. The
+        principles GRUs run the batch as packed sequences (PackedBatch); a
+        single text is the batch of one.
+        """
         cfg = self.config
         d = cfg.dim
-        seq = self.tokenizer.tokenize(text)
-        subword_ids, ranges = self.unit_ranges(text, external_boundary)
-        last_indices = [b - 1 for _, b in ranges]
+        if isinstance(texts, str):
+            texts, boundaries = [texts], [external_boundary]
+        else:
+            texts = list(texts)
+            boundaries = [None] * len(texts) if external_boundary is None else list(external_boundary)
+        if len(boundaries) != len(texts):
+            raise ConfigError(f"{len(boundaries)} boundary maps for {len(texts)} texts; give one boundary map per text")
+        seqs = [self.tokenizer.tokenize(text) for text in texts]
+        subword_ids, ranges, text_of_unit, unit_offsets = [], [], [], [0]
+        for k, (text, boundary) in enumerate(zip(texts, boundaries)):
+            text_ids, text_ranges = self.unit_ranges(text, boundary)
+            subword_ids += text_ids
+            ranges += text_ranges
+            text_of_unit += [k] * len(text_ranges)
+            unit_offsets.append(len(ranges))
+        last_chars = [b - 1 for _, b in ranges]
 
-        e, _ = self.embed_subchars(seq)
         cache = ForwardCache(
-            text, seq, subword_ids, ranges, last_indices,
+            texts, seqs, ranges, np.array(unit_offsets),
             e_S=np.zeros((0, d)), h_S=np.zeros((0, d)), cls=cfg.cls_bypass,
         )
-
+        fused = cache.e_S
         if ranges:
             if cfg.compression == "principles":
-                h_c, cache.stage1 = self.stage1_subchar_to_char(e, seq)
-                h_s, cache.stage2 = self.stage2_char_to_unit(h_c, last_indices)
-            elif cfg.compression == "linear":
-                h_s, cache.linear_cache = self.compress_linear(e, last_indices)
+                batch = pack(seqs, self.tokenizer.scheme.width)
+                cache.tokens = batch.tokens
+                cache.last_indices = batch.char_rows(text_of_unit, last_chars)
+                e, _ = self.params.subchar_emb.forward(batch.tokens)
+                h_c, cache.stage1 = self.stage1_subchar_to_char(e, batch)
+                h_s, cache.stage2 = self.stage2_char_to_unit(h_c, cache.last_indices, batch.char_sizes)
             else:
-                h_s, cache.attn_pool = self.compress_attention(e, ranges)
-            e_s, _ = self.params.subword_emb.forward(subword_ids)
-            fused, cache.fuse_cache = self.fuse(e_s, h_s)
+                # no recurrence: the texts' tokens stay in order, one after the other
+                cache.tokens = np.concatenate([seq.tokens for seq in seqs])
+                starts = [0, *accumulate(len(text) for text in texts)]
+                e, _ = self.params.subchar_emb.forward(cache.tokens)
+                if cfg.compression == "linear":
+                    cache.last_indices = np.array([starts[k] + c for k, c in zip(text_of_unit, last_chars)])
+                    h_s, cache.linear_cache = self.compress_linear(e, cache.last_indices)
+                else:
+                    shifted = [(a + starts[k], b + starts[k]) for k, (a, b) in zip(text_of_unit, ranges)]
+                    h_s, cache.attn_pool = self.compress_attention(e, shifted)
+            e_s, cache.subword_ids = self.params.subword_emb.forward(subword_ids)
+            fused, cache.fuse_cache = self.fuse(e_s, h_s, cache.unit_offsets)
             cache.e_S, cache.h_S = e_s, h_s
-        else:
-            fused = np.zeros((0, d))
-
-        if cfg.cls_bypass:
-            cls_row = self.params.subchar_emb.table.data[self.tokenizer.vocab.cls_id]
-            return np.vstack([cls_row[None, :], fused]), cache
-        return fused, cache
+        if not cfg.cls_bypass:
+            return fused, cache
+        out = np.empty((len(ranges) + len(texts), d))
+        out[cache.unit_rows] = fused
+        out[cache.cls_rows] = self.params.subchar_emb.table.data[self.tokenizer.vocab.cls_id]
+        return out, cache
 
     def backward(self, grad_out: np.ndarray, cache: ForwardCache) -> None:
         """Accumulates parameter gradients for one forward call's output grad."""
-        expected_rows = len(cache.ranges) + (1 if cache.cls else 0)
+        expected_rows = len(cache.ranges) + (len(cache.texts) if cache.cls else 0)
         if grad_out.shape != (expected_rows, self.config.dim):
             raise ShapeError(
                 f"output grad {grad_out.shape} does not match ({expected_rows}, {self.config.dim})"
             )
         if cache.cls:
-            cls_id = np.asarray([self.tokenizer.vocab.cls_id])
-            self.params.subchar_emb.backward(grad_out[0:1], cls_id)
-            grad_out = grad_out[1:]
+            cls_ids = np.full(len(cache.texts), self.tokenizer.vocab.cls_id)
+            self.params.subchar_emb.backward(grad_out[cache.cls_rows], cls_ids)
         if not cache.ranges:
             return
 
-        grad_es, grad_hs = self.backward_fuse(grad_out, cache.fuse_cache)
-        self.params.subword_emb.backward(grad_es, np.asarray(cache.subword_ids, dtype=np.int64))
+        grad_es, grad_hs = self.backward_fuse(grad_out[cache.unit_rows] if cache.cls else grad_out, cache.fuse_cache)
+        self.params.subword_emb.backward(grad_es, cache.subword_ids)
 
         cfg = self.config
         if cfg.compression == "principles":
@@ -430,12 +545,17 @@ class Pipeline:
             grad_e = self.backward_compress_linear(grad_hs, cache.linear_cache, cache.last_indices)
         else:
             grad_e = self.backward_compress_attention(grad_hs, cache.attn_pool)
-        self.params.subchar_emb.backward(grad_e, cache.seq.tokens)
+        self.params.subchar_emb.backward(grad_e, cache.tokens)
 
     def unit_labels(self, cache: ForwardCache) -> list[str]:
-        """One label per output row: unit texts, preceded by <cls> if bypassed."""
-        labels = [cache.text[a:b] for a, b in cache.ranges]
-        return (["<cls>"] + labels) if cache.cls else labels
+        """One label per output row: unit texts, each text's preceded by <cls> if bypassed."""
+        labels = []
+        for k, text in enumerate(cache.texts):
+            if cache.cls:
+                labels.append("<cls>")
+            a, b = cache.unit_offsets[k], cache.unit_offsets[k + 1]
+            labels += [text[i:j] for i, j in cache.ranges[a:b]]
+        return labels
 
 
 def _whitespace_runs(text: str) -> list[tuple[int, int]]:

@@ -146,35 +146,60 @@ class TrainLog:
 # word vectors ----------------------------------------------------------------
 
 
-def _forward_word(pipe: Pipeline, text: str) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Returns (fused word vector, raw word vector, cache)."""
-    out, cache = pipe.forward(text)
-    rows = out[1:] if cache.cls else out
-    if rows.shape[0] == 0:
-        zero = np.zeros(pipe.config.dim)
-        return zero, zero.copy(), cache
-    return rows.mean(axis=0), cache.e_S.mean(axis=0), cache
+def _forward_words(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+    """Returns (fused word vectors, raw word vectors, cache) of one batched forward."""
+    out, cache = pipe.forward(texts)
+    units = out[cache.unit_rows]
+    fused = np.zeros((len(texts), pipe.config.dim))
+    raw = np.zeros_like(fused)
+    offsets = cache.unit_offsets.tolist()
+    for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        if b > a:
+            fused[k], raw[k] = units[a:b].mean(axis=0), cache.e_S[a:b].mean(axis=0)
+    return fused, raw, cache
+
+
+# An inference pass holds a few (token rows, d) arrays at once: the embedded
+# tokens and the first GRU's states. Passes are cut so each stays within this.
+PASS_BYTES = 1 << 19
+
+
+def _word_vectors(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(fused, raw) word vectors without gradients, longest texts first in bounded passes."""
+    width, dim = pipe.tokenizer.scheme.width, pipe.config.dim
+    limit = PASS_BYTES // (8 * dim)
+    order = sorted(range(len(texts)), key=lambda k: -len(texts[k]))
+    fused, raw = np.zeros((len(texts), dim)), np.zeros((len(texts), dim))
+    start = 0
+    while start < len(order):
+        stop, rows = start + 1, len(texts[order[start]]) * width
+        while stop < len(order) and rows + len(texts[order[stop]]) * width <= limit:
+            rows += len(texts[order[stop]]) * width
+            stop += 1
+        group = order[start:stop]
+        fused[group], raw[group], _ = _forward_words(pipe, [texts[k] for k in group])
+        start = stop
+    return fused, raw
 
 
 def word_vector(pipe: Pipeline, text: str, channel: str = "fused") -> np.ndarray:
-    if channel not in CHANNELS:
-        raise ConfigError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
-    fused, raw, _ = _forward_word(pipe, text)
-    return fused if channel == "fused" else raw
+    return word_vectors(pipe, [text], channel)[0]
 
 
 def word_vectors(pipe: Pipeline, words: Iterable[str], channel: str = "fused") -> np.ndarray:
-    return np.stack([word_vector(pipe, w, channel) for w in words])
+    """One row per word, from batched forwards."""
+    if channel not in CHANNELS:
+        raise ConfigError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
+    fused, raw = _word_vectors(pipe, list(words))
+    return fused if channel == "fused" else raw
 
 
-def _backward_word(pipe: Pipeline, cache: ForwardCache, grad_vec: np.ndarray) -> None:
-    rows = len(cache.ranges)
-    if rows == 0:
-        return
-    grad_rows = np.tile(grad_vec / rows, (rows, 1))
-    if cache.cls:
-        grad_rows = np.vstack([np.zeros((1, grad_vec.shape[0])), grad_rows])
-    pipe.backward(grad_rows, cache)
+def _backward_words(pipe: Pipeline, cache: ForwardCache, grad_vecs: np.ndarray) -> None:
+    """Backward of _forward_words for gradients on its fused word vectors."""
+    counts = np.diff(cache.unit_offsets)
+    grad_out = np.zeros((len(cache.ranges) + (len(cache.texts) if cache.cls else 0), grad_vecs.shape[1]))
+    grad_out[cache.unit_rows] = np.repeat(grad_vecs / np.maximum(counts, 1)[:, None], counts, axis=0)
+    pipe.backward(grad_out, cache)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -209,6 +234,14 @@ def _draw_negative(rng: np.random.Generator, i: int, n: int) -> Optional[int]:
     return j + 1 if j >= i else j
 
 
+def _distinct(forms: Iterable[str]) -> dict[str, int]:
+    """Each distinct form's row, in order of first appearance."""
+    rows: dict[str, int] = {}
+    for form in forms:
+        rows.setdefault(form, len(rows))
+    return rows
+
+
 def _contrastive_batch(
     pipe: Pipeline,
     records: list[PairRecord],
@@ -217,28 +250,28 @@ def _contrastive_batch(
     margin: float,
     accumulate: bool,
 ) -> float:
+    """Forwards the batch's distinct forms at once, then runs one backward."""
+    pairs = [(records[i], None if neg is None else records[neg]) for i, neg in zip(batch, negatives)]
+    rows = _distinct(f for rec, neg in pairs for f in (rec.form_a, rec.form_b, *((neg.form_b,) if neg else ())))
+    vecs, _, cache = _forward_words(pipe, list(rows))
+    grads = np.zeros_like(vecs)
     total = 0.0
     scale = 1.0 / len(batch)
-    for i, neg in zip(batch, negatives):
-        rec = records[i]
-        va, _, ca = _forward_word(pipe, rec.form_a)
-        vb, _, cb = _forward_word(pipe, rec.form_b)
-        cos_p, dpa, dpb = _cosine_with_grads(va, vb)
+    for rec, neg in pairs:
+        a, b = rows[rec.form_a], rows[rec.form_b]
+        cos_p, dpa, dpb = _cosine_with_grads(vecs[a], vecs[b])
         total += max(0.0, (1.0 - margin) - cos_p)
         ga = -dpa * (cos_p < 1.0 - margin)
-        gb = -dpb * (cos_p < 1.0 - margin)
-        gn = None
+        grads[b] += -dpb * (cos_p < 1.0 - margin) * scale
         if neg is not None:
-            vn, _, cn = _forward_word(pipe, records[neg].form_b)
-            cos_n, dna, dnv = _cosine_with_grads(va, vn)
+            n = rows[neg.form_b]
+            cos_n, dna, dnv = _cosine_with_grads(vecs[a], vecs[n])
             total += max(0.0, cos_n - margin)
             ga = ga + dna * (cos_n > margin)
-            gn = dnv * (cos_n > margin)
-        if accumulate:
-            _backward_word(pipe, ca, ga * scale)
-            _backward_word(pipe, cb, gb * scale)
-            if gn is not None:
-                _backward_word(pipe, cn, gn * scale)
+            grads[n] += dnv * (cos_n > margin) * scale
+        grads[a] += ga * scale
+    if accumulate:
+        _backward_words(pipe, cache, grads)
     return total * scale
 
 
@@ -253,34 +286,30 @@ def _classification_batch(
     # both forms of a record are examples of its relation tag
     examples = [(records[i].form_a, labels[records[i].relation]) for i in batch]
     examples += [(records[i].form_b, labels[records[i].relation]) for i in batch]
-    total = 0.0
+    rows = _distinct(text for text, _ in examples)
+    vecs, _, cache = _forward_words(pipe, list(rows))
+    which = np.array([rows[text] for text, _ in examples])
+    logits, head_cache = head.forward(vecs[which])
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = shifted / shifted.sum(axis=1, keepdims=True)
     scale = 1.0 / len(examples)
-    for text, label in examples:
-        vec, _, cache = _forward_word(pipe, text)
-        logits, head_cache = head.forward(vec[None, :])
-        shifted = np.exp(logits[0] - logits[0].max())
-        probs = shifted / shifted.sum()
-        total += -float(np.log(probs[label]))
-        if accumulate:
-            d_logits = probs.copy()
-            d_logits[label] -= 1.0
-            grad_vec = head.backward(d_logits[None, :] * scale, head_cache)[0]
-            _backward_word(pipe, cache, grad_vec)
+    total = sum(-float(np.log(p[label])) for p, (_, label) in zip(probs, examples))
+    if accumulate:
+        d_logits = probs.copy()
+        d_logits[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
+        grads = np.zeros_like(vecs)
+        np.add.at(grads, which, head.backward(d_logits * scale, head_cache))
+        _backward_words(pipe, cache, grads)
     return total * scale
 
 
 def _pair_metric(pipe: Pipeline, records: list[PairRecord], random_partners: list[int]) -> tuple[float, float, float]:
-    vecs_fused: dict[str, np.ndarray] = {}
-    vecs_raw: dict[str, np.ndarray] = {}
-    for rec in records:
-        for form in (rec.form_a, rec.form_b):
-            if form not in vecs_fused:
-                fused, raw, _ = _forward_word(pipe, form)
-                vecs_fused[form], vecs_raw[form] = fused, raw
-    cos_fused = [cosine(vecs_fused[r.form_a], vecs_fused[r.form_b]) for r in records]
-    cos_raw = [cosine(vecs_raw[r.form_a], vecs_raw[r.form_b]) for r in records]
+    rows = _distinct(f for rec in records for f in (rec.form_a, rec.form_b))
+    fused, raw = _word_vectors(pipe, list(rows))
+    cos_fused = [cosine(fused[rows[r.form_a]], fused[rows[r.form_b]]) for r in records]
+    cos_raw = [cosine(raw[rows[r.form_a]], raw[rows[r.form_b]]) for r in records]
     cos_rand = [
-        cosine(vecs_fused[records[i].form_a], vecs_fused[records[j].form_b])
+        cosine(fused[rows[records[i].form_a]], fused[rows[records[j].form_b]])
         for i, j in enumerate(random_partners)
     ]
     mean = lambda xs: float(np.mean(xs)) if xs else 0.0
@@ -400,16 +429,17 @@ class PairSimilarityReport:
 
 
 def pair_similarity(pipe: Pipeline, data: PairDataset) -> PairSimilarityReport:
-    rows = []
-    for rec in data.records:
-        fa, ra, _ = _forward_word(pipe, rec.form_a)
-        fb, rb, _ = _forward_word(pipe, rec.form_b)
-        rows.append((rec, cosine(ra, rb), cosine(fa, fb)))
-    if not rows:
+    if not data.records:
         raise ConfigError("dataset is empty")
-    mean_raw = float(np.mean([r for _, r, _ in rows]))
-    mean_fused = float(np.mean([f for _, _, f in rows]))
-    return PairSimilarityReport(rows, mean_raw, mean_fused)
+    rows = _distinct(f for rec in data.records for f in (rec.form_a, rec.form_b))
+    fused, raw = _word_vectors(pipe, list(rows))
+    pairs = [(rows[rec.form_a], rows[rec.form_b]) for rec in data.records]
+    report_rows = [
+        (rec, cosine(raw[a], raw[b]), cosine(fused[a], fused[b])) for rec, (a, b) in zip(data.records, pairs)
+    ]
+    mean_raw = float(np.mean([r for _, r, _ in report_rows]))
+    mean_fused = float(np.mean([f for _, _, f in report_rows]))
+    return PairSimilarityReport(report_rows, mean_raw, mean_fused)
 
 
 @dataclass
@@ -512,13 +542,16 @@ def _centroid_spread(vectors: np.ndarray) -> float:
 
 
 def cohesion_report(word_sets: list[tuple[str, list[str]]], pipe: Pipeline) -> CohesionReport:
-    rows = []
     for label, words in word_sets:
         if len(words) < 2:
             raise ConfigError(f"set {label!r} needs at least 2 words, got {len(words)}")
-        fused, raw, _ = zip(*(_forward_word(pipe, w) for w in words))
-        fused, raw = np.stack(fused), np.stack(raw)
-        rows.append(
+    rows = _distinct(w for _, words in word_sets for w in words)
+    fused_all, raw_all = _word_vectors(pipe, list(rows))
+    report_rows = []
+    for label, words in word_sets:
+        which = [rows[w] for w in words]
+        fused, raw = fused_all[which], raw_all[which]
+        report_rows.append(
             CohesionRow(
                 label,
                 len(words),
@@ -528,4 +561,4 @@ def cohesion_report(word_sets: list[tuple[str, list[str]]], pipe: Pipeline) -> C
                 _centroid_spread(fused),
             )
         )
-    return CohesionReport(rows)
+    return CohesionReport(report_rows)

@@ -18,7 +18,7 @@ from jamofuse.hangul import NUM_SYLLABLES, SYLLABLE_BASE, compose, decompose
 from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.oracle import KEEP, MOD, NOOP, SUBCHARACTER, align, classify_mod, corpus_stats
 from jamofuse.oracle import reconstruct_targets
-from jamofuse.pipeline import Pipeline, PipelineConfig, COMPRESSIONS, FUSIONS
+from jamofuse.pipeline import Pipeline, PipelineConfig, COMPRESSIONS, FUSIONS, pack
 from jamofuse.subchar import EMPTY_FINAL, SCHEME_NAMES, SubcharTokenizer
 from jamofuse.subword import train_vocab
 from jamofuse.training import (
@@ -170,8 +170,8 @@ def test_criterion_4_shape_laws():
         for text in texts:
             seq = pipe.tokenizer.tokenize(text)
             assert len(seq) == width * len(text)
-            e, _ = pipe.embed_subchars(seq)
-            h_c, _ = pipe.stage1_subchar_to_char(e, seq)
+            e, _ = pipe.params.subchar_emb.forward(seq.tokens)
+            h_c, _ = pipe.stage1_subchar_to_char(e, pack([seq], width))
             assert h_c.shape == (len(text), 4)
 
             ids, ranges = pipe.unit_ranges(text)

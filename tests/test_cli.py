@@ -13,7 +13,7 @@ from importlib import resources
 
 from jamofuse import checkpoint, cli
 from jamofuse.cli import main
-from jamofuse.oracle import parse_action_file
+from jamofuse.oracle import align, parse_action_file, read_jsonl_records
 from jamofuse.subword import load_vocab
 
 
@@ -199,6 +199,40 @@ class TestOracleAlign:
 
     def test_units_required_with_surface(self, capsys):
         assert main(["oracle-align", "했다"]) == 1
+
+    def test_bundled_corpus_parses_back_to_the_same_actions(self, capsys):
+        assert main(["oracle-align", "--in", CORPUS]) == 0
+        parsed = parse_action_file(capsys.readouterr().out.splitlines())
+        with open(CORPUS, encoding="utf-8") as stream:
+            expected = [ac for surface, units in read_jsonl_records(stream) for ac in align(surface, units)]
+        assert len(parsed) == len(expected) > 500
+        assert [(ac.surface, ac.actions) for ac in parsed] == [(ac.surface, ac.actions) for ac in expected]
+
+
+# units that parse_action_file could not read back as written
+UNWRITABLE_UNITS = [("하;", "\t"), ("하|", "|"), ("하\t", "\t"), ("하\n", "\t"), ("하\r", "\t"), ("하 ", "\t")]
+UNWRITABLE_IDS = ["semicolon", "custom-delimiter", "tab-delimiter", "newline", "carriage-return", "trailing-space"]
+
+
+@pytest.mark.parametrize("unit,delim", UNWRITABLE_UNITS, ids=UNWRITABLE_IDS)
+def test_unwritable_unit_is_domain_error(capsys, unit, delim):
+    assert main(["oracle-align", "했", "--units", f"{unit},았", "--delim", delim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unit {unit!r} cannot be written back")
+    assert_one_line_error_text(captured.err)
+
+
+@pytest.mark.parametrize("unit,delim", UNWRITABLE_UNITS, ids=UNWRITABLE_IDS)
+def test_unwritable_corpus_unit_is_domain_error(tmp_path, capsys, unit, delim):
+    path = tmp_path / "units.jsonl"
+    record = {"surface": "했", "lemma_units": [unit, "았"]}
+    path.write_text('{"surface": "했다", "lemma_units": ["하다"]}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["oracle-align", "--in", str(path), "--delim", delim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unit {unit!r} cannot be written back")
+    assert_one_line_error_text(captured.err)
 
 
 BAD_CORPUS_LINES = [

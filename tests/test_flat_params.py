@@ -1,27 +1,40 @@
 """Flat parameter and gradient buffers against the per-tensor code they replaced.
 
 ReferenceGRULayer and ReferenceAdamW are the earlier GRULayer (gate weights
-concatenated on every call, nine per-gate gradient accumulations) and AdamW
-(per-tensor moment dicts), kept verbatim apart from their names;
-reference_embedding_backward is the earlier whole-table scatter. The new code
-must equal them bitwise.
+concatenated on every call, nine per-gate gradient accumulations, one
+sequence per call, gates kept for backward) and AdamW (per-tensor moment
+dicts), kept verbatim apart from their names; reference_embedding_backward is
+the earlier whole-table scatter. The new code must equal them bitwise: a
+single text is a packed batch of one, whose GRU steps and recomputed gates
+are the reference's products.
 """
 
 import subprocess
 import sys
 import types
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from jamofuse.checkpoint import load_into, save_checkpoint
-from jamofuse.layers import Embedding, GRUCache, GRULayer, _sigmoid
+from jamofuse.layers import Embedding, GRULayer, _sigmoid
 from jamofuse.optim import AdamConfig, AdamW, cosine_lr
 from jamofuse.pipeline import COMPRESSIONS, FUSIONS, Pipeline, PipelineConfig
 from jamofuse.subchar import SCHEME_NAMES
 from jamofuse.subword import train_vocab
 from jamofuse.tensor import ParamGroup, ShapeError, Tensor, uniform_init
+
+
+class GRUCache(NamedTuple):
+    """The reference layer's cache: its inputs and every step's gates."""
+
+    x: np.ndarray  # (T, D)
+    h_prev: np.ndarray  # (T, D), state before each step
+    z: np.ndarray
+    r: np.ndarray
+    n: np.ndarray
+    rh: np.ndarray  # r * h_prev
 
 
 class ReferenceGRULayer:
@@ -160,6 +173,21 @@ TEXTS = ["하다 ab", "했다ㄱ 민국", "x"]
 GRU_NAMES = ("gru_seq", "gru_iv", "gru_char")
 
 
+class OneSequence:
+    """Drives a reference GRU, which takes one sequence, through GRULayer's packed interface."""
+
+    def __init__(self, layer: ReferenceGRULayer):
+        self.layer = layer
+
+    def forward(self, x, batch_sizes):
+        assert batch_sizes is None, "the reference runs one sequence"
+        return self.layer.forward(x)
+
+    def backward(self, grad_hs, cache):
+        grad_x, _ = self.layer.backward(grad_hs, cache)
+        return grad_x
+
+
 def reference_copy(pipe):
     """A second pipeline with pipe's values whose GRUs and embeddings run the reference code."""
     ref = Pipeline.build(pipe.config, pipe.subword_vocab, seed=pipe.params.seed)
@@ -171,7 +199,7 @@ def reference_copy(pipe):
         old = ReferenceGRULayer(layer.dim, np.random.default_rng(0))
         for name, t in old.params.items():
             t.data[...] = layer.params[name].data
-        setattr(ref.params, layer_name, old)
+        setattr(ref.params, layer_name, OneSequence(old))
         grus[layer_name] = old
     for emb in (ref.params.subchar_emb, ref.params.subword_emb):
         emb.backward = types.MethodType(reference_embedding_backward, emb)

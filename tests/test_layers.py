@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from jamofuse.gradcheck import grad_check
-from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear
+from jamofuse import layers
+from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.tensor import ShapeError, Tensor
 
 TOL = 1e-6
@@ -15,8 +16,8 @@ def sigmoid(x):
 _sigmoid = sigmoid  # the name the reference loop below calls
 
 
-def _reference_gru_forward(self, x, h0=None):
-    """The per-step GRU forward that GRULayer.forward replaced, kept as the reference."""
+def _reference_gru_forward(self, x):
+    """The per-step GRU forward of one sequence that GRULayer.forward replaced, kept as the reference."""
     if x.ndim != 2 or x.shape[1] != self.dim:
         raise ShapeError(f"gru input {x.shape} does not match hidden size {self.dim}")
     if x.shape[0] < 1:
@@ -27,9 +28,7 @@ def _reference_gru_forward(self, x, h0=None):
     w_n, u_n, b_n = p["w_n"].data, p["u_n"].data, p["b_n"].data
 
     T = x.shape[0]
-    h = np.zeros(self.dim) if h0 is None else np.asarray(h0, dtype=np.float64)
-    if h.shape != (self.dim,):
-        raise ShapeError(f"gru initial state {h.shape} does not match hidden size {self.dim}")
+    h = np.zeros(self.dim)
     hs = np.zeros((T, self.dim))
     h_prev = np.zeros((T, self.dim))
     zs, rs, ns, rhs = (np.zeros((T, self.dim)) for _ in range(4))
@@ -41,7 +40,7 @@ def _reference_gru_forward(self, x, h0=None):
         n = np.tanh(x[t] @ w_n + rh @ u_n + b_n)
         h = (1.0 - z) * n + z * h
         zs[t], rs[t], ns[t], rhs[t], hs[t] = z, r, n, rh, h
-    return hs, GRUCache(x, h_prev, zs, rs, ns, rhs)
+    return hs, (x, h_prev, zs, rs, ns, rhs)
 
 
 def _reference_gru_backward(self, grad_hs, cache):
@@ -81,7 +80,7 @@ def _reference_gru_backward(self, grad_hs, cache):
         carry += dz_pre @ u_z.T + dr_pre @ u_r.T
     for name, g in grads.items():
         p[name].accumulate(g)
-    return grad_x, carry
+    return grad_x
 
 
 def check_layer_grads(layer, loss_fn, extra_inputs=()):
@@ -178,60 +177,105 @@ class TestGRULayer:
         with pytest.raises(ShapeError):
             gru.forward(np.ones((0, 3)))
 
-    def test_initial_state_feeds_first_step(self):
-        rng = np.random.default_rng(3)
-        gru = GRULayer(3, rng)
-        x = rng.standard_normal((2, 3))
-        h0 = rng.standard_normal(3)
-        hs_h0, _ = gru.forward(x, h0=h0)
-        hs_default, _ = gru.forward(x)
-        hs_zero, _ = gru.forward(x, h0=np.zeros(3))
-        assert not np.allclose(hs_h0, hs_default)
-        assert np.array_equal(hs_default, hs_zero)
-
     def test_gradient_through_time(self):
         rng = np.random.default_rng(11)
         gru = GRULayer(3, rng)
         x = Tensor(rng.standard_normal((4, 3)))
-        h0 = Tensor(rng.standard_normal(3))
         r = rng.standard_normal((4, 3))
 
         def loss_fn(with_grad):
-            hs, cache = gru.forward(x.data, h0=h0.data)
+            hs, cache = gru.forward(x.data)
             if with_grad:
-                grad_x, grad_h0 = gru.backward(r, cache)
-                x.accumulate(grad_x)
-                h0.accumulate(grad_h0)
+                x.accumulate(gru.backward(r, cache))
             return float((hs * r).sum())
 
-        check_layer_grads(gru, loss_fn, extra_inputs=[x, h0])
+        check_layer_grads(gru, loss_fn, extra_inputs=[x])
+
+    def test_packed_gradient_through_time(self):
+        # three sequences of 4, 2 and 1 steps: 7 packed rows
+        rng = np.random.default_rng(12)
+        gru = GRULayer(3, rng)
+        sizes = np.array([3, 2, 1, 1])
+        x = Tensor(rng.standard_normal((7, 3)))
+        r = rng.standard_normal((7, 3))
+
+        def loss_fn(with_grad):
+            hs, cache = gru.forward(x.data, sizes)
+            if with_grad:
+                x.accumulate(gru.backward(r, cache))
+            return float((hs * r).sum())
+
+        check_layer_grads(gru, loss_fn, extra_inputs=[x])
+
+    def test_batch_sizes_must_cover_the_rows(self):
+        gru = GRULayer(3, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="batch sizes"):
+            gru.forward(np.ones((4, 3)), np.array([2, 1]))
+
+    def test_long_batches_project_in_blocks(self, monkeypatch):
+        # the same layer with whole-batch and with 5-row input projections
+        rng = np.random.default_rng(14)
+        gru = GRULayer(4, rng)
+        xs = [rng.standard_normal((n, 4)) for n in (9, 7, 7, 3, 1)]
+        x, sizes, rows = pack_sequences(xs)
+        grad = rng.standard_normal(x.shape)
+        runs = []
+        for block in (layers.PROJECTION_ROWS, 5):
+            monkeypatch.setattr(layers, "PROJECTION_ROWS", block)
+            gru.params.zero_grads()
+            hs, cache = gru.forward(x, sizes)
+            runs.append((hs, gru.backward(grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()))
+        for a, b in zip(*runs):
+            assert np.abs(a - b).max() <= EQUIV_TOL
 
 
 EQUIV_TOL = 1e-12
 
 
-def _gru_run(forward, backward, gru, xs, h0s, grads):
-    """Forward every (x, h0), then backward each with its upstream gradient into fresh .grad slots."""
+def pack_sequences(xs):
+    """(packed rows, batch sizes, packed row of each step of each sequence) for sequences sorted longest first."""
+    lengths = [len(x) for x in xs]
+    assert lengths == sorted(lengths, reverse=True)
+    sizes = np.array([sum(n > t for n in lengths) for t in range(lengths[0])])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rows = [offsets[: len(x)] + j for j, x in enumerate(xs)]
+    packed = np.empty((offsets[-1], xs[0].shape[1]))
+    for x, r in zip(xs, rows):
+        packed[r] = x
+    return packed, sizes, rows
+
+
+def _reference_run(gru, xs, grads):
+    """Per-sequence reference forwards, then backwards into fresh .grad slots."""
     gru.params.zero_grads()
-    runs = [forward(gru, x, h0) for x, h0 in zip(xs, h0s)]
-    inputs = [backward(gru, g, cache) for (_, cache), g in zip(runs, grads)]
+    runs = [_reference_gru_forward(gru, x) for x in xs]
+    inputs = [_reference_gru_backward(gru, g, cache) for (_, cache), g in zip(runs, grads)]
     params = {name: t.grad.copy() for name, t in gru.params.items()}
-    return [hs for hs, _ in runs], [cache for _, cache in runs], inputs, params
+    return [hs for hs, _ in runs], inputs, params
 
 
-def assert_gru_matches_reference(gru, xs, h0s, grads):
-    new = _gru_run(GRULayer.forward, GRULayer.backward, gru, xs, h0s, grads)
-    ref = _gru_run(_reference_gru_forward, _reference_gru_backward, gru, xs, h0s, grads)
-    (hs, caches, inputs, params), (hs_ref, caches_ref, inputs_ref, params_ref) = new, ref
+def assert_gru_matches_reference(gru, xs, grads, packed):
+    """GRULayer on each sequence alone, or on all of them packed, against the reference loop."""
+    gru.params.zero_grads()
+    if packed:
+        x, sizes, rows = pack_sequences(xs)
+        hs_all, cache = gru.forward(x, sizes)
+        assert np.array_equal(cache.x, x) and np.array_equal(cache.hs, hs_all)
+        grad_all = np.empty_like(x)
+        for g, r in zip(grads, rows):
+            grad_all[r] = g
+        gx_all = gru.backward(grad_all, cache)
+        hs, inputs = [hs_all[r] for r in rows], [gx_all[r] for r in rows]
+    else:
+        runs = [gru.forward(x) for x in xs]
+        hs = [h for h, _ in runs]
+        inputs = [gru.backward(g, cache) for (_, cache), g in zip(runs, grads)]
+    params = {name: t.grad.copy() for name, t in gru.params.items()}
+    hs_ref, inputs_ref, params_ref = _reference_run(gru, xs, grads)
     for a, b in zip(hs, hs_ref):
-        assert np.abs(a - b).max() <= EQUIV_TOL
-    for cache, cache_ref in zip(caches, caches_ref):
-        for field in GRUCache._fields:
-            a, b = getattr(cache, field), getattr(cache_ref, field)
-            assert a.shape == b.shape and np.abs(a - b).max() <= EQUIV_TOL, field
-    for (gx, gh0), (gx_ref, gh0_ref) in zip(inputs, inputs_ref):
-        assert np.abs(gx - gx_ref).max() <= EQUIV_TOL
-        assert np.abs(gh0 - gh0_ref).max() <= EQUIV_TOL
+        assert a.shape == b.shape and np.abs(a - b).max() <= EQUIV_TOL
+    for a, b in zip(inputs, inputs_ref):
+        assert a.shape == b.shape and np.abs(a - b).max() <= EQUIV_TOL
     assert params.keys() == params_ref.keys() and len(params) == 9
     for name in params:
         assert np.abs(params[name] - params_ref[name]).max() <= EQUIV_TOL, name
@@ -243,23 +287,24 @@ class TestGRUReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("steps", [1, 2, 7, 40])
     @pytest.mark.parametrize("dim", [4, 16, 64])
-    @pytest.mark.parametrize("with_h0", [False, True])
-    def test_matches_reference(self, dim, steps, seed, with_h0):
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_matches_reference(self, dim, steps, seed, packed):
+        # packed: the sequence runs in a batch with a longer, an equal and a shorter one
         rng = np.random.default_rng(seed)
         gru = GRULayer(dim, rng)
-        x = rng.standard_normal((steps, dim))
-        h0 = rng.standard_normal(dim) if with_h0 else None
-        grad = rng.standard_normal((steps, dim))
-        assert_gru_matches_reference(gru, [x], [h0], [grad])
+        lengths = [steps + 3, steps, steps, max(steps // 2, 1)] if packed else [steps]
+        xs = [rng.standard_normal((n, dim)) for n in lengths]
+        grads = [rng.standard_normal((n, dim)) for n in lengths]
+        assert_gru_matches_reference(gru, xs, grads, packed)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_backwards_accumulate_like_reference(self, seed):
-        # Training runs both words of a pair forward, then backward, into one .grad per parameter.
+        # Two forwards, then two backwards into one .grad per parameter.
         rng = np.random.default_rng(seed)
         gru = GRULayer(16, rng)
         xs = [rng.standard_normal((5, 16)), rng.standard_normal((3, 16))]
         grads = [rng.standard_normal((5, 16)), rng.standard_normal((3, 16))]
-        assert_gru_matches_reference(gru, xs, [None, rng.standard_normal(16)], grads)
+        assert_gru_matches_reference(gru, xs, grads, packed=False)
 
 
 class TestConv2x1:

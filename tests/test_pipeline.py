@@ -14,6 +14,7 @@ from jamofuse.pipeline import (
     PipelineConfig,
     PipelineParams,
     embeddings_csv,
+    pack,
 )
 from jamofuse.subchar import ROLE_OTHER, SCHEME_NAMES, SubcharScheme
 from jamofuse.subword import AlignmentError, BoundaryMap, train_vocab
@@ -32,6 +33,10 @@ def pair_vocab():
 def build(vocab=None, **overrides):
     cfg = PipelineConfig(**{"dim": 6, **overrides})
     return Pipeline.build(cfg, vocab if vocab is not None else small_vocab(), seed=11)
+
+
+def batch_of_one(pipe, seq):
+    return pack([seq], pipe.tokenizer.scheme.width)
 
 
 def zero_non_embedding_params(pipe):
@@ -89,7 +94,7 @@ def _reference_backward_stage1(self, grad_hc, cache):
             grad_pooled[k] = 0.0
 
     grad_stacked = p.conv.backward(grad_pooled[None, :, :], conv_cache)
-    grad_xiv, _ = p.gru_iv.backward(grad_stacked[0], iv_cache)
+    grad_xiv = p.gru_iv.backward(grad_stacked[0], iv_cache)
     grad_hf = grad_stacked[1]
     for k, s in enumerate(starts):
         if passthrough[k]:
@@ -98,7 +103,7 @@ def _reference_backward_stage1(self, grad_hc, cache):
             grad_h[s : s + wi] += grad_xiv[k]
             grad_h[s + wi : s + wi + wv] += grad_xiv[k]
             grad_h[s + wi + wv : s + w] += grad_hf[k]
-    grad_e, _ = p.gru_seq.backward(grad_h, seq_cache)
+    grad_e = p.gru_seq.backward(grad_h, seq_cache)
     return grad_e
 
 
@@ -150,7 +155,7 @@ REFERENCE_TEXTS = ["했다", "a하 1!", "ab", "ㄱ a ㅏ", "대한 민국?", "x"
 def _run_stage(pipe, forward, backward, text, seed):
     """One forward and backward of a compression stage; returns (output, grad_e, parameter grads)."""
     seq = pipe.tokenizer.tokenize(text)
-    e, _ = pipe.embed_subchars(seq)
+    e, _ = pipe.params.subchar_emb.forward(seq.tokens)
     pipe.params.group.zero_grads()
     out, cache = forward(e, seq)
     grad_e = backward(np.random.default_rng(seed).normal(size=out.shape), cache)
@@ -239,33 +244,33 @@ class TestStage1:
     def test_jamo_width_shape_law(self):
         pipe = build(scheme="jamo")
         seq = pipe.tokenizer.tokenize("대한민국")
-        e, _ = pipe.embed_subchars(seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         assert e.shape == (12, 6)
-        h_c, _ = pipe.stage1_subchar_to_char(e, seq)
+        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
         assert h_c.shape == (4, 6)
 
     def test_bts_width_shape_law(self):
         pipe = build(scheme="bts")
         seq = pipe.tokenizer.tokenize("대한민국")
-        e, _ = pipe.embed_subchars(seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         assert e.shape == (52, 6)
-        h_c, _ = pipe.stage1_subchar_to_char(e, seq)
+        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
         assert h_c.shape == (4, 6)
 
     def test_zero_params_give_zero_char_states(self):
         pipe = build()
         zero_non_embedding_params(pipe)
         seq = pipe.tokenizer.tokenize("했다")
-        e, _ = pipe.embed_subchars(seq)
-        h_c, _ = pipe.stage1_subchar_to_char(e, seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
+        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
         assert np.allclose(h_c, 0.0)
 
     def test_passthrough_char_keeps_sequence_state(self):
         pipe = build()
         seq = pipe.tokenizer.tokenize("a하")
-        e, _ = pipe.embed_subchars(seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         h, _ = pipe.params.gru_seq.forward(e)
-        h_c, _ = pipe.stage1_subchar_to_char(e, seq)
+        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
         w = pipe.tokenizer.scheme.width
         assert np.array_equal(h_c[0], h[0])
         assert not np.allclose(h_c[1], h[w])
@@ -274,21 +279,21 @@ class TestStage1:
         pipe = build()
         seq = pipe.tokenizer.tokenize("하다")
         with pytest.raises(ShapeError, match="multiple"):
-            pipe.stage1_subchar_to_char(np.zeros((5, 6)), seq)
+            pipe.stage1_subchar_to_char(np.zeros((5, 6)), batch_of_one(pipe, seq))
 
 
 class TestStage2:
     def test_last_selection_matches_direct_gru(self):
         pipe = build()
         h_c = np.random.default_rng(0).normal(size=(4, 6))
-        h_s, _ = pipe.stage2_char_to_unit(h_c, [1, 3])
+        h_s, _ = pipe.stage2_char_to_unit(h_c, [1, 3], np.ones(4, dtype=np.int64))
         states, _ = pipe.params.gru_char.forward(h_c)
         assert np.array_equal(h_s, states[[1, 3]])
 
     def test_selection_out_of_range(self):
         pipe = build()
         with pytest.raises(ShapeError, match="out of range"):
-            pipe.stage2_char_to_unit(np.zeros((2, 6)), [2])
+            pipe.stage2_char_to_unit(np.zeros((2, 6)), [2], np.ones(2, dtype=np.int64))
 
 
 class TestCompressLinear:
@@ -298,7 +303,7 @@ class TestCompressLinear:
         pipe.params.char_proj.w.data[...] = np.vstack([np.eye(d) / w] * w)
         pipe.params.char_proj.b.data[...] = 0.0
         seq = pipe.tokenizer.tokenize("하다")
-        e, _ = pipe.embed_subchars(seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         h_s, _ = pipe.compress_linear(e, [0, 1])
         expected = np.stack([e[0:3].mean(axis=0), e[3:6].mean(axis=0)])
         assert np.allclose(h_s, expected, atol=1e-12)
@@ -309,7 +314,7 @@ class TestCompressAttention:
         pipe = build(compression="attention")
         pipe.params.attn_query.data[...] = 0.0
         seq = pipe.tokenizer.tokenize("하다")
-        e, _ = pipe.embed_subchars(seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         out, cache = pipe.compress_attention(e, [(0, 2)])
         values, _ = pipe.params.attn_value.forward(e)
         assert np.allclose(out[0], values.mean(axis=0), atol=1e-12)
@@ -318,9 +323,9 @@ class TestCompressAttention:
     def test_weights_are_a_distribution_per_unit(self):
         pipe = build(compression="attention")
         seq = pipe.tokenizer.tokenize("했다한")
-        e, _ = pipe.embed_subchars(seq)
+        e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         _, cache = pipe.compress_attention(e, [(0, 2), (2, 3)])
-        alphas = [cache.alpha[a:b] for a, b in cache.spans]
+        alphas = [cache.alpha[a : a + n] for a, n in zip(cache.starts, cache.sizes)]
         for alpha in alphas:
             assert (alpha > 0).all()
             assert abs(alpha.sum() - 1.0) < 1e-12
@@ -335,7 +340,13 @@ class TestReferenceEquivalence:
     def test_stage1_bitwise_equal(self, scheme, seed):
         pipe = Pipeline.build(PipelineConfig(scheme=scheme, dim=6), small_vocab(), seed=seed)
         for text in REFERENCE_TEXTS:
-            new = _run_stage(pipe, pipe.stage1_subchar_to_char, pipe.backward_stage1, text, seed)
+            new = _run_stage(
+                pipe,
+                lambda e, seq: pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq)),
+                pipe.backward_stage1,
+                text,
+                seed,
+            )
             ref = _run_stage(
                 pipe,
                 lambda e, seq: _reference_stage1(pipe, e, seq),
@@ -388,16 +399,16 @@ class TestFuse:
         pipe = build(fusion="summation")
         rng = np.random.default_rng(4)
         e_s, h_s = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-        fused, _ = pipe.fuse(e_s, h_s)
+        fused, _ = pipe.fuse(e_s, h_s, [0, 3])
         assert np.array_equal(fused, e_s + h_s)
-        neutral, _ = pipe.fuse(e_s, np.zeros_like(h_s))
+        neutral, _ = pipe.fuse(e_s, np.zeros_like(h_s), [0, 3])
         assert np.array_equal(neutral, e_s)
 
     @pytest.mark.parametrize("fusion", ["cross-attention", "concatenation"])
     def test_learned_fusions_are_not_neutral_at_zero(self, fusion):
         pipe = build(fusion=fusion)
         e_s = np.random.default_rng(4).normal(size=(3, 6))
-        fused, _ = pipe.fuse(e_s, np.zeros_like(e_s))
+        fused, _ = pipe.fuse(e_s, np.zeros_like(e_s), [0, 3])
         assert not np.allclose(fused, e_s)
 
     def test_concat_identity_selector_recovers_raw_channel(self):
@@ -409,7 +420,7 @@ class TestFuse:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="fusion"):
-            build().fuse(np.zeros((2, 6)), np.zeros((3, 6)))
+            build().fuse(np.zeros((2, 6)), np.zeros((3, 6)), [0, 2])
 
     def test_summation_neutrality_is_exclusive_end_to_end(self):
         # with all non-embedding parameters at zero the structured channel
@@ -431,7 +442,7 @@ class TestForward:
         text = "한국어 ab 시험!"
         out, cache = pipe.forward(text)
         width = SubcharScheme.by_name(scheme).width
-        assert len(cache.seq) == width * len(text)
+        assert len(cache.seqs[0]) == width * len(text)
         assert out.shape == (len(cache.ranges), 6)
         assert np.isfinite(out).all()
 
@@ -439,7 +450,7 @@ class TestForward:
         pipe = build(vocab=pair_vocab())
         out, cache = pipe.forward("대한민국")
         assert cache.ranges == [(0, 2), (2, 4)]
-        assert cache.last_indices == [1, 3]
+        assert cache.last_indices.tolist() == [1, 3]
         assert out.shape == (2, 6)
 
     def test_cls_row_is_bitwise_subchar_embedding(self):
@@ -560,6 +571,74 @@ class TestBackward:
         table_grad = pipe.params.subchar_emb.table.grad
         cls_id = pipe.tokenizer.vocab.cls_id
         assert np.allclose(table_grad[cls_id], 1.0)
+
+
+# one-character, passthrough-only, empty and long texts, in shuffled order
+BATCH_TEXTS = ["했다", "", "a", "한국어 시험 ab 대한민국 했다", "12 !", "한", " 하 ", "ㄱ a ㅏ", "대한 민국?", ""]
+BATCH_TOL = 1e-12
+
+
+class TestPackedBatch:
+    """A batched forward and backward against one call per text, the batch of one."""
+
+    @pytest.mark.parametrize("cls_bypass", [False, True])
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_matches_one_text_at_a_time(self, scheme, compression, fusion, cls_bypass):
+        cfg = PipelineConfig(scheme=scheme, dim=6, compression=compression, fusion=fusion, cls_bypass=cls_bypass)
+        pipe = Pipeline.build(cfg, small_vocab(), seed=5)
+        texts = [BATCH_TEXTS[k] for k in np.random.default_rng(len(scheme)).permutation(len(BATCH_TEXTS))]
+        out, cache = pipe.forward(texts)
+        grad = np.random.default_rng(1).normal(size=out.shape)
+        pipe.params.group.zero_grads()
+        pipe.backward(grad, cache)
+        batch_grads = pipe.params.group.grad.copy()
+
+        pipe.params.group.zero_grads()
+        row = 0
+        for text in texts:
+            one, one_cache = pipe.forward(text)
+            assert np.abs(out[row : row + len(one)] - one).max(initial=0.0) <= BATCH_TOL, text
+            pipe.backward(grad[row : row + len(one)], one_cache)
+            row += len(one)
+        assert row == len(out)
+        assert pipe.unit_labels(cache) == [label for text in texts for label in pipe.unit_labels(pipe.forward(text)[1])]
+        assert np.abs(pipe.params.group.grad - batch_grads).max() <= BATCH_TOL
+        assert batch_grads.any()
+
+    def test_pack_orders_texts_longest_first(self):
+        pipe = build(scheme="jamo")
+        seqs = [pipe.tokenizer.tokenize(t) for t in ["하", "대한민", "", "ab"]]
+        batch = pack(seqs, 3)
+        assert batch.rank.tolist() == [2, 0, 3, 1]
+        assert batch.char_sizes.tolist() == [3, 2, 1]
+        # character step 1: rows 3 and 4 hold the second characters of 대한민 and ab
+        assert batch.passthrough.tolist() == [False, True, False, False, True, False]
+        assert batch.token_sizes.tolist() == [3, 3, 3, 2, 2, 2, 1, 1, 1]
+        assert sorted(batch.slots.ravel().tolist()) == list(range(18))
+        tokens = np.concatenate([s.tokens.reshape(-1, 3) for s in seqs])
+        order = [1, 3, 0, 1, 3, 1]  # the text of each packed character row
+        position = [0, 0, 0, 1, 1, 2]
+        starts = [0, 1, 4, 4]
+        expected = np.stack([tokens[starts[t] + k] for t, k in zip(order, position)])
+        assert np.array_equal(batch.tokens[batch.slots], expected)
+
+    def test_empty_batch_and_texts_without_characters(self):
+        pipe = build(cls_bypass=True)
+        out, cache = pipe.forward([])
+        assert out.shape == (0, 6)
+        out, cache = pipe.forward(["", ""])
+        assert out.shape == (2, 6) and pipe.unit_labels(cache) == ["<cls>", "<cls>"]
+        pipe.backward(np.ones((2, 6)), cache)
+
+    def test_external_boundaries_per_text(self):
+        pipe = build(granularity="external")
+        maps = [BoundaryMap([(0, 2)]), BoundaryMap([(0, 1), (1, 2)])]
+        out, cache = pipe.forward(["했다", "대한"], external_boundary=maps)
+        assert cache.ranges == [(0, 2), (0, 1), (1, 2)] and out.shape == (3, 6)
+        with pytest.raises(ConfigError, match="one boundary map per text"):
+            pipe.forward(["했다", "대한", "한"], external_boundary=maps)
 
 
 class TestEmbeddingsCsv:

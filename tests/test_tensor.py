@@ -79,7 +79,8 @@ def gru_params(gru, names):
 
 def fuse_op(pipe):
     def op(t):
-        out, cache = pipe.fuse(t["e_s"].data, t["h_s"].data)
+        rows = t["e_s"].shape[0]
+        out, cache = pipe.fuse(t["e_s"].data, t["h_s"].data, [0, rows])
 
         def backward(g):
             grad_e, grad_h = pipe.backward_fuse(g, cache)
@@ -105,7 +106,7 @@ class TestCoreOpShapes:
     def test_add_mismatch_rejected(self):
         pipe = fusion_pipeline("summation", seed=0)
         with pytest.raises(ShapeError):
-            pipe.fuse(np.ones((2, 3)), np.ones((3, 3)))
+            pipe.fuse(np.ones((2, 3)), np.ones((3, 3)), [0, 2])
 
     def test_softmax_of_zeros_is_uniform(self):
         attn = CrossAttention(2, np.random.default_rng(0))

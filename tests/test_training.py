@@ -334,7 +334,7 @@ class TestCohesionReport:
         monkeypatch.setattr(Pipeline, "forward", counted)
         sets = [("춥다", ["춥다", "추움", "추위"]), ("걷다", ["걷다", "걸음"])]
         cohesion_report(sets, tiny_pipeline())
-        assert calls == ["춥다", "추움", "추위", "걷다", "걸음"]
+        assert calls == [["춥다", "추움", "추위", "걷다", "걸음"]]  # one batched forward
 
     def test_csv_layout(self):
         sets = [("춥다", ["춥다", "추움", "추위"]), ("걷다", ["걷다", "걸음"])]

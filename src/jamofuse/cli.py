@@ -207,12 +207,20 @@ def _align_writable(surface: str, units: list[str], delim: str):
 
     A unit is written inside `;`-joined actions, so it must not hold `;`, the
     delimiter or a line break, nor end in whitespace, which the reader strips.
+    Each surface character starts a line that the reader splits at its first
+    delimiter, so it must not be a line break, nor make the delimiter start at
+    the character itself (a delimiter made of that character alone).
     """
     for unit in units:
         if ";" in unit or delim in unit or "\n" in unit or "\r" in unit or unit[-1:].isspace():
             raise ConfigError(
                 f"unit {unit!r} cannot be written back: it holds ';', the delimiter {delim!r} "
                 "or a line break, or ends in whitespace"
+            )
+    for ch in surface:
+        if ch in "\n\r" or delim == ch * len(delim):
+            raise ConfigError(
+                f"surface character {ch!r} cannot be written back: it is a line break or makes up the delimiter {delim!r}"
             )
     return align(surface, units)
 

@@ -68,9 +68,10 @@ class Linear:
 
 
 class GRUCache(NamedTuple):
-    x: np.ndarray  # (rows, d) packed inputs
+    x: np.ndarray  # (rows, d) packed inputs, or (rows,) ids into table
     hs: np.ndarray  # (rows, d) packed states, the forward output
     batch_sizes: Optional[np.ndarray]  # (T,) sequences still running at each step; None for one sequence
+    table: Optional[np.ndarray]  # (n, d) input rows that x indexes; None when x holds the rows
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -120,17 +121,22 @@ class GRULayer:
     Input is a batch of sequences packed as PyTorch's pack_padded_sequence
     does: sorted longest first, time-major, so the rows of step t are the
     first batch_sizes[t] sequences and no row is padding. A plain (T, d)
-    sequence is the batch of one (batch_sizes all 1).
+    sequence is the batch of one (batch_sizes all 1). The input rows are x
+    itself, or, given a table of shape (n, d), x is a (rows,) int array and
+    input row r is table[x[r]]; then table W + b is formed once, (n, 3d), and
+    each row's projection is gathered from it.
 
     Only the recurrent products stay in the time loop (Appleyard et al.,
     arXiv:1604.01946): each step does h U[:, :2d] and (r * h) U[:, 2d:] on the
-    running rows, and x W + b is formed for runs of steps at once. The cache
-    keeps only x and the states. Backward recomputes each step's gates from
-    x and the previous states with the forward's own products, so it sees the
-    forward's values bit for bit, carries dh for the running rows through
-    dn U_n^T and [dz|dr] [U_z|U_r]^T, collects the pre-activation gradients
-    [dz|dr|dn] in one (rows, 3d) array g, and forms the block gradients and
-    grad_x from g as whole-batch matmuls and column sums after the loop.
+    running rows, in reused buffers, and writes its state straight into the
+    output; x W + b is formed (or gathered) for runs of steps at once. The
+    cache keeps only x, the table and the states. Backward recomputes each
+    step's gates from the same projections and the previous states with the
+    forward's own products, so it sees the forward's values bit for bit,
+    carries dh for the running rows through dn U_n^T and [dz|dr] [U_z|U_r]^T,
+    collects the pre-activation gradients [dz|dr|dn] in one (rows, 3d) array
+    g, and forms the block gradients and the (rows, d) input gradient from g
+    as whole-batch matmuls and column sums after the loop.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -147,63 +153,96 @@ class GRULayer:
             self.b.data[cols] = uniform_init(rng, (dim,), dim)
             self.params.add(f"b_{gate}", self.b.view(cols))
 
-    def _project(self, x: np.ndarray, buf: Optional[np.ndarray]) -> np.ndarray:
-        """x W + b, written into the first rows of buf when one is given."""
-        proj = np.matmul(x, self.w.data, out=None if buf is None else buf[: x.shape[0]])
+    def _project(self, x: np.ndarray, table_proj: Optional[np.ndarray], buf: Optional[np.ndarray]) -> np.ndarray:
+        """x W + b of a block of rows, written into the first rows of buf when one is given.
+
+        With table_proj (table W + b), x holds ids and the rows are gathered from it.
+        """
+        out = None if buf is None else buf[: x.shape[0]]
+        if table_proj is not None:
+            return np.take(table_proj, x, axis=0, out=out, mode="clip")  # ids checked by forward
+        proj = np.matmul(x, self.w.data, out=out)
         proj += self.b.data
         return proj
 
-    def forward(self, x: np.ndarray, batch_sizes: Optional[np.ndarray] = None) -> tuple[np.ndarray, GRUCache]:
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ShapeError(f"gru input {x.shape} does not match hidden size {self.dim}")
+    def forward(
+        self, x: np.ndarray, batch_sizes: Optional[np.ndarray] = None, table: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, GRUCache]:
+        d = self.dim
+        if table is None:
+            if x.ndim != 2 or x.shape[1] != d:
+                raise ShapeError(f"gru input {x.shape} does not match hidden size {d}")
+        elif x.ndim != 1 or table.ndim != 2 or table.shape[1] != d:
+            raise ShapeError(f"gru ids {x.shape} into table {table.shape} do not match hidden size {d}")
         if x.shape[0] < 1:
             raise ShapeError("gru needs at least one step")
+        if table is not None and (x.min() < 0 or x.max() >= table.shape[0]):
+            raise ShapeError(f"gru ids out of range for table {table.shape}")
         offsets = _offsets(batch_sizes, x.shape[0])
         if offsets[-1] != x.shape[0]:
             raise ShapeError(f"batch sizes cover {offsets[-1]} rows, input has {x.shape[0]}")
-        d = self.dim
         u = self.u.data
         u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
+        table_proj = None if table is None else self._project(table, None, None)
 
-        hs = np.empty(x.shape)
+        hs = np.empty((x.shape[0], d))
         rows = offsets[1]
-        h = np.zeros((rows, d))
+        # step buffers, cut to the running rows as sequences end; the ones stand in for
+        # the scalar 1.0, which numpy converts on every call
+        h, ones = np.zeros((rows, d)), np.ones((rows, 2 * d))
+        gates, n, tmp = np.empty((rows, 2 * d)), np.empty((rows, d)), np.empty((rows, d))
+        z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
         blocks = _step_blocks(offsets)
         buf = None if len(blocks) == 1 else np.empty((max(PROJECTION_ROWS, rows), 3 * d))  # serves every block
         for t0, t1 in blocks:
             base = offsets[t0]
-            proj = self._project(x[base : offsets[t1]], buf)
+            proj = self._project(x[base : offsets[t1]], table_proj, buf)
             p_zr, p_n = proj[:, : 2 * d], proj[:, 2 * d :]
             for t in range(t0, t1):
                 a, c = offsets[t] - base, offsets[t + 1] - base
                 if c - a != rows:
                     rows = c - a
-                    h = h[:rows]
-                gates = _sigmoid(p_zr[a:c] + h @ u_zr)
-                z = gates[:, :d]
-                n = np.tanh(p_n[a:c] + (gates[:, d:] * h) @ u_n)
-                h = (1.0 - z) * n + z * h
-                hs[base + a : base + c] = h
-        return hs, GRUCache(x, hs, batch_sizes)
+                    h, ones, gates, n, tmp = h[:rows], ones[:rows], gates[:rows], n[:rows], tmp[:rows]
+                    z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
+                # backward's operations, done in place (IEEE addition commutes, so h U + p
+                # is p + h U): the values are bitwise those backward recomputes
+                # [z|r] = 1 / (1 + exp(-(h U_zr + p_zr)))
+                np.matmul(h, u_zr, gates)
+                np.add(gates, p_zr[a:c], gates)
+                np.negative(gates, gates)
+                np.exp(gates, gates)
+                np.add(gates, ones, gates)
+                np.divide(ones, gates, gates)
+                # n = tanh((r * h) U_n + p_n)
+                np.matmul(np.multiply(r, h, tmp), u_n, n)
+                np.add(n, p_n[a:c], n)
+                np.tanh(n, n)
+                # h = (1 - z) * n + z * h, written straight into the step's output rows
+                out = hs[base + a : base + c]
+                np.multiply(np.subtract(ones_d, z, out), n, out)
+                np.add(out, np.multiply(z, h, tmp), out)
+                h = out
+        return hs, GRUCache(x, hs, batch_sizes, table)
 
     def backward(self, grad_hs: np.ndarray, cache: GRUCache) -> np.ndarray:
-        """Returns grad_x for upstream gradients on every packed state."""
+        """Returns the (rows, d) input gradient for upstream gradients on every packed state."""
         d = self.dim
-        x, hs, batch_sizes = cache
+        x, hs, batch_sizes, table = cache
         offsets = _offsets(batch_sizes, x.shape[0])
         u = self.u.data
         u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
         u_zr_t, u_n_t = u_zr.T, u_n.T
+        table_proj = None if table is None else self._project(table, None, None)
 
         g = np.empty((x.shape[0], 3 * d))
-        h_prev = np.empty(x.shape)
-        rh = np.empty(x.shape)
+        h_prev = np.empty(hs.shape)
+        rh = np.empty(hs.shape)
         carry = np.zeros((0, d))
         blocks = _step_blocks(offsets)
         buf = None if len(blocks) == 1 else np.empty((max(PROJECTION_ROWS, offsets[1]), 3 * d))
         for t0, t1 in reversed(blocks):
             base = offsets[t0]
-            proj = self._project(x[base : offsets[t1]], buf)
+            proj = self._project(x[base : offsets[t1]], table_proj, buf)
             for t in range(t1 - 1, t0 - 1, -1):
                 a, c = offsets[t], offsets[t + 1]
                 p = proj[a - base : c - base]
@@ -225,7 +264,8 @@ class GRULayer:
                 carry = dh * z + d_rh * r + g[a:c, : 2 * d] @ u_zr_t
                 h_prev[a:c], rh[a:c] = hp, rhp
 
-        self.w.grad += x.T @ g
+        inputs = x if table is None else table[x]  # the gathered input rows, needed only here
+        self.w.grad += inputs.T @ g
         self.u.grad[:, : 2 * d] += h_prev.T @ g[:, : 2 * d]
         self.u.grad[:, 2 * d :] += rh.T @ g[:, 2 * d :]
         self.b.grad += g.sum(axis=0)

@@ -167,11 +167,23 @@ class PackedBatch:
     def token_sizes(self) -> Optional[np.ndarray]:
         return None if self.char_sizes is None else np.repeat(self.char_sizes, self.slots.shape[1])
 
-    def slot_states(self, h: np.ndarray, cols: slice) -> np.ndarray:
-        """(chars, k, d): the rows of h at each character's slots[:, cols]."""
+    def slot_rows(self, h: np.ndarray, s: int) -> np.ndarray:
+        """(chars, d): the rows of h at each character's slot s."""
         if self.char_sizes is None:  # one text: character k owns token rows k*W .. (k+1)*W
-            return h.reshape(len(self.slots), -1, h.shape[1])[:, cols]
-        return h[self.slots[:, cols]]
+            return h[s :: self.slots.shape[1]]
+        return h[self.slots[:, s]]
+
+    def slot_sum(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """(chars, d): the rows of h at each character's slots start .. stop - 1, added in slot order.
+
+        One slot is gathered at a time, so no (chars, k, d) copy of h is held.
+        """
+        if stop - start == 1:
+            return self.slot_rows(h, start)
+        total = self.slot_rows(h, start) + self.slot_rows(h, start + 1)
+        for s in range(start + 2, stop):
+            total += self.slot_rows(h, s)
+        return total
 
     def char_rows(self, texts: list[int], positions: list[int]) -> np.ndarray:
         """The row of character positions[u] of text texts[u], for each u."""
@@ -312,22 +324,23 @@ class Pipeline:
 
     # pipeline stages --------------------------------------------------------
 
-    def stage1_subchar_to_char(self, e: np.ndarray, batch: PackedBatch) -> tuple[np.ndarray, Stage1Cache]:
-        """Packed token rows to packed character rows."""
+    def stage1_subchar_to_char(
+        self, ids: np.ndarray, batch: PackedBatch, table: np.ndarray
+    ) -> tuple[np.ndarray, Stage1Cache]:
+        """Packed token ids to packed character rows; token row r is table[ids[r]]."""
         p = self.params
         w = self.tokenizer.scheme.width
         wi, wv, _ = self.tokenizer.scheme.widths
-        n = e.shape[0]
+        n = ids.shape[0]
         if n != batch.slots.size:
             raise ShapeError(f"token count {n} is not the multiple of width {w} that {len(batch.slots)} characters fill")
 
-        h, seq_cache = p.gru_seq.forward(e, batch.token_sizes)
+        h, seq_cache = p.gru_seq.forward(ids, batch.token_sizes, table=table)
 
         pt = batch.passthrough[:, None]
-        initial, vowel = batch.slot_states(h, slice(0, wi)), batch.slot_states(h, slice(wi, wi + wv))
-        first = initial[:, 0]
-        x_iv = np.where(pt, first, initial.sum(axis=1) + vowel.sum(axis=1))
-        h_f = np.where(pt, 0.0, batch.slot_states(h, slice(wi + wv, None)).sum(axis=1))
+        first = batch.slot_rows(h, 0)
+        x_iv = np.where(pt, first, batch.slot_sum(h, 0, wi) + batch.slot_sum(h, wi, wi + wv))
+        h_f = np.where(pt, 0.0, batch.slot_sum(h, wi + wv, w))
 
         h_iv, iv_cache = p.gru_iv.forward(x_iv, batch.char_sizes)
         conv_out, conv_cache = p.conv.forward(np.stack([h_iv, h_f]))
@@ -497,8 +510,10 @@ class Pipeline:
                 batch = pack(seqs, self.tokenizer.scheme.width)
                 cache.tokens = batch.tokens
                 cache.last_indices = batch.char_rows(text_of_unit, last_chars)
-                e, _ = self.params.subchar_emb.forward(batch.tokens)
-                h_c, cache.stage1 = self.stage1_subchar_to_char(e, batch)
+                # the first GRU projects the rows of the distinct ids, not one row per token
+                used, local = _distinct_ids(batch.tokens)
+                e_used, _ = self.params.subchar_emb.forward(used)
+                h_c, cache.stage1 = self.stage1_subchar_to_char(local, batch, e_used)
                 h_s, cache.stage2 = self.stage2_char_to_unit(h_c, cache.last_indices, batch.char_sizes)
             else:
                 # no recurrence: the texts' tokens stay in order, one after the other
@@ -556,6 +571,14 @@ class Pipeline:
             a, b = cache.unit_offsets[k], cache.unit_offsets[k + 1]
             labels += [text[i:j] for i, j in cache.ranges[a:b]]
         return labels
+
+
+def _distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ids ascending, each id's place among them); bincount, as np.unique would sort."""
+    used = np.flatnonzero(np.bincount(ids))
+    place = np.empty(used[-1] + 1, dtype=np.int64)
+    place[used] = np.arange(used.size)
+    return used, place[ids]
 
 
 def _whitespace_runs(text: str) -> list[tuple[int, int]]:

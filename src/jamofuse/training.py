@@ -159,9 +159,12 @@ def _forward_words(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.nda
     return fused, raw, cache
 
 
-# An inference pass holds a few (token rows, d) arrays at once: the embedded
-# tokens and the first GRU's states. Passes are cut so each stays within this.
-PASS_BYTES = 1 << 19
+# A principles pass holds one (token rows, d) array, the first GRU's states: that
+# GRU projects only the embedding rows of the distinct ids, and stage 1 gathers
+# one (chars, d) slot at a time. Passes are cut so the states stay within this.
+# The bound is sized for that path: linear and attention compression also build
+# the (token rows, d) embedded-token array and arrays of their own per row.
+PASS_BYTES = 1 << 21
 
 
 def _word_vectors(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -170,8 +170,8 @@ def test_criterion_4_shape_laws():
         for text in texts:
             seq = pipe.tokenizer.tokenize(text)
             assert len(seq) == width * len(text)
-            e, _ = pipe.params.subchar_emb.forward(seq.tokens)
-            h_c, _ = pipe.stage1_subchar_to_char(e, pack([seq], width))
+            table = pipe.params.subchar_emb.table.data
+            h_c, _ = pipe.stage1_subchar_to_char(seq.tokens, pack([seq], width), table)
             assert h_c.shape == (len(text), 4)
 
             ids, ranges = pipe.unit_ranges(text)

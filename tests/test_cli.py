@@ -235,6 +235,39 @@ def test_unwritable_corpus_unit_is_domain_error(tmp_path, capsys, unit, delim):
     assert_one_line_error_text(captured.err)
 
 
+# surfaces with a character that parse_action_file could not read back as written
+UNWRITABLE_SURFACES = [("했|다", "|"), ("했\t다", "\t"), ("했\n다", "\t"), ("했\r다", "\t"), ("했ㅋ다", "ㅋㅋ")]
+UNWRITABLE_SURFACE_IDS = ["custom-delimiter", "tab-delimiter", "newline", "carriage-return", "repeated-character"]
+
+
+@pytest.mark.parametrize("surface,delim", UNWRITABLE_SURFACES, ids=UNWRITABLE_SURFACE_IDS)
+def test_unwritable_surface_is_domain_error(capsys, surface, delim):
+    assert main(["oracle-align", surface, "--units", "하,다", "--delim", delim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: surface character {surface[1]!r} cannot be written back")
+    assert_one_line_error_text(captured.err)
+
+
+@pytest.mark.parametrize("surface,delim", UNWRITABLE_SURFACES, ids=UNWRITABLE_SURFACE_IDS)
+def test_unwritable_corpus_surface_is_domain_error(tmp_path, capsys, surface, delim):
+    path = tmp_path / "surfaces.jsonl"
+    record = {"surface": surface, "lemma_units": ["하", "다"]}
+    path.write_text('{"surface": "했다", "lemma_units": ["하다"]}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["oracle-align", "--in", str(path), "--delim", delim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: surface character {surface[1]!r} cannot be written back")
+    assert_one_line_error_text(captured.err)
+
+
+def test_surface_character_that_only_starts_the_delimiter_reads_back(capsys):
+    # "|" + "|:" + actions splits at the "|:" after the character
+    assert main(["oracle-align", "했|다", "--units", "하,다", "--delim", "|:"]) == 0
+    parsed = parse_action_file(capsys.readouterr().out.splitlines(), "|:")
+    assert [ac.surface for ac in parsed] == list("했|다")
+
+
 BAD_CORPUS_LINES = [
     '{"surface": "하", "lemma_units": [1]}',
     '{"surface": 5, "lemma_units": ["하"]}',

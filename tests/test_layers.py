@@ -307,6 +307,48 @@ class TestGRUReferenceEquivalence:
         assert_gru_matches_reference(gru, xs, grads, packed=False)
 
 
+class TestGRUTable:
+    """Ids into a table against the gathered rows table[ids]: the same bits forward and backward."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[9], [9, 7, 7, 3, 1], [60, 55, 40, 20, 9, 3]],
+        ids=["one-sequence", "packed", "several-projection-blocks"],
+    )
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_matches_gathered_rows(self, lengths, dim):
+        rng = np.random.default_rng(dim + len(lengths))
+        gru = GRULayer(dim, rng)
+        table = rng.standard_normal((11, dim))
+        sizes = np.array([sum(n > t for n in lengths) for t in range(lengths[0])])
+        ids = rng.integers(0, len(table), sizes.sum())
+        if len(lengths) > 5:
+            assert len(ids) > layers.PROJECTION_ROWS  # the several-projection-blocks case
+        sizes = None if len(lengths) == 1 else sizes
+        grad = rng.standard_normal((len(ids), dim))
+        runs = []
+        for x, table_arg in ((table[ids], None), (ids, table)):
+            gru.params.zero_grads()
+            hs, cache = gru.forward(x, sizes, table=table_arg)
+            assert cache.x.shape[0] == len(ids)  # one entry per packed row
+            runs.append((hs, gru.backward(grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()))
+        for a, b in zip(*runs):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_id_out_of_range_rejected(self, bad):
+        gru = GRULayer(4, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="out of range"):
+            gru.forward(np.array([0, bad, 3]), table=np.ones((11, 4)))
+
+    def test_table_width_must_match(self):
+        gru = GRULayer(4, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="hidden size"):
+            gru.forward(np.array([0, 1]), table=np.ones((11, 5)))
+        with pytest.raises(ShapeError, match="hidden size"):
+            gru.forward(np.ones((2, 4)), table=np.ones((11, 4)))
+
+
 class TestConv2x1:
     def test_selector_kernel_returns_top_row(self):
         conv = Conv2x1(3, np.random.default_rng(0))

@@ -39,6 +39,11 @@ def batch_of_one(pipe, seq):
     return pack([seq], pipe.tokenizer.scheme.width)
 
 
+def stage1_of_rows(pipe, e, seq):
+    """Stage 1 of one text whose token rows are e, given as ids into e itself."""
+    return pipe.stage1_subchar_to_char(np.arange(len(e)), batch_of_one(pipe, seq), e)
+
+
 def zero_non_embedding_params(pipe):
     for name, tensor in pipe.params.group.items():
         if not name.startswith(("subchar_emb", "subword_emb")):
@@ -246,7 +251,7 @@ class TestStage1:
         seq = pipe.tokenizer.tokenize("대한민국")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         assert e.shape == (12, 6)
-        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
+        h_c, _ = stage1_of_rows(pipe, e, seq)
         assert h_c.shape == (4, 6)
 
     def test_bts_width_shape_law(self):
@@ -254,7 +259,7 @@ class TestStage1:
         seq = pipe.tokenizer.tokenize("대한민국")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         assert e.shape == (52, 6)
-        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
+        h_c, _ = stage1_of_rows(pipe, e, seq)
         assert h_c.shape == (4, 6)
 
     def test_zero_params_give_zero_char_states(self):
@@ -262,7 +267,7 @@ class TestStage1:
         zero_non_embedding_params(pipe)
         seq = pipe.tokenizer.tokenize("했다")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
-        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
+        h_c, _ = stage1_of_rows(pipe, e, seq)
         assert np.allclose(h_c, 0.0)
 
     def test_passthrough_char_keeps_sequence_state(self):
@@ -270,7 +275,7 @@ class TestStage1:
         seq = pipe.tokenizer.tokenize("a하")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
         h, _ = pipe.params.gru_seq.forward(e)
-        h_c, _ = pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq))
+        h_c, _ = stage1_of_rows(pipe, e, seq)
         w = pipe.tokenizer.scheme.width
         assert np.array_equal(h_c[0], h[0])
         assert not np.allclose(h_c[1], h[w])
@@ -279,7 +284,7 @@ class TestStage1:
         pipe = build()
         seq = pipe.tokenizer.tokenize("하다")
         with pytest.raises(ShapeError, match="multiple"):
-            pipe.stage1_subchar_to_char(np.zeros((5, 6)), batch_of_one(pipe, seq))
+            stage1_of_rows(pipe, np.zeros((5, 6)), seq)
 
 
 class TestStage2:
@@ -342,7 +347,7 @@ class TestReferenceEquivalence:
         for text in REFERENCE_TEXTS:
             new = _run_stage(
                 pipe,
-                lambda e, seq: pipe.stage1_subchar_to_char(e, batch_of_one(pipe, seq)),
+                lambda e, seq: stage1_of_rows(pipe, e, seq),
                 pipe.backward_stage1,
                 text,
                 seed,

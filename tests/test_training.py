@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from jamofuse import training
 from jamofuse.checkpoint import load_into, save_checkpoint
 from jamofuse.optim import AdamW
 from jamofuse.pipeline import ConfigError, Pipeline, PipelineConfig
@@ -124,6 +125,43 @@ class TestWordVectors:
         pipe = tiny_pipeline(cls_bypass=True)
         out, _ = pipe.forward("했다")
         assert np.allclose(word_vector(pipe, "했다"), out[1:].mean(axis=0))
+
+    def test_small_passes_embed_every_text_once(self, monkeypatch):
+        pipe = tiny_pipeline(scheme="bts", fusion="cross-attention")
+        texts = ["먹었다 보다", "하", "", "대한민국 만세", "ab", "했다", "x", "가다 갔다 춥다"]
+        calls = []
+        forward = Pipeline.forward
+
+        def counted(self, batch, *args):
+            calls.append(list(batch))
+            return forward(self, batch, *args)
+
+        monkeypatch.setattr(Pipeline, "forward", counted)
+        whole = word_vectors(pipe, texts)
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(training, "PASS_BYTES", 3 * 13 * 8 * 8)  # three characters' token rows at d=8
+        cut = word_vectors(pipe, texts)
+        assert len(calls) > 3
+        assert sorted(text for batch in calls for text in batch) == sorted(texts)
+        assert np.abs(cut - whole).max() <= 1e-12
+
+    def test_chunk_of_32_texts_is_one_pass_at_d64(self, monkeypatch):
+        pipe = tiny_pipeline(dim=64, scheme="bts", fusion="cross-attention")
+        syllables = "하가먹보춥걷돕묻"
+        texts = [f"{a}{b}다 {b}{a}었다" for a in syllables for b in syllables][:32]
+        token_bytes = sum(map(len, texts)) * 13 * 64 * 8
+        assert 3 * (1 << 19) < token_bytes <= training.PASS_BYTES  # at least four passes at 512 KiB
+        calls = []
+        forward = Pipeline.forward
+
+        def counted(self, batch, *args):
+            calls.append(list(batch))
+            return forward(self, batch, *args)
+
+        monkeypatch.setattr(Pipeline, "forward", counted)
+        word_vectors(pipe, texts)
+        assert calls == [sorted(texts, key=len, reverse=True)]
 
     def test_cosine_basics(self):
         v = np.array([1.0, 2.0])

@@ -258,6 +258,8 @@ def cmd_oracle_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
+    if not args.text:
+        raise ConfigError("--text must not be empty: an empty text has no output rows to check")
     config = _pipeline_config(args)
     if args.d is not None:
         config = PipelineConfig.from_dict({**config.to_dict(), "dim": args.d})

@@ -130,13 +130,20 @@ class GRULayer:
     arXiv:1604.01946): each step does h U[:, :2d] and (r * h) U[:, 2d:] on the
     running rows, in reused buffers, and writes its state straight into the
     output; x W + b is formed (or gathered) for runs of steps at once. The
-    cache keeps only x, the table and the states. Backward recomputes each
-    step's gates from the same projections and the previous states with the
-    forward's own products, so it sees the forward's values bit for bit,
-    carries dh for the running rows through dn U_n^T and [dz|dr] [U_z|U_r]^T,
-    collects the pre-activation gradients [dz|dr|dn] in one (rows, 3d) array
-    g, and forms the block gradients and the (rows, d) input gradient from g
-    as whole-batch matmuls and column sums after the loop.
+    cache keeps only x, the table and the states.
+
+    Backward knows every previous state from the forward, so it runs in
+    phases. It gathers the previous states h_{t-1} of all rows from the
+    cache at once, then recomputes the gates: one step loop forms h_{t-1}
+    U[:, :2d] and a second (r * h_{t-1}) U[:, 2d:], each with the forward's
+    per-step operand shapes, and the projections, sigmoid, tanh and the
+    elementwise factors of the pre-activation gradients run on all rows at
+    once, so it sees the forward's values bit for bit. The reverse loop is
+    left with the carry recurrence only: for the running rows it writes the
+    pre-activation gradients [dz|dr|dn] into one (rows, 3d) array g and
+    carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T, in reused
+    buffers. The block gradients and the (rows, d) input gradient are
+    whole-batch matmuls and column sums of g after the loop.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -229,45 +236,62 @@ class GRULayer:
         d = self.dim
         x, hs, batch_sizes, table = cache
         offsets = _offsets(batch_sizes, x.shape[0])
+        spans = list(zip(offsets, offsets[1:]))  # the packed rows [a, c) of each step
+        rows, first = x.shape[0], offsets[1]
         u = self.u.data
         u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
         u_zr_t, u_n_t = u_zr.T, u_n.T
         table_proj = None if table is None else self._project(table, None, None)
 
-        g = np.empty((x.shape[0], 3 * d))
+        # every step's previous states: row r of step t >= 1 follows row r - batch_sizes[t - 1]
+        sizes = np.diff(offsets)
         h_prev = np.empty(hs.shape)
-        rh = np.empty(hs.shape)
-        carry = np.zeros((0, d))
-        blocks = _step_blocks(offsets)
-        buf = None if len(blocks) == 1 else np.empty((max(PROJECTION_ROWS, offsets[1]), 3 * d))
-        for t0, t1 in reversed(blocks):
-            base = offsets[t0]
-            proj = self._project(x[base : offsets[t1]], table_proj, buf)
-            for t in range(t1 - 1, t0 - 1, -1):
-                a, c = offsets[t], offsets[t + 1]
-                p = proj[a - base : c - base]
-                # the step's gates again, from the same products as the forward's
-                hp = hs[offsets[t - 1] : offsets[t - 1] + c - a] if t else np.zeros((c - a, d))
-                gates = _sigmoid(p[:, : 2 * d] + hp @ u_zr)
-                z, r = gates[:, :d], gates[:, d:]
-                rhp = r * hp
-                n = np.tanh(p[:, 2 * d :] + rhp @ u_n)
-                # dz_pre = dh * fz, dn_pre = dh * fn, dr_pre = (dn_pre U_n^T) * fr; a sequence
-                # that ends at step t gets no carry from step t + 1
-                dh = grad_hs[a:c].copy()
-                dh[: len(carry)] += carry
-                dn_pre = dh * ((1.0 - z) * (1.0 - n * n))
-                d_rh = dn_pre @ u_n_t
-                g[a:c, :d] = dh * ((hp - n) * z * (1.0 - z))
-                g[a:c, d : 2 * d] = d_rh * (hp * r * (1.0 - r))
-                g[a:c, 2 * d :] = dn_pre
-                carry = dh * z + d_rh * r + g[a:c, : 2 * d] @ u_zr_t
-                h_prev[a:c], rh[a:c] = hp, rhp
+        h_prev[:first] = 0.0
+        h_prev[first:] = hs[np.arange(first, rows) - np.repeat(sizes[:-1], sizes[1:])]
+        # the input projections in the forward's blocks; g reuses this array in the reverse loop
+        g = np.empty((rows, 3 * d))
+        for t0, t1 in _step_blocks(offsets):
+            self._project(x[offsets[t0] : offsets[t1]], table_proj, g[offsets[t0] :])
+        g_zr, g_n = g[:, : 2 * d], g[:, 2 * d :]
+        # the gates again: the forward's per-step products, then its elementwise ops on all rows
+        gates = np.empty((rows, 2 * d))
+        for a, c in spans:
+            np.matmul(h_prev[a:c], u_zr, gates[a:c])
+        gates = _sigmoid(gates + g_zr)
+        z, r = gates[:, :d], gates[:, d:]
+        rh = r * h_prev
+        n = np.empty(hs.shape)
+        for a, c in spans:
+            np.matmul(rh[a:c], u_n, n[a:c])
+        n = np.tanh(n + g_n)
+        # dn_pre = dh * f_n and [dz_pre|dr_pre] = [dh|dn_pre U_n^T] * f_zr
+        f_n = (1.0 - z) * (1.0 - n * n)
+        f_zr = np.concatenate([(h_prev - n) * z * (1.0 - z), h_prev * r * (1.0 - r)], axis=1)
+
+        # the reverse loop runs only the carry recurrence; a sequence that ends at step t
+        # gets no carry from step t + 1
+        dh_rh, both = np.empty((first, 2 * d)), np.empty((first, 2 * d))
+        carry, tmp = np.empty((first, d)), np.empty((first, d))
+        k = 0
+        for a, c in reversed(spans):
+            m = c - a
+            dh, d_rh = dh_rh[:m, :d], dh_rh[:m, d:]
+            np.add(grad_hs[a : a + k], carry[:k], dh[:k])
+            if k < m:
+                dh[k:] = grad_hs[a + k : c]
+            np.multiply(dh, f_n[a:c], g_n[a:c])
+            np.matmul(g_n[a:c], u_n_t, d_rh)
+            np.multiply(dh_rh[:m], f_zr[a:c], g_zr[a:c])
+            # carry = dh * z + d_rh * r + [dz_pre|dr_pre] [U_z|U_r]^T
+            np.multiply(dh_rh[:m], gates[a:c], both[:m])
+            np.add(both[:m, :d], both[:m, d:], carry[:m])
+            np.add(carry[:m], np.matmul(g_zr[a:c], u_zr_t, tmp[:m]), carry[:m])
+            k = m
 
         inputs = x if table is None else table[x]  # the gathered input rows, needed only here
         self.w.grad += inputs.T @ g
-        self.u.grad[:, : 2 * d] += h_prev.T @ g[:, : 2 * d]
-        self.u.grad[:, 2 * d :] += rh.T @ g[:, 2 * d :]
+        self.u.grad[:, : 2 * d] += h_prev.T @ g_zr
+        self.u.grad[:, 2 * d :] += rh.T @ g_n
         self.b.grad += g.sum(axis=0)
         return g @ self.w.data.T
 

@@ -37,6 +37,8 @@ from .tensor import ConfigError, ParamGroup, ShapeError, Tensor, uniform_init
 COMPRESSIONS = ("principles", "linear", "attention")
 FUSIONS = ("cross-attention", "summation", "concatenation")
 GRANULARITIES = ("subword", "character", "word", "external")
+# texts a Pipeline keeps tokenized; the memo is emptied when it is full
+MEMO_TEXTS = 1024
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,8 @@ class Pipeline:
         self.subword_vocab = subword_vocab
         self.params = params
         self.config = params.config
+        # text -> (tokenized text, unit ids, unit ranges), with read-only arrays
+        self._memo: dict[str, tuple[SubcharSequence, tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
 
     @staticmethod
     def build(config: PipelineConfig, subword_vocab: SubwordVocab, seed: int) -> "Pipeline":
@@ -321,6 +325,22 @@ class Pipeline:
         unk = self.subword_vocab.unk_id
         ids = [entries.get(text[a:b], unk) for a, b in ranges]
         return ids, ranges
+
+    def _tokenized(
+        self, text: str, external_boundary: Optional[BoundaryMap]
+    ) -> tuple[SubcharSequence, Sequence[int], Sequence[tuple[int, int]]]:
+        """The text's subcharacter sequence, unit ids and unit ranges, memoized unless a boundary map is given."""
+        if external_boundary is not None:
+            return (self.tokenizer.tokenize(text), *self.unit_ranges(text, external_boundary))
+        hit = self._memo.get(text)
+        if hit is None:
+            seq = self.tokenizer.tokenize(text)
+            seq.tokens.flags.writeable = seq.passthrough.flags.writeable = False
+            ids, ranges = self.unit_ranges(text)
+            if len(self._memo) >= MEMO_TEXTS:
+                self._memo.clear()
+            hit = self._memo[text] = (seq, tuple(ids), tuple(ranges))
+        return hit
 
     # pipeline stages --------------------------------------------------------
 
@@ -490,10 +510,10 @@ class Pipeline:
             boundaries = [None] * len(texts) if external_boundary is None else list(external_boundary)
         if len(boundaries) != len(texts):
             raise ConfigError(f"{len(boundaries)} boundary maps for {len(texts)} texts; give one boundary map per text")
-        seqs = [self.tokenizer.tokenize(text) for text in texts]
-        subword_ids, ranges, text_of_unit, unit_offsets = [], [], [], [0]
+        seqs, subword_ids, ranges, text_of_unit, unit_offsets = [], [], [], [], [0]
         for k, (text, boundary) in enumerate(zip(texts, boundaries)):
-            text_ids, text_ranges = self.unit_ranges(text, boundary)
+            seq, text_ids, text_ranges = self._tokenized(text, boundary)
+            seqs.append(seq)
             subword_ids += text_ids
             ranges += text_ranges
             text_of_unit += [k] * len(text_ranges)

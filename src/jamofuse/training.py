@@ -149,13 +149,23 @@ class TrainLog:
 def _forward_words(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Returns (fused word vectors, raw word vectors, cache) of one batched forward."""
     out, cache = pipe.forward(texts)
-    units = out[cache.unit_rows]
-    fused = np.zeros((len(texts), pipe.config.dim))
+    d = pipe.config.dim
+    fused = np.zeros((len(texts), d))
     raw = np.zeros_like(fused)
-    offsets = cache.unit_offsets.tolist()
-    for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        if b > a:
-            fused[k], raw[k] = units[a:b].mean(axis=0), cache.e_S[a:b].mean(axis=0)
+    counts = np.diff(cache.unit_offsets)
+    has = counts > 0
+    if has.any():
+        # fused and raw unit rows side by side, summed one unit position at a time over
+        # the texts that reach it: row after row, the additions of .mean(axis=0), which
+        # np.add.reduceat does not make (it adds a0 + (a1 + a2))
+        rows = np.concatenate([out[cache.unit_rows], cache.e_S], axis=1)
+        starts, counts = cache.unit_offsets[:-1][has], counts[has]
+        sums = rows[starts]
+        for j in range(1, counts.max()):
+            live = counts > j
+            sums[live] += rows[starts[live] + j]
+        sums /= counts[:, None]
+        fused[has], raw[has] = sums[:, :d], sums[:, d:]
     return fused, raw, cache
 
 

@@ -353,6 +353,16 @@ class TestGradcheck:
         assert captured.out == ""
         assert_one_line_error_text(captured.err)
 
+    def test_empty_text_rejected_before_the_check(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: calls.append(args))
+        assert main(["gradcheck", "--d", "4", "--text", ""]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error_text(captured.err)
+        assert "--text" in captured.err
+
     def test_other_fusion_and_compression(self, capsys):
         assert main([
             "gradcheck", "--d", "4", "--text", "하 a", "--scheme", "stroke",

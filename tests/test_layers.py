@@ -83,6 +83,51 @@ def _reference_gru_backward(self, grad_hs, cache):
     return grad_x
 
 
+def _stepwise_gru_backward(self, grad_hs, cache):
+    """The GRULayer.backward that recomputed each step's gates inside its time loop, kept as the reference."""
+    d = self.dim
+    x, hs, batch_sizes, table = cache
+    offsets = layers._offsets(batch_sizes, x.shape[0])
+    u = self.u.data
+    u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
+    u_zr_t, u_n_t = u_zr.T, u_n.T
+    table_proj = None if table is None else self._project(table, None, None)
+
+    g = np.empty((x.shape[0], 3 * d))
+    h_prev = np.empty(hs.shape)
+    rh = np.empty(hs.shape)
+    carry = np.zeros((0, d))
+    blocks = layers._step_blocks(offsets)
+    buf = None if len(blocks) == 1 else np.empty((max(layers.PROJECTION_ROWS, offsets[1]), 3 * d))
+    for t0, t1 in reversed(blocks):
+        base = offsets[t0]
+        proj = self._project(x[base : offsets[t1]], table_proj, buf)
+        for t in range(t1 - 1, t0 - 1, -1):
+            a, c = offsets[t], offsets[t + 1]
+            p = proj[a - base : c - base]
+            hp = hs[offsets[t - 1] : offsets[t - 1] + c - a] if t else np.zeros((c - a, d))
+            gates = _sigmoid(p[:, : 2 * d] + hp @ u_zr)
+            z, r = gates[:, :d], gates[:, d:]
+            rhp = r * hp
+            n = np.tanh(p[:, 2 * d :] + rhp @ u_n)
+            dh = grad_hs[a:c].copy()
+            dh[: len(carry)] += carry
+            dn_pre = dh * ((1.0 - z) * (1.0 - n * n))
+            d_rh = dn_pre @ u_n_t
+            g[a:c, :d] = dh * ((hp - n) * z * (1.0 - z))
+            g[a:c, d : 2 * d] = d_rh * (hp * r * (1.0 - r))
+            g[a:c, 2 * d :] = dn_pre
+            carry = dh * z + d_rh * r + g[a:c, : 2 * d] @ u_zr_t
+            h_prev[a:c], rh[a:c] = hp, rhp
+
+    inputs = x if table is None else table[x]
+    self.w.grad += inputs.T @ g
+    self.u.grad[:, : 2 * d] += h_prev.T @ g[:, : 2 * d]
+    self.u.grad[:, 2 * d :] += rh.T @ g[:, 2 * d :]
+    self.b.grad += g.sum(axis=0)
+    return g @ self.w.data.T
+
+
 def check_layer_grads(layer, loss_fn, extra_inputs=()):
     """Gradient-check layer parameters plus any wrapped input tensors."""
     items = layer.params.items() + [(f"input.{i}", t) for i, t in enumerate(extra_inputs)]
@@ -347,6 +392,36 @@ class TestGRUTable:
             gru.forward(np.array([0, 1]), table=np.ones((11, 5)))
         with pytest.raises(ShapeError, match="hidden size"):
             gru.forward(np.ones((2, 4)), table=np.ones((11, 4)))
+
+
+class TestGRUBackwardAgainstStepwise:
+    """GRULayer.backward against the stepwise backward it replaced: the same bits."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[26], [9, 7, 7, 3, 1], [60, 55, 40, 20, 9, 3]],
+        ids=["one-sequence", "packed", "over-projection-rows"],
+    )
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_bitwise_equal(self, lengths, table, dim):
+        rng = np.random.default_rng(dim + len(lengths))
+        gru = GRULayer(dim, rng)
+        sizes = np.array([sum(n > t for n in lengths) for t in range(lengths[0])])
+        if len(lengths) > 5:
+            assert sizes.sum() > layers.PROJECTION_ROWS
+        sizes = None if len(lengths) == 1 else sizes
+        rows = rng.standard_normal((11, dim))
+        ids = rng.integers(0, len(rows), lengths[0] if sizes is None else sizes.sum())
+        x, table_arg = (ids, rows) if table else (rows[ids], None)
+        _, cache = gru.forward(x, sizes, table=table_arg)
+        grad = rng.standard_normal((len(ids), dim))
+        runs = []
+        for backward in (GRULayer.backward, _stepwise_gru_backward):
+            gru.params.zero_grads()
+            runs.append((backward(gru, grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()))
+        for a, b in zip(*runs):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestConv2x1:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jamofuse import pipeline
 from jamofuse.gradcheck import grad_check
 from jamofuse.pipeline import (
     COMPRESSIONS,
@@ -16,7 +17,7 @@ from jamofuse.pipeline import (
     embeddings_csv,
     pack,
 )
-from jamofuse.subchar import ROLE_OTHER, SCHEME_NAMES, SubcharScheme
+from jamofuse.subchar import ROLE_OTHER, SCHEME_NAMES, SubcharScheme, SubcharTokenizer
 from jamofuse.subword import AlignmentError, BoundaryMap, train_vocab
 from jamofuse.tensor import ShapeError
 
@@ -529,6 +530,68 @@ class TestForward:
         assert out.shape == (len(cache.ranges), 6)
         assert np.isfinite(out).all()
         assert BoundaryMap(cache.ranges).char_count == len(text)
+
+
+class TestMemo:
+    """Each Pipeline tokenizes and encodes a text once and keeps the result, up to MEMO_TEXTS texts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of tokenize, subword encode and boundary validate calls."""
+        counts = {}
+        for key, owner, name in (
+            ("tokenize", SubcharTokenizer, "tokenize"),
+            ("encode", pipeline, "subword_encode"),
+            ("validate", BoundaryMap, "validate"),
+        ):
+            counts[key] = 0
+
+            def counted(*args, fn=getattr(owner, name), key=key):
+                counts[key] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("texts", ["하다 했다", ["하다 했다", "", "대한 ab", "하다"]])
+    def test_second_forward_reuses_the_first(self, calls, texts):
+        pipe = build(fusion="cross-attention")
+        out, cache = pipe.forward(texts)
+        first = dict(calls)
+        assert first["tokenize"] == first["encode"] > 0
+        again, cache_again = pipe.forward(texts)
+        assert calls == first
+        assert np.array_equal(again, out)
+        assert cache_again.ranges == cache.ranges
+        assert np.array_equal(cache_again.subword_ids, cache.subword_ids)
+
+    def test_external_boundary_bypasses_the_memo(self, calls):
+        pipe = build(granularity="external")
+        for call in range(1, 3):
+            pipe.forward("했다", external_boundary=BoundaryMap([(0, 1), (1, 2)]))
+            assert calls["validate"] == call and calls["tokenize"] == call
+
+    def test_memoized_arrays_are_read_only(self):
+        pipe = build()
+        _, cache = pipe.forward("하다")
+        _, cache = pipe.forward("하다")
+        for array in (cache.seqs[0].tokens, cache.seqs[0].passthrough):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+    def test_memo_stays_within_its_bound(self):
+        pipe = build()
+        texts = [chr(0xAC00 + i) for i in range(pipeline.MEMO_TEXTS + 5)]
+        pipe.forward(texts)
+        assert 0 < len(pipe._memo) <= pipeline.MEMO_TEXTS
+        out, _ = pipe.forward(texts[:2])
+        assert np.array_equal(out, build().forward(texts[:2])[0])
+
+    def test_pipelines_do_not_share_a_memo(self, calls):
+        first, second = build(), build()
+        first.forward("하다")
+        second.forward("하다")
+        assert calls["tokenize"] == calls["encode"] == 2
 
 
 class TestBackward:

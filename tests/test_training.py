@@ -170,6 +170,39 @@ class TestWordVectors:
         assert cosine(np.zeros(2), v) == 0.0
 
 
+def per_text_means(pipe, texts):
+    """The per-text mean loop of _forward_words that its position loop replaced, kept as the reference."""
+    out, cache = pipe.forward(texts)
+    units = out[cache.unit_rows]
+    fused = np.zeros((len(texts), pipe.config.dim))
+    raw = np.zeros_like(fused)
+    offsets = cache.unit_offsets.tolist()
+    for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        if b > a:
+            fused[k], raw[k] = units[a:b].mean(axis=0), cache.e_S[a:b].mean(axis=0)
+    return fused, raw
+
+
+class TestWordMeans:
+    TEXTS = ["먹었다 보다", "하", "대한민국 만세 ab", "했다", "가다 갔다 춥다 걷다 돕다"]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "only"])
+    @pytest.mark.parametrize("cls", [False, True])
+    @pytest.mark.parametrize("granularity", ["subword", "character"])
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_bitwise_equal_to_per_text_means(self, where, cls, granularity, dim):
+        pipe = tiny_pipeline(dim=dim, cls_bypass=cls, granularity=granularity, fusion="cross-attention")
+        t = self.TEXTS
+        texts = {"first": ["", *t], "middle": [*t[:2], "", *t[2:]], "last": [*t, ""], "only": ["", ""]}[where]
+        fused, raw, cache = training._forward_words(pipe, texts)
+        expected = per_text_means(pipe, texts)
+        assert np.array_equal(fused, expected[0]) and np.array_equal(raw, expected[1])
+        counts = np.diff(cache.unit_offsets)
+        assert not fused[counts == 0].any() and not raw[counts == 0].any()
+        if where != "only":
+            assert counts.max() >= 3  # three units are where np.add.reduceat adds in another order
+
+
 class TestTrain:
     def test_zero_lr_leaves_params_bitwise_unchanged(self):
         pipe = tiny_pipeline()

@@ -232,6 +232,8 @@ def _format_alignment(aligned, delim: str) -> str:
 def cmd_oracle_align(args) -> int:
     if (args.surface is None) == (args.infile is None):
         raise ConfigError("give either a surface with --units, or --in for a jsonl corpus")
+    if not args.delim:
+        raise ConfigError("--delim must not be empty: an action line needs a delimiter between its fields")
     if args.surface is not None:
         if not args.units:
             raise ConfigError("--units is required with a surface argument")

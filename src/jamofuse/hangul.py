@@ -1,4 +1,4 @@
-"""Exact Hangul syllable arithmetic: decomposition, composition, classification.
+"""Exact Hangul syllable arithmetic: decomposition and composition.
 
 A precomposed syllable encodes three letter indices, the initial consonant
 (Choseong), the vowel (Jungseong), and the optional final consonant
@@ -13,7 +13,6 @@ needed beyond the letter inventories themselves.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple, Optional
 
 SYLLABLE_BASE = 0xAC00
@@ -59,19 +58,6 @@ class SyllableBlock(NamedTuple):
         return CHOSEONG[self.cho], JUNGSEONG[self.jung], JONGSEONG[self.jong]
 
 
-class VowelClass(enum.Enum):
-    """Spatial arrangement of the vowel inside the syllable block."""
-
-    VERTICAL = "vertical"      # placed to the right of the initial
-    HORIZONTAL = "horizontal"  # placed below the initial
-    COMPLEX = "complex"        # combines both elements
-
-
-_VERTICAL = {"ㅏ", "ㅑ", "ㅓ", "ㅕ", "ㅣ", "ㅐ", "ㅒ", "ㅔ", "ㅖ"}
-_HORIZONTAL = {"ㅗ", "ㅛ", "ㅜ", "ㅠ", "ㅡ"}
-_COMPLEX = {"ㅘ", "ㅙ", "ㅚ", "ㅝ", "ㅞ", "ㅟ", "ㅢ"}
-
-
 def is_syllable(ch: str) -> bool:
     """True iff ch is a single precomposed Hangul syllable."""
     return len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST
@@ -98,15 +84,3 @@ def compose(block: SyllableBlock) -> str:
     if not (0 <= cho < NUM_CHOSEONG and 0 <= jung < NUM_JUNGSEONG and 0 <= jong < NUM_JONGSEONG):
         raise ValueError(f"invalid syllable block ({cho}, {jung}, {jong})")
     return chr(SYLLABLE_BASE + (cho * NUM_JUNGSEONG + jung) * NUM_JONGSEONG + jong)
-
-
-def classify_vowel(jung: int) -> VowelClass:
-    """Classify a Jungseong index by its arrangement in the block."""
-    if not 0 <= jung < NUM_JUNGSEONG:
-        raise ValueError(f"jungseong index out of range: {jung}")
-    vowel = JUNGSEONG[jung]
-    if vowel in _VERTICAL:
-        return VowelClass.VERTICAL
-    if vowel in _HORIZONTAL:
-        return VowelClass.HORIZONTAL
-    return VowelClass.COMPLEX

@@ -38,13 +38,20 @@ class Embedding:
     def backward(self, grad_out: np.ndarray, cache: np.ndarray) -> None:
         # Row-sparse: sum each used row's gradients from zero in lookup order, then
         # add the sums to the table's rows, the same additions in the same order as
-        # a whole-table scatter. Each row's last lookup is its slot, so no sort is needed.
-        slot = np.empty(self.vocab_size, dtype=np.int64)
-        slot[cache] = np.arange(cache.size)
-        slots = slot[cache]
-        part = np.zeros((cache.size, self.dim))
-        np.add.at(part, slots, grad_out)
-        self.table.grad[cache] += part[slots]  # a repeated row writes the same sum again
+        # a whole-table scatter.
+        used, place = distinct_ids(cache)
+        part = np.zeros((used.size, self.dim))
+        np.add.at(part, place, grad_out)
+        self.table.grad[used] += part
+
+
+def distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ids ascending, each id's place among them); bincount, as np.unique would sort."""
+    counts = np.bincount(ids)
+    used = np.flatnonzero(counts)
+    place = np.empty(counts.size, dtype=np.int64)
+    place[used] = np.arange(used.size)
+    return used, place[ids]
 
 
 class Linear:

@@ -14,9 +14,9 @@ token state passes through the character stage untouched, with padding slots
 and role fusion skipped.
 
 Two flat compression alternatives replace the structured stages for ablation:
-a learned projection of each character's fixed-width token window followed by
-the same last-selection, and per-unit attention pooling with a single learned
-query.
+a learned projection of each unit's last character's fixed-width token window,
+and per-unit attention pooling with a single learned query. Both select or
+pool first and project once per unit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .checkpoint import csv_text
-from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear
+from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear, distinct_ids
 from .subchar import SCHEME_NAMES, SubcharScheme, SubcharSequence, SubcharTokenizer
 from .subword import AlignmentError, BoundaryMap, SubwordVocab
 from .subword import encode as subword_encode
@@ -227,11 +227,12 @@ class Stage1Cache:
 
 @dataclass
 class AttnPoolCache:
+    ids: np.ndarray  # (tokens,) row of each token in table
+    table: np.ndarray  # (n, d) token rows that ids index
     starts: np.ndarray  # (units,) first token row of each unit; the units tile the tokens
     sizes: np.ndarray  # (units,) tokens of each unit
     alpha: np.ndarray  # (tokens,) attention weight of each token within its unit
-    values: np.ndarray  # (tokens, d)
-    value_cache: np.ndarray
+    value_cache: np.ndarray  # (units, d) pooled token rows, the value projection's input
 
 
 @dataclass
@@ -243,7 +244,7 @@ class ForwardCache:
     e_S: np.ndarray
     h_S: np.ndarray
     subword_ids: Optional[np.ndarray] = None
-    last_indices: Optional[np.ndarray] = None  # (units,) row of each unit's last character in the compression's layout
+    last_indices: Optional[np.ndarray] = None  # (units,) packed row of each unit's last character (principles)
     tokens: Optional[np.ndarray] = None  # subcharacter ids in the order of the compression's token rows
     stage1: Optional[Stage1Cache] = None
     stage2: Optional[GRUCache] = None
@@ -396,59 +397,44 @@ class Pipeline:
         np.add.at(grad_states, last_indices, grad_hs)
         return self.params.gru_char.backward(grad_states, cache)
 
-    def compress_linear(
-        self, e: np.ndarray, last_indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        w = self.tokenizer.scheme.width
-        n, d = e.shape
-        if n % w != 0:
-            raise ShapeError(f"token count {n} is not a multiple of width {w}")
-        flat = e.reshape(n // w, w * d)
-        per_char, cache = self.params.char_proj.forward(flat)
-        return per_char[last_indices], cache
-
-    def backward_compress_linear(
-        self, grad_hs: np.ndarray, cache: np.ndarray, last_indices: np.ndarray
-    ) -> np.ndarray:
-        w = self.tokenizer.scheme.width
-        c = cache.shape[0]
-        grad_char = np.zeros((c, grad_hs.shape[1]))
-        np.add.at(grad_char, last_indices, grad_hs)
-        grad_flat = self.params.char_proj.backward(grad_char, cache)
-        return grad_flat.reshape(c * w, grad_hs.shape[1])
-
     def compress_attention(
-        self, e: np.ndarray, ranges: list[tuple[int, int]]
+        self, ids: np.ndarray, ranges: list[tuple[int, int]], table: np.ndarray
     ) -> tuple[np.ndarray, AttnPoolCache]:
-        """One attention-pooled vector per unit; the character ranges must tile e's characters.
+        """One attention-pooled vector per unit; token row r is table[ids[r]], and the
+        character ranges must tile the tokens' characters.
 
         The softmax runs per unit span as a segment softmax: maxima and sums over
-        the spans come from np.maximum.reduceat and np.add.reduceat.
+        the spans come from np.maximum.reduceat and np.add.reduceat. A unit's
+        weights sum to 1, so pooling the token rows and then projecting them once,
+        (sum_t a_t e_t) W + b, is the pooling of the projected rows e_t W + b.
         """
         p = self.params
         w = self.tokenizer.scheme.width
         bounds = np.array(ranges, dtype=np.int64).reshape(-1, 2) * w
         starts, sizes = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-        if starts.size and (starts[0] != 0 or (starts[1:] != bounds[:-1, 1]).any() or bounds[-1, 1] != e.shape[0]):
-            raise ShapeError(f"unit ranges do not tile {e.shape[0] // w} characters")
-        scale = 1.0 / np.sqrt(e.shape[1])
-        logits = e @ p.attn_query.data * scale
-        values, value_cache = p.attn_value.forward(e)
+        if starts.size and (starts[0] != 0 or (starts[1:] != bounds[:-1, 1]).any() or bounds[-1, 1] != ids.shape[0]):
+            raise ShapeError(f"unit ranges do not tile {ids.shape[0] // w} characters")
+        scale = 1.0 / np.sqrt(table.shape[1])
+        logits = (table @ p.attn_query.data * scale)[ids]
         shifted = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
         alpha = shifted / np.repeat(np.add.reduceat(shifted, starts), sizes)
-        out = np.add.reduceat(alpha[:, None] * values, starts, axis=0)
-        return out, AttnPoolCache(starts, sizes, alpha, values, value_cache)
+        weighted = table[ids]
+        weighted *= alpha[:, None]
+        out, value_cache = p.attn_value.forward(np.add.reduceat(weighted, starts, axis=0))
+        return out, AttnPoolCache(ids, table, starts, sizes, alpha, value_cache)
 
     def backward_compress_attention(self, grad_hs: np.ndarray, cache: AttnPoolCache) -> np.ndarray:
+        """The (tokens, d) gradient on the token rows; the rows are gathered from the table again."""
         p = self.params
         scale = 1.0 / np.sqrt(grad_hs.shape[1])
-        alpha, values = cache.alpha, cache.values
-        grad_tokens = np.repeat(grad_hs, cache.sizes, axis=0)  # each token's unit gradient
-        d_values = alpha[:, None] * grad_tokens
-        d_alpha = (values * grad_tokens).sum(axis=1)
+        alpha = cache.alpha
+        e = cache.table[cache.ids]
+        grad_pooled = p.attn_value.backward(grad_hs, cache.value_cache)
+        grad_e = np.repeat(grad_pooled, cache.sizes, axis=0)  # each token's pooled-row gradient
+        d_alpha = (e * grad_e).sum(axis=1)
         d_logits = alpha * (d_alpha - np.repeat(np.add.reduceat(d_alpha * alpha, cache.starts), cache.sizes))
-        grad_e = p.attn_value.backward(d_values, cache.value_cache)
-        p.attn_query.accumulate(cache.value_cache.T @ d_logits * scale)
+        p.attn_query.accumulate(e.T @ d_logits * scale)
+        grad_e *= alpha[:, None]
         return grad_e + np.outer(d_logits, p.attn_query.data) * scale
 
     def fuse(
@@ -502,7 +488,7 @@ class Pipeline:
         single text is the batch of one.
         """
         cfg = self.config
-        d = cfg.dim
+        d, w = cfg.dim, self.tokenizer.scheme.width
         if isinstance(texts, str):
             texts, boundaries = [texts], [external_boundary]
         else:
@@ -527,25 +513,30 @@ class Pipeline:
         fused = cache.e_S
         if ranges:
             if cfg.compression == "principles":
-                batch = pack(seqs, self.tokenizer.scheme.width)
+                batch = pack(seqs, w)
                 cache.tokens = batch.tokens
                 cache.last_indices = batch.char_rows(text_of_unit, last_chars)
                 # the first GRU projects the rows of the distinct ids, not one row per token
-                used, local = _distinct_ids(batch.tokens)
+                used, local = distinct_ids(batch.tokens)
                 e_used, _ = self.params.subchar_emb.forward(used)
                 h_c, cache.stage1 = self.stage1_subchar_to_char(local, batch, e_used)
                 h_s, cache.stage2 = self.stage2_char_to_unit(h_c, cache.last_indices, batch.char_sizes)
             else:
                 # no recurrence: the texts' tokens stay in order, one after the other
-                cache.tokens = np.concatenate([seq.tokens for seq in seqs])
+                tokens = np.concatenate([seq.tokens for seq in seqs])
                 starts = [0, *accumulate(len(text) for text in texts)]
-                e, _ = self.params.subchar_emb.forward(cache.tokens)
                 if cfg.compression == "linear":
-                    cache.last_indices = np.array([starts[k] + c for k, c in zip(text_of_unit, last_chars)])
-                    h_s, cache.linear_cache = self.compress_linear(e, cache.last_indices)
+                    # only the token rows of each unit's last character are looked up and projected
+                    last = [starts[k] + c for k, c in zip(text_of_unit, last_chars)]
+                    cache.tokens = tokens.reshape(-1, w)[last].ravel()
+                    e, _ = self.params.subchar_emb.forward(cache.tokens)
+                    h_s, cache.linear_cache = self.params.char_proj.forward(e.reshape(len(ranges), w * d))
                 else:
+                    cache.tokens = tokens
                     shifted = [(a + starts[k], b + starts[k]) for k, (a, b) in zip(text_of_unit, ranges)]
-                    h_s, cache.attn_pool = self.compress_attention(e, shifted)
+                    used, local = distinct_ids(tokens)
+                    table, _ = self.params.subchar_emb.forward(used)
+                    h_s, cache.attn_pool = self.compress_attention(local, shifted, table)
             e_s, cache.subword_ids = self.params.subword_emb.forward(subword_ids)
             fused, cache.fuse_cache = self.fuse(e_s, h_s, cache.unit_offsets)
             cache.e_S, cache.h_S = e_s, h_s
@@ -577,7 +568,7 @@ class Pipeline:
             grad_hc = self.backward_stage2(grad_hs, cache.stage2, cache.last_indices)
             grad_e = self.backward_stage1(grad_hc, cache.stage1)
         elif cfg.compression == "linear":
-            grad_e = self.backward_compress_linear(grad_hs, cache.linear_cache, cache.last_indices)
+            grad_e = self.params.char_proj.backward(grad_hs, cache.linear_cache).reshape(-1, cfg.dim)
         else:
             grad_e = self.backward_compress_attention(grad_hs, cache.attn_pool)
         self.params.subchar_emb.backward(grad_e, cache.tokens)
@@ -591,14 +582,6 @@ class Pipeline:
             a, b = cache.unit_offsets[k], cache.unit_offsets[k + 1]
             labels += [text[i:j] for i, j in cache.ranges[a:b]]
         return labels
-
-
-def _distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct ids ascending, each id's place among them); bincount, as np.unique would sort."""
-    used = np.flatnonzero(np.bincount(ids))
-    place = np.empty(used[-1] + 1, dtype=np.int64)
-    place[used] = np.arange(used.size)
-    return used, place[ids]
 
 
 def _whitespace_runs(text: str) -> list[tuple[int, int]]:

@@ -68,6 +68,9 @@ class SubwordVocab:
         ids = list(self.entries.values())
         if any(type(i) is not int for i in ids) or sorted(ids) != list(range(self.size)):
             raise ConfigError(f"vocab ids must be the integers 0..{self.size - 1}, each used once")
+        missing = [t for t in SPECIALS if t not in self.entries]
+        if missing:
+            raise ConfigError(f"vocab lacks the special tokens {missing}")
         self._by_id = {i: t for t, i in self.entries.items()}
         self._max_len = max((len(t) for t in self.entries if t not in SPECIALS), default=1)
 

@@ -169,11 +169,11 @@ def _forward_words(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.nda
     return fused, raw, cache
 
 
-# A principles pass holds one (token rows, d) array, the first GRU's states: that
-# GRU projects only the embedding rows of the distinct ids, and stage 1 gathers
-# one (chars, d) slot at a time. Passes are cut so the states stay within this.
-# The bound is sized for that path: linear and attention compression also build
-# the (token rows, d) embedded-token array and arrays of their own per row.
+# Every compression's pass holds at most one (token rows, d) array: principles the
+# first GRU's states (that GRU projects only the embedding rows of the distinct ids,
+# and stage 1 gathers one (chars, d) slot at a time), attention the weighted token
+# rows it pools, linear only the rows of unit-final characters. Passes are cut so
+# that array stays within this.
 PASS_BYTES = 1 << 21
 
 

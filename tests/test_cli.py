@@ -14,7 +14,7 @@ from importlib import resources
 from jamofuse import checkpoint, cli
 from jamofuse.cli import main
 from jamofuse.oracle import align, parse_action_file, read_jsonl_records
-from jamofuse.subword import load_vocab
+from jamofuse.subword import SPECIALS, load_vocab
 
 
 def data_file(name: str) -> str:
@@ -31,6 +31,7 @@ def assert_one_line_error_text(err: str) -> None:
     assert "Traceback" not in err
 
 
+SPECIAL_ENTRIES = {token: i for i, token in enumerate(SPECIALS)}
 PAIRS = data_file("verb_past_pairs.tsv")
 SETS = data_file("inflection_sets.tsv")
 CORPUS = data_file("inflections.jsonl")
@@ -163,6 +164,19 @@ class TestVocabAndEncode:
         assert main(["encode", "ab", "--vocab", str(vocab_path)]) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["encode", "xa"], ["encode", "xa", "--cls"], ["embed", "--text", "하a"]],
+        ids=["encode", "encode-cls", "embed"],
+    )
+    def test_vocab_without_specials_is_domain_error(self, tmp_path, capsys, argv):
+        vocab_path = tmp_path / "vocab.tsv"
+        vocab_path.write_text("mode=charlist\tsize=1\na\t0\n", encoding="utf-8")
+        assert main([*argv, "--vocab", str(vocab_path)]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert "<unk>" in err
+
 
 class TestOracleAlign:
     def test_surface_with_units(self, capsys):
@@ -196,6 +210,12 @@ class TestOracleAlign:
 
     def test_neither_input_rejected(self, capsys):
         assert main(["oracle-align"]) == 1
+
+    def test_empty_delimiter_is_domain_error(self, capsys):
+        assert main(["oracle-align", "했다", "--units", "하,았,다", "--delim", ""]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert "--delim must not be empty" in err
 
     def test_units_required_with_surface(self, capsys):
         assert main(["oracle-align", "했다"]) == 1
@@ -521,7 +541,7 @@ class TestCheckpointRoundTrip:
             {"config": {}, "tensors": [{"name": "x", "shape": "ab"}]},
             {"config": [1], "tensors": []},
             {"config": {}, "tensors": []},
-            {"config": {"pipeline": {"dim": "x"}, "subword_vocab": {"mode": "charlist", "entries": {}}}, "tensors": []},
+            {"config": {"pipeline": {"dim": "x"}, "subword_vocab": {"mode": "charlist", "entries": SPECIAL_ENTRIES}}, "tensors": []},
         ],
         ids=["tensors-not-list", "shape-not-list", "config-not-object", "config-without-pipeline", "dim-not-int"],
     )
@@ -538,6 +558,22 @@ class TestCheckpointRoundTrip:
             ckpt.write_bytes(stream.read() + b"\0")
         assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
         assert_one_line_error(capsys)
+
+    def test_vocab_without_unk_is_domain_error(self, trained, tmp_path, capsys):
+        with open(trained["ckpt"], "rb") as stream:
+            blob = stream.read()
+        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+        header = json.loads(blob[16 : 16 + header_len])
+        vocab = header["config"]["subword_vocab"]
+        kept = sorted((t for t in vocab["entries"] if t != "<unk>"), key=vocab["entries"].get)
+        vocab["entries"] = {t: i for i, t in enumerate(kept)}
+        new_header = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", magic, version, len(new_header)) + new_header + blob[16 + header_len :])
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert "<unk>" in err
 
     def test_non_integer_seed_is_domain_error(self, trained, tmp_path, capsys):
         with open(trained["ckpt"], "rb") as stream:

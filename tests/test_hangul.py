@@ -75,27 +75,6 @@ def test_decompose_absent_outside_range():
         assert hangul.decompose(ch) is None
 
 
-def test_vowel_classes_partition():
-    kinds = [hangul.classify_vowel(j) for j in range(21)]
-    vertical = [hangul.JUNGSEONG[j] for j, k in enumerate(kinds) if k is hangul.VowelClass.VERTICAL]
-    horizontal = [hangul.JUNGSEONG[j] for j, k in enumerate(kinds) if k is hangul.VowelClass.HORIZONTAL]
-    complex_ = [hangul.JUNGSEONG[j] for j, k in enumerate(kinds) if k is hangul.VowelClass.COMPLEX]
-    assert sorted(vertical) == sorted("ㅏㅑㅓㅕㅣㅐㅒㅔㅖ")
-    assert sorted(horizontal) == sorted("ㅗㅛㅜㅠㅡ")
-    assert sorted(complex_) == sorted("ㅘㅙㅚㅝㅞㅟㅢ")
-    assert len(vertical) + len(horizontal) + len(complex_) == 21
-
-
-def test_classify_vowel_examples():
-    assert hangul.classify_vowel(hangul.JUNGSEONG_INDEX["ㅏ"]) is hangul.VowelClass.VERTICAL
-    assert hangul.classify_vowel(hangul.JUNGSEONG_INDEX["ㅗ"]) is hangul.VowelClass.HORIZONTAL
-    assert hangul.classify_vowel(hangul.JUNGSEONG_INDEX["ㅙ"]) is hangul.VowelClass.COMPLEX
-    with pytest.raises(ValueError):
-        hangul.classify_vowel(21)
-    with pytest.raises(ValueError):
-        hangul.classify_vowel(-1)
-
-
 @given(st.integers(min_value=0, max_value=0x10FFFF))
 def test_decompose_none_iff_outside_block(code):
     if 0xD800 <= code <= 0xDFFF:  # surrogates are not characters

@@ -113,6 +113,48 @@ def _reference_backward_stage1(self, grad_hc, cache):
     return grad_e
 
 
+def _reference_compress_linear(self, e, last_indices):
+    """The all-character linear compression that Pipeline.forward replaced, kept as the reference:
+    every character's token window is projected, then the unit-final ones are kept."""
+    w = self.tokenizer.scheme.width
+    n, d = e.shape
+    per_char, cache = self.params.char_proj.forward(e.reshape(n // w, w * d))
+    return per_char[last_indices], cache
+
+
+def _reference_backward_compress_linear(self, grad_hs, cache, last_indices):
+    """The backward of _reference_compress_linear: a zero (chars, d) grid scattered at the unit-final rows."""
+    w = self.tokenizer.scheme.width
+    c = cache.shape[0]
+    grad_char = np.zeros((c, grad_hs.shape[1]))
+    np.add.at(grad_char, last_indices, grad_hs)
+    grad_flat = self.params.char_proj.backward(grad_char, cache)
+    return grad_flat.reshape(c * w, grad_hs.shape[1])
+
+
+def _linear_through_pipeline(pipe, text, seed):
+    """One linear-compression forward and backward through Pipeline with summation fusion.
+
+    Returns (h_S, gradient on every token row, parameter grads) in _run_stage's form;
+    the token-row gradient is what Pipeline.backward hands the subcharacter embedding,
+    placed at the unit-final characters' rows.
+    """
+    pipe.params.group.zero_grads()
+    _, cache = pipe.forward(text)
+    handed = []
+    pipe.params.subchar_emb.backward = lambda grad, ids: handed.append(grad)
+    try:
+        pipe.backward(np.random.default_rng(seed).normal(size=cache.h_S.shape), cache)
+    finally:
+        del pipe.params.subchar_emb.backward
+    w = pipe.tokenizer.scheme.width
+    last = np.array([b - 1 for _, b in cache.ranges])
+    grad_e = np.zeros((len(cache.seqs[0]), cache.h_S.shape[1]))
+    grad_e[(w * last[:, None] + np.arange(w)).ravel()] = handed[0]
+    grads = {name: t.grad.copy() for name, t in pipe.params.group.items() if t.grad.any()}
+    return cache.h_S, grad_e, grads
+
+
 def _reference_compress_attention(self, e, ranges):
     """The per-unit attention pooling that Pipeline.compress_attention replaced, kept as the reference."""
     p = self.params
@@ -304,15 +346,22 @@ class TestStage2:
 
 class TestCompressLinear:
     def test_averaging_projection_gives_char_means(self):
-        pipe = build(compression="linear")
+        pipe = build(compression="linear", granularity="character")
         w, d = 3, 6
         pipe.params.char_proj.w.data[...] = np.vstack([np.eye(d) / w] * w)
         pipe.params.char_proj.b.data[...] = 0.0
         seq = pipe.tokenizer.tokenize("하다")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
-        h_s, _ = pipe.compress_linear(e, [0, 1])
+        _, cache = pipe.forward("하다")
         expected = np.stack([e[0:3].mean(axis=0), e[3:6].mean(axis=0)])
-        assert np.allclose(h_s, expected, atol=1e-12)
+        assert np.allclose(cache.h_S, expected, atol=1e-12)
+
+    def test_only_unit_final_characters_are_looked_up(self):
+        pipe = build(compression="linear", vocab=pair_vocab())
+        _, cache = pipe.forward(["대한민국", "민국"])
+        tokens = pipe.tokenizer.tokenize("대한민국").tokens.reshape(4, 3)
+        assert cache.ranges == [(0, 2), (2, 4), (0, 2)]
+        assert np.array_equal(cache.tokens, tokens[[1, 3, 3]].ravel())
 
 
 class TestCompressAttention:
@@ -321,7 +370,7 @@ class TestCompressAttention:
         pipe.params.attn_query.data[...] = 0.0
         seq = pipe.tokenizer.tokenize("하다")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
-        out, cache = pipe.compress_attention(e, [(0, 2)])
+        out, cache = pipe.compress_attention(np.arange(len(e)), [(0, 2)], e)
         values, _ = pipe.params.attn_value.forward(e)
         assert np.allclose(out[0], values.mean(axis=0), atol=1e-12)
         assert np.allclose(cache.alpha[0:6].sum(), 1.0, atol=1e-12)
@@ -330,7 +379,7 @@ class TestCompressAttention:
         pipe = build(compression="attention")
         seq = pipe.tokenizer.tokenize("했다한")
         e, _ = pipe.params.subchar_emb.forward(seq.tokens)
-        _, cache = pipe.compress_attention(e, [(0, 2), (2, 3)])
+        _, cache = pipe.compress_attention(np.arange(len(e)), [(0, 2), (2, 3)], e)
         alphas = [cache.alpha[a : a + n] for a, n in zip(cache.starts, cache.sizes)]
         for alpha in alphas:
             assert (alpha > 0).all()
@@ -339,7 +388,8 @@ class TestCompressAttention:
 
 
 class TestReferenceEquivalence:
-    """Whole-array stage 1 and attention pooling against the per-character and per-unit loops they replaced."""
+    """Whole-array stage 1, attention pooling and linear compression against the per-character,
+    per-unit and all-character forms they replaced."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
@@ -380,7 +430,7 @@ class TestReferenceEquivalence:
             token_count = len(pipe.tokenizer.tokenize(text))
             new = _run_stage(
                 pipe,
-                lambda e, seq: pipe.compress_attention(e, ranges),
+                lambda e, seq: pipe.compress_attention(np.arange(len(e)), ranges, e),
                 pipe.backward_compress_attention,
                 text,
                 seed,
@@ -396,6 +446,29 @@ class TestReferenceEquivalence:
             assert np.abs(out - out_ref).max() <= 1e-12, text
             assert np.abs(grad_e - grad_e_ref).max() <= 1e-12, text
             assert grads.keys() == grads_ref.keys() and len(grads) == 3
+            for name in grads:
+                assert np.abs(grads[name] - grads_ref[name]).max() <= 1e-12, (text, name)
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_linear_compression_matches(self, scheme, seed):
+        cfg = PipelineConfig(scheme=scheme, dim=6, compression="linear", fusion="summation")
+        pipe = Pipeline.build(cfg, small_vocab(), seed=seed)
+        for text in REFERENCE_TEXTS:
+            last = [b - 1 for _, b in pipe.unit_ranges(text)[1]]
+            out, grad_e, grads = _linear_through_pipeline(pipe, text, seed)
+            out_ref, grad_e_ref, grads_ref = _run_stage(
+                pipe,
+                lambda e, seq: _reference_compress_linear(pipe, e, last),
+                lambda g, cache: _reference_backward_compress_linear(pipe, g, cache, last),
+                text,
+                seed,
+            )
+            assert np.abs(out - out_ref).max() <= 1e-12, text
+            assert np.abs(grad_e - grad_e_ref).max() <= 1e-12, text
+            grads = {name: g for name, g in grads.items() if name.startswith("compress_linear")}
+            assert grads.keys() == grads_ref.keys() == {"compress_linear.w", "compress_linear.b"}
             for name in grads:
                 assert np.abs(grads[name] - grads_ref[name]).max() <= 1e-12, (text, name)
 

@@ -72,6 +72,12 @@ def test_vocab_ids_must_be_0_to_size(entries):
         SubwordVocab("charlist", entries)
 
 
+def test_vocab_must_hold_every_special():
+    entries = {token: i for i, token in enumerate(["a", "<unk>", "<pad>", "<cls>"])}
+    with pytest.raises(ConfigError, match="<bos>"):
+        SubwordVocab("charlist", entries)
+
+
 def test_tie_break_is_lexicographic():
     # both pairs occur exactly once; (가,나) < (나,다) lexicographically
     vocab = small_vocab(["가나 나다"], extra=1)

@@ -1,5 +1,6 @@
 import importlib.resources
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,28 @@ class TestWordVectors:
         monkeypatch.setattr(Pipeline, "forward", counted)
         word_vectors(pipe, texts)
         assert calls == [sorted(texts, key=len, reverse=True)]
+
+    def test_flat_compressions_peak_no_higher_than_principles(self):
+        # one PASS_BYTES bound for every compression: no pass holds more than one
+        # (token rows, d) array, so linear and attention stay below principles
+        data = load_pair_dataset(fixture_path("verb_past_pairs.tsv"))
+        forms = sorted({f for r in data.records for f in (r.form_a, r.form_b)})
+        vocab = train_vocab(forms, 200)
+        rng = np.random.default_rng(0)
+        texts = [" ".join(rng.choice(forms, size=int(rng.integers(1, 4)))) for _ in range(32)]
+        peaks = {}
+        for compression in ("principles", "linear", "attention"):
+            cfg = PipelineConfig(scheme="bts", dim=64, compression=compression, fusion="summation")
+            pipe = Pipeline.build(cfg, vocab, seed=0)
+            word_vectors(pipe, texts)  # fills the tokenization memo outside the traced call
+            tracemalloc.start()
+            try:
+                word_vectors(pipe, texts)
+                peaks[compression] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["linear"] <= peaks["principles"], peaks
+        assert peaks["attention"] <= peaks["principles"], peaks
 
     def test_cosine_basics(self):
         v = np.array([1.0, 2.0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -128,10 +129,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"{path}: shape {entry['shape']!r} of {entry['name']!r} is not a list of non-negative integers"
                 )
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * 8)
-            if len(raw) < count * 8:
+            count = math.prod(shape)  # Python ints: a declared shape cannot overflow
+            if count * 8 > os.fstat(f.fileno()).st_size - f.tell():
                 raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
+            raw = f.read(count * 8)
             values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             if not np.isfinite(values).all():
                 raise CheckpointError(f"{path}: tensor {entry['name']!r} holds NaN or infinite values")

@@ -263,8 +263,6 @@ def cmd_gradcheck(args) -> int:
     if not args.text:
         raise ConfigError("--text must not be empty: an empty text has no output rows to check")
     config = _pipeline_config(args)
-    if args.d is not None:
-        config = PipelineConfig.from_dict({**config.to_dict(), "dim": args.d})
     vocab = train_vocab([args.text], max(16, len(set(args.text)) + 8), mode="charlist")
     pipe = Pipeline.build(config, vocab, seed=args.seed)
     out0, _ = pipe.forward(args.text)
@@ -409,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of the whole pipeline")
     p.add_argument("--text", default="하다", help="input text for the check")
-    p.add_argument("--d", type=int, help="embedding width override")
+    p.add_argument("--d", type=int, dest="dim", help="embedding width, the same as --dim")
     p.add_argument("--tol", type=float, default=1e-4, help="max relative error to accept")
     _add_pipeline_flags(p)
 
@@ -466,8 +464,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

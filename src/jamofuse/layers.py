@@ -21,13 +21,11 @@ from .tensor import ParamGroup, ShapeError, Tensor, uniform_init
 class Embedding:
     """Lookup table (vocab_size, dim); ids in, rows out."""
 
-    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator, trainable: bool = True):
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.vocab_size = vocab_size
         self.dim = dim
         self.params = ParamGroup()
-        self.table = self.params.add(
-            "table", Tensor(uniform_init(rng, (vocab_size, dim), dim), trainable=trainable)
-        )
+        self.table = self.params.add("table", Tensor(uniform_init(rng, (vocab_size, dim), dim)))
 
     def forward(self, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         idx = np.asarray(ids, dtype=np.int64)
@@ -59,8 +57,8 @@ class Linear:
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.params = ParamGroup()
-        self.w = self.params.add("w", Tensor(uniform_init(rng, (d_in, d_out), d_in), trainable=True))
-        self.b = self.params.add("b", Tensor(uniform_init(rng, (d_out,), d_in), trainable=True))
+        self.w = self.params.add("w", Tensor(uniform_init(rng, (d_in, d_out), d_in)))
+        self.b = self.params.add("b", Tensor(uniform_init(rng, (d_out,), d_in)))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if x.shape[-1] != self.w.shape[0]:
@@ -156,9 +154,9 @@ class GRULayer:
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
         self.params = ParamGroup()
-        self.w = Tensor(np.empty((dim, 3 * dim)), trainable=True)
-        self.u = Tensor(np.empty((dim, 3 * dim)), trainable=True)
-        self.b = Tensor(np.empty(3 * dim), trainable=True)
+        self.w = Tensor(np.empty((dim, 3 * dim)))
+        self.u = Tensor(np.empty((dim, 3 * dim)))
+        self.b = Tensor(np.empty(3 * dim))
         for k, gate in enumerate("zrn"):
             cols = slice(k * dim, (k + 1) * dim)
             for name, block in (("w", self.w), ("u", self.u)):
@@ -309,12 +307,8 @@ class Conv2x1:
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
         self.params = ParamGroup()
-        self.kernel = self.params.add(
-            "kernel", Tensor(uniform_init(rng, (2, dim, dim), 2 * dim), trainable=True)
-        )
-        self.bias = self.params.add(
-            "bias", Tensor(uniform_init(rng, (dim,), 2 * dim), trainable=True)
-        )
+        self.kernel = self.params.add("kernel", Tensor(uniform_init(rng, (2, dim, dim), 2 * dim)))
+        self.bias = self.params.add("bias", Tensor(uniform_init(rng, (dim,), 2 * dim)))
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if x.ndim != 3 or x.shape[0] != 2 or x.shape[2] != self.dim:
@@ -356,8 +350,8 @@ class CrossAttention:
         self.residual = residual
         self.params = ParamGroup()
         for name in ("q", "k", "v", "o"):
-            self.params.add(f"w_{name}", Tensor(uniform_init(rng, (dim, dim), dim), trainable=True))
-            self.params.add(f"b_{name}", Tensor(uniform_init(rng, (dim,), dim), trainable=True))
+            self.params.add(f"w_{name}", Tensor(uniform_init(rng, (dim, dim), dim)))
+            self.params.add(f"b_{name}", Tensor(uniform_init(rng, (dim,), dim)))
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         n, d = x.shape

@@ -23,18 +23,18 @@ class AdamW:
     """Standard first/second-moment update; decay is applied to the weights
     directly, never through the moments.
 
-    The moments are two flat vectors over the trainable runs of params
-    (`ParamGroup.trainable_runs`), found once here: set `trainable` before
-    building the optimizer. Each step updates every run with whole-vector
-    operations, one pass per run rather than per tensor, as Apex's fused
-    multi-tensor Adam does.
+    Every tensor of params is updated and no other: to freeze a tensor,
+    leave it out of the group. The moments are two flat vectors over the
+    group's runs (`ParamGroup.runs`), found once here. Each step updates
+    every run with whole-vector operations, one pass per run rather than per
+    tensor, as Apex's fused multi-tensor Adam does.
     """
 
     def __init__(self, params: ParamGroup, config: AdamConfig = AdamConfig()):
         self.params = params
         self.config = config
         self.step_count = 0
-        self.runs = params.trainable_runs()
+        self.runs = params.runs()
         bounds = np.cumsum([0] + [data.size for data, _ in self.runs]).tolist()
         self.m, self.v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
         self._state = [

@@ -356,13 +356,10 @@ def corpus_stats(
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     if partitions < 1:
         raise ValueError(f"partitions must be >= 1, got {partitions}")
-    if partitions == 1:
-        stats = CorpusStats(top_k=top_k)
-        for ac in aligned:
-            stats.add(ac)
-        return stats
-    parts = [CorpusStats(top_k=top_k) for _ in range(partitions)]
+    parts = [CorpusStats(top_k=top_k)]  # each further part is made for its first character
     for i, ac in enumerate(aligned):
+        if 0 < i < partitions:
+            parts.append(CorpusStats(top_k=top_k))
         parts[i % partitions].add(ac)
     merged = parts[0]
     for p in parts[1:]:

@@ -84,7 +84,7 @@ class PipelineConfig:
 
 
 class PipelineParams:
-    """Every trainable tensor of one configuration, in a stable named order.
+    """Every parameter tensor of one configuration, in a stable named order.
 
     Only the layers the configuration uses are created, so different
     compression or fusion choices produce different parameter sets (and
@@ -127,9 +127,7 @@ class PipelineParams:
             self.char_proj = Linear(w * d, d, rng)
             self.group.merge("compress_linear", self.char_proj.params)
         else:
-            self.attn_query = self.group.add(
-                "compress_attn.query", Tensor(uniform_init(rng, (d,), d), trainable=True)
-            )
+            self.attn_query = self.group.add("compress_attn.query", Tensor(uniform_init(rng, (d,), d)))
             self.attn_value = Linear(d, d, rng)
             self.group.merge("compress_attn.value", self.attn_value.params)
 

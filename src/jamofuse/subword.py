@@ -230,7 +230,11 @@ def load_vocab(path: str | Path) -> SubwordVocab:
         lines = f.read().split("\n")
     if not lines or not lines[0].startswith("mode="):
         raise ConfigError(f"{path}: missing vocab header")
-    header = dict(part.split("=", 1) for part in lines[0].split("\t"))
+    fields = lines[0].split("\t")
+    for part in fields:
+        if "=" not in part:
+            raise ConfigError(f"{path}: vocab header field {part!r} is not key=value")
+    header = dict(part.split("=", 1) for part in fields)
     if "size" not in header:
         raise ConfigError(f"{path}: vocab header has no size= field")
     entries: dict[str, int] = {}
@@ -249,11 +253,14 @@ def load_vocab(path: str | Path) -> SubwordVocab:
             else:
                 token_chars.append(escaped[i])
                 i += 1
-        entries["".join(token_chars)] = int(idx)
+        try:
+            entries["".join(token_chars)] = int(idx)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: id {idx!r} is not an integer") from None
     try:
         vocab = SubwordVocab(header["mode"], entries)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-    if vocab.size != int(header["size"]):
-        raise ConfigError(f"{path}: header size {header['size']} != {vocab.size} entries")
+    if header["size"] != str(vocab.size):
+        raise ConfigError(f"{path}: header size {header['size']!r} != {vocab.size} entries")
     return vocab

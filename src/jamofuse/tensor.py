@@ -32,19 +32,18 @@ class Tensor:
     write into `data` in place (`data[...] = values`) rather than rebinding it.
     """
 
-    __slots__ = ("data", "grad", "trainable", "owner", "index")
+    __slots__ = ("data", "grad", "owner", "index")
 
-    def __init__(self, data, trainable: bool = False):
+    def __init__(self, data):
         self.data = np.array(data, dtype=np.float64, order="C")
         self.grad = np.zeros(self.data.shape)  # zeroed lazily: untouched pages cost no memory
-        self.trainable = trainable
         self.owner: Optional[Tensor] = None  # for a view: the tensor it views, at self.index
         self.index = ...
 
     def view(self, index) -> "Tensor":
         """A tensor over data[index] and grad[index] of this owner, sharing their memory."""
         view = Tensor.__new__(Tensor)
-        view.owner, view.index, view.trainable = self, index, self.trainable
+        view.owner, view.index = self, index
         view.data, view.grad = self.data[index], self.grad[index]
         return view
 
@@ -62,7 +61,7 @@ class Tensor:
         self.grad.fill(0.0)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, trainable={self.trainable})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _memory(a: np.ndarray) -> np.ndarray:
@@ -105,9 +104,6 @@ class ParamGroup:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def trainable_items(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self._params.items() if t.trainable]
-
     def zero_grads(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -136,12 +132,13 @@ class ParamGroup:
             if t.owner is not None:
                 t.data, t.grad = t.owner.data[t.index], t.owner.grad[t.index]
 
-    def trainable_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """1-D (data, grad) views that together hold exactly the trainable elements.
+    def runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """1-D (data, grad) views that together hold exactly this group's elements.
 
         Each run is a maximal contiguous stretch of one buffer, so the
-        trainable tensors of a flattened model that sit side by side form one
-        run. A tensor's grad sits at the same place in its buffer as its data.
+        group's tensors of a flattened model that sit side by side form one
+        run, and a tensor left out of the group cuts the buffer around it. A
+        tensor's grad sits at the same place in its buffer as its data.
         """
         buffers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # data, grad, mask
         for t in self._params.values():
@@ -151,7 +148,7 @@ class ParamGroup:
                 buffers[id(memory)] = (memory.reshape(-1), _memory(owner.grad).reshape(-1), np.zeros(memory.size, bool))
             mask = buffers[id(memory)][2]
             start = (owner.data.ctypes.data - memory.ctypes.data) // memory.itemsize
-            mask[start : start + owner.data.size].reshape(owner.shape)[t.index] = t.trainable
+            mask[start : start + owner.data.size].reshape(owner.shape)[t.index] = True
         runs = []
         for data, grad, mask in buffers.values():
             edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)

@@ -361,15 +361,15 @@ def first_batch_loss(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> 
 
 
 def _require_finite(optimizer: AdamW, what: str, epoch: int, batch: int) -> None:
-    """Stops training at the first NaN or inf in a trainable gradient or parameter.
+    """Stops training at the first NaN or inf in a gradient or parameter the optimizer updates.
 
-    One check per trainable run; only on failure are the tensors searched for
-    the first one to name.
+    One check per run; only on failure are the tensors searched for the
+    first one to name.
     """
     k = 1 if what == "gradient" else 0
     if all(np.isfinite(run[k]).all() for run in optimizer.runs):
         return
-    for name, tensor in optimizer.params.trainable_items():
+    for name, tensor in optimizer.params.items():
         if not np.isfinite(tensor.grad if k else tensor.data).all():
             raise ValueError(f"epoch {epoch}, batch {batch}: non-finite {what} in {name}")
 
@@ -384,10 +384,11 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
     if not records:
         raise ConfigError("dataset is empty")
 
-    if config.freeze_subword:
-        pipe.params.subword_emb.table.trainable = False
+    frozen = pipe.params.subword_emb.table if config.freeze_subword else None
     train_group = ParamGroup()
-    train_group.merge("model", pipe.params.group)
+    for name, tensor in pipe.params.group.items():
+        if tensor is not frozen:
+            train_group.add(f"model.{name}", tensor)
     head: Optional[Linear] = None
     labels: dict[str, int] = {}
     if config.objective == "tag-classification":

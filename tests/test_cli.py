@@ -72,6 +72,20 @@ class TestExitCodes:
         assert main(["oracle-stats", "--in", "/does/not/exist.jsonl"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("exc", "err"),
+        [(MemoryError("Unable to allocate 113. GiB for an array"), "error: Unable to allocate 113. GiB for an array\n"),
+         (MemoryError(), "error: MemoryError\n")],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_domain_error(self, monkeypatch, capsys, exc, err):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_embed", exhausted)
+        assert main(["embed", "--text", "하다", "--dim", "100000000"]) == 1
+        assert capsys.readouterr().err == err
+
 
 class TestDecompose:
     def test_four_syllables_make_twelve_jamo_lines(self, capsys):
@@ -551,6 +565,16 @@ class TestCheckpointRoundTrip:
         ckpt.write_bytes(struct.pack("<4sIQ", b"JFCK", 1, len(header)) + header)
         assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("shape", [[10**10], [2**40, 2**40]], ids=["larger-than-file", "overflows-int64"])
+    def test_declared_payload_larger_than_the_file_is_domain_error(self, tmp_path, capsys, shape):
+        header = json.dumps({"format_version": 1, "seed": 0, "config": {}, "tensors": [{"name": "x", "shape": shape}]})
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", b"JFCK", 1, len(header)) + header.encode("utf-8") + bytes(64))
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert "truncated payload for 'x'" in err
 
     def test_bytes_after_last_tensor_are_domain_error(self, trained, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"

@@ -60,9 +60,9 @@ class ReferenceGRULayer:
         self.dim = dim
         self.params = ParamGroup()
         for gate in ("z", "r", "n"):
-            self.params.add(f"w_{gate}", Tensor(uniform_init(rng, (dim, dim), dim), trainable=True))
-            self.params.add(f"u_{gate}", Tensor(uniform_init(rng, (dim, dim), dim), trainable=True))
-            self.params.add(f"b_{gate}", Tensor(uniform_init(rng, (dim,), dim), trainable=True))
+            self.params.add(f"w_{gate}", Tensor(uniform_init(rng, (dim, dim), dim)))
+            self.params.add(f"u_{gate}", Tensor(uniform_init(rng, (dim, dim), dim)))
+            self.params.add(f"b_{gate}", Tensor(uniform_init(rng, (dim,), dim)))
 
     def _stacked(self, kind: str, gates: str) -> np.ndarray:
         # Built on every call, never cached: gradient checks perturb the parameters in place.
@@ -137,15 +137,15 @@ class ReferenceAdamW:
         self.params = params
         self.config = config
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in params.trainable_items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in params.trainable_items()}
+        self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
     def step(self, lr: float | None = None) -> None:
         c = self.config
         lr = c.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        for name, tensor in self.params.trainable_items():
+        for name, tensor in self.params.items():
             grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
             if grad.shape != tensor.data.shape:
                 raise ShapeError(f"grad shape {grad.shape} does not match param {name} {tensor.data.shape}")
@@ -160,6 +160,15 @@ class ReferenceAdamW:
             tensor.data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
             if c.weight_decay:
                 tensor.data -= lr * c.weight_decay * tensor.data
+
+
+def without(group: ParamGroup, frozen) -> ParamGroup:
+    """group less the tensors named in frozen: the group an optimizer that freezes them is given."""
+    kept = ParamGroup()
+    for name, t in group.items():
+        if name not in frozen:
+            kept.add(name, t)
+    return kept
 
 
 def reference_embedding_backward(self, grad_out, cache):
@@ -250,10 +259,8 @@ class TestBitwiseAgainstReference:
         config = PipelineConfig(dim=8, fusion="cross-attention")
         pipes = [Pipeline.build(config, VOCAB, seed=3) for _ in range(2)]
         adam = AdamConfig(lr=0.05, weight_decay=0.01)
-        for pipe in pipes:
-            for name in frozen:
-                pipe.params.group[name].trainable = False
-        optimizers = [AdamW(pipes[0].params.group, adam), ReferenceAdamW(pipes[1].params.group, adam)]
+        groups = [without(pipe.params.group, frozen) for pipe in pipes]
+        optimizers = [AdamW(groups[0], adam), ReferenceAdamW(groups[1], adam)]
         # A frozen u_r cuts each of gru_iv.u's 8 rows apart; a frozen conv.bias cuts once more.
         assert len(optimizers[0].runs) == (2 if len(frozen) == 1 else 2 + 8 + 1)
         for step in range(20):
@@ -272,12 +279,13 @@ class TestBitwiseAgainstReference:
         for _ in range(2):
             group = ParamGroup()
             rng = np.random.default_rng(5)
-            group.add("a", Tensor(uniform_init(rng, (3, 2), 2), trainable=True))
+            group.add("a", Tensor(uniform_init(rng, (3, 2), 2)))
             group.add("frozen", Tensor(uniform_init(rng, (4,), 2)))
             group.merge("gru", GRULayer(3, rng).params)
             groups.append(group)
         adam = AdamConfig(weight_decay=0.1)
-        optimizers = [AdamW(groups[0], adam), ReferenceAdamW(groups[1], adam)]
+        updated = [without(group, {"frozen"}) for group in groups]
+        optimizers = [AdamW(updated[0], adam), ReferenceAdamW(updated[1], adam)]
         for step in range(20):
             for group, optimizer in zip(groups, optimizers):
                 for k, (_, t) in enumerate(group.items()):
@@ -315,7 +323,7 @@ class TestFlatBuffers:
         b = ParamGroup()
         rng = np.random.default_rng(2)
         b.merge("gru", GRULayer(4, rng).params)
-        b.add("w", Tensor(uniform_init(rng, (2, 4), 4), trainable=True))
+        b.add("w", Tensor(uniform_init(rng, (2, 4), 4)))
         before = {name: t.data.copy() for name, t in b.items()}
         b.flatten()
         assert b.names() == list(before)
@@ -376,29 +384,29 @@ class TestTrainableRuns:
     def test_frozen_table_splits_the_model_in_two(self):
         pipe = Pipeline.build(PipelineConfig(dim=4), VOCAB, seed=0)
         group = pipe.params.group
-        assert len(group.trainable_runs()) == 1
-        group["subword_emb.table"].trainable = False
-        (table, _), (rest, rest_grad) = group.trainable_runs()
+        assert len(group.runs()) == 1
+        (table, _), (rest, rest_grad) = without(group, {"subword_emb.table"}).runs()
         assert np.shares_memory(table, group["subchar_emb.table"].data)
         assert table.size + rest.size == group.data.size - group["subword_emb.table"].data.size
         assert np.shares_memory(rest_grad, pipe.params.gru_char.u.grad)
 
     def test_frozen_gate_is_left_out(self):
         gru = GRULayer(2, np.random.default_rng(0))
-        gru.params["w_r"].trainable = False
-        runs = gru.params.trainable_runs()
+        params = without(gru.params, {"w_r"})
+        runs = params.runs()
         # w's rows each hold [w_z | w_r | w_n], so w_n of row 0 and w_z of row 1 make one run;
         # a standalone layer's blocks are three arrays, so u and b are runs of their own.
         assert [data.size for data, _ in runs] == [2, 4, 2, 12, 6]
         covered = sum(data.size for data, _ in runs)
-        assert covered == sum(t.data.size for _, t in gru.params.trainable_items())
+        assert covered == sum(t.data.size for _, t in params.items())
 
     def test_standalone_tensors_are_one_run_each(self):
         group = ParamGroup()
-        group.add("a", Tensor(np.ones(3), trainable=True))
-        group.add("b", Tensor(np.ones((2, 2)), trainable=True))
+        group.add("a", Tensor(np.ones(3)))
+        group.add("b", Tensor(np.ones((2, 2))))
         group.add("c", Tensor(np.ones(1)))
-        assert [data.shape for data, _ in group.trainable_runs()] == [(3,), (4,)]
+        assert [data.shape for data, _ in group.runs()] == [(3,), (4,), (1,)]
+        assert [data.shape for data, _ in without(group, {"c"}).runs()] == [(3,), (4,)]
 
 
 def test_imports_need_only_numpy():

@@ -436,6 +436,21 @@ class TestCorpusStats:
         assert sequential.to_json_dict() == partitioned.to_json_dict()
         assert sequential.top_mod_types() == partitioned.top_mod_types()
 
+    def test_partitions_beyond_the_characters_make_no_parts(self, monkeypatch):
+        made = []
+
+        class CountedStats(oracle.CorpusStats):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(oracle, "CorpusStats", CountedStats)
+        aligned = align("하다", ["하", "다"]) * 5
+        stats = corpus_stats(aligned, partitions=1000)
+        assert stats.chars_total == 10
+        assert len(made) <= 2 * len(aligned) - 1  # at most one part per character, and the merges
+        assert corpus_stats([], partitions=1000) == oracle.CorpusStats()
+
     def test_merge_is_associative(self):
         parts = [corpus_stats(fixture_nine_to_one()) for _ in range(3)]
         left = parts[0].merge(parts[1]).merge(parts[2])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +175,29 @@ def test_vocab_file_escapes_whitespace_tokens(tmp_path):
     save_vocab(vocab, path)
     assert load_vocab(path).entries == vocab.entries
     assert " " in load_vocab(path).entries
+
+
+def test_vocab_header_field_without_equals_names_the_file(tmp_path):
+    path = tmp_path / "v.vocab"
+    path.write_text("mode=charlist\tsize\na\t0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: vocab header field 'size' "):
+        load_vocab(path)
+
+
+@pytest.mark.parametrize("size", ["x", "7"])
+def test_vocab_header_size_not_the_entry_count_names_the_file(tmp_path, size):
+    path = tmp_path / "v.vocab"
+    save_vocab(train_vocab(["가"], 6, mode="charlist"), path)
+    path.write_text(path.read_text(encoding="utf-8").replace("size=6", f"size={size}"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: header size '{size}' != 6 entries$"):
+        load_vocab(path)
+
+
+def test_vocab_id_not_an_integer_names_the_file_and_line(tmp_path):
+    path = tmp_path / "v.vocab"
+    path.write_text("mode=charlist\tsize=2\na\t0\nb\tone\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: id 'one' is not an integer$"):
+        load_vocab(path)
 
 
 korean_words = st.lists(

@@ -260,30 +260,35 @@ class TestGradCheck:
 class TestAdamW:
     def test_zero_grad_zero_decay_is_noop(self):
         params = ParamGroup()
-        params.add("w", Tensor(np.array([1.0, -2.0]), trainable=True))
+        params.add("w", Tensor(np.array([1.0, -2.0])))
         before = params["w"].data.copy()
         AdamW(params).step()
         assert np.array_equal(params["w"].data, before)
 
     def test_single_step_moves_by_learning_rate(self):
         params = ParamGroup()
-        w = params.add("w", Tensor(np.array([1.0]), trainable=True))
+        w = params.add("w", Tensor(np.array([1.0])))
         w.accumulate(np.array([1.0]))
         AdamW(params, AdamConfig(lr=0.1)).step()
         assert w.data[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_decoupled_decay_shrinks_weights(self):
         params = ParamGroup()
-        w = params.add("w", Tensor(np.array([2.0]), trainable=True))
+        w = params.add("w", Tensor(np.array([2.0])))
         AdamW(params, AdamConfig(lr=0.1, weight_decay=0.5)).step()
         assert w.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_non_trainable_params_untouched(self):
+        model = ParamGroup()
+        frozen = model.add("frozen", Tensor(np.array([3.0])))
+        w = model.add("w", Tensor(np.array([1.0])))
+        model.flatten()  # the tensor left out sits in the same flat buffer as the one updated
+        model.grad[...] = 1.0
         params = ParamGroup()
-        frozen = params.add("frozen", Tensor(np.array([3.0]), trainable=False))
-        frozen.accumulate(np.array([1.0]))
+        params.add("w", w)
         AdamW(params, AdamConfig(lr=0.1)).step()
         assert frozen.data[0] == 3.0
+        assert w.data[0] == pytest.approx(0.9, abs=1e-6)
 
 
 class TestCosineLR:
@@ -301,14 +306,14 @@ class TestParamGroup:
         params = ParamGroup()
         rng = np.random.default_rng(0)
         for name in ("zeta", "alpha", "mid"):
-            params.add(name, Tensor(uniform_init(rng, (2, 2), 2), trainable=True))
+            params.add(name, Tensor(uniform_init(rng, (2, 2), 2)))
         assert params.names() == ["zeta", "alpha", "mid"]
 
     def test_duplicate_name_rejected(self):
         params = ParamGroup()
-        params.add("w", Tensor(np.zeros(1), trainable=True))
+        params.add("w", Tensor(np.zeros(1)))
         with pytest.raises(ValueError):
-            params.add("w", Tensor(np.zeros(1), trainable=True))
+            params.add("w", Tensor(np.zeros(1)))
 
     def test_seeded_init_is_reproducible(self):
         a = uniform_init(np.random.default_rng(42), (4, 4), 4)
@@ -320,9 +325,9 @@ class TestParamGroup:
 def small_params(seed=3) -> ParamGroup:
     params = ParamGroup()
     rng = np.random.default_rng(seed)
-    params.add("emb.table", Tensor(uniform_init(rng, (5, 3), 3), trainable=True))
-    params.add("head.w", Tensor(uniform_init(rng, (3, 2), 2), trainable=True))
-    params.add("head.b", Tensor(np.zeros(2), trainable=True))
+    params.add("emb.table", Tensor(uniform_init(rng, (5, 3), 3)))
+    params.add("head.w", Tensor(uniform_init(rng, (3, 2), 2)))
+    params.add("head.b", Tensor(np.zeros(2)))
     return params
 
 
@@ -353,7 +358,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, small_params(), seed=0, config={})
         other = ParamGroup()
-        other.add("different", Tensor(np.zeros(2), trainable=True))
+        other.add("different", Tensor(np.zeros(2)))
         with pytest.raises(CheckpointError):
             load_into(other, path)
 

@@ -10,6 +10,7 @@ from jamofuse.checkpoint import load_into, save_checkpoint
 from jamofuse.optim import AdamW
 from jamofuse.pipeline import ConfigError, Pipeline, PipelineConfig
 from jamofuse.subword import train_vocab
+from jamofuse.tensor import ParamGroup
 from jamofuse.training import (
     CohesionReport,
     DatasetError,
@@ -311,8 +312,11 @@ class TestTrain:
 
     def test_non_finite_check_names_the_first_trainable_tensor(self):
         group = tiny_pipeline().params.group
-        group["subword_emb.table"].trainable = False
-        optimizer = AdamW(group)
+        updated = ParamGroup()
+        for name, tensor in group.items():
+            if name != "subword_emb.table":
+                updated.add(name, tensor)
+        optimizer = AdamW(updated)
         _require_finite(optimizer, "gradient", 0, 0)
         group["subword_emb.table"].grad[0, 0] = np.nan  # frozen: not checked
         _require_finite(optimizer, "gradient", 0, 0)
@@ -325,6 +329,13 @@ class TestTrain:
         group["conv.kernel"].data[0, 0, 0] = -np.inf
         with pytest.raises(ValueError, match="^epoch 2, batch 6: non-finite parameter in conv.kernel$"):
             _require_finite(optimizer, "parameter", 2, 6)
+
+    def test_unfrozen_run_after_a_frozen_one_trains_the_table(self):
+        pipe = tiny_pipeline()
+        train(pipe, tiny_dataset(), TrainConfig(epochs=1, lr=0.05, seed=4, freeze_subword=True))
+        table = pipe.params.subword_emb.table.data.copy()
+        train(pipe, tiny_dataset(), TrainConfig(epochs=1, lr=0.05, seed=4, freeze_subword=False))
+        assert not np.array_equal(pipe.params.subword_emb.table.data, table)
 
     def test_raw_pair_cosine_constant_while_frozen(self):
         pipe = tiny_pipeline()

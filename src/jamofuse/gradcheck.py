@@ -13,10 +13,12 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .tensor import ConfigError, ParamGroup, Tensor
+from .tensor import ParamGroup, Tensor
 
 LossFn = Callable[[bool], float]
 Params = Union[ParamGroup, Iterable[tuple[str, Tensor]]]
+# central-difference step
+EPS = 1e-5
 
 
 @dataclass
@@ -34,15 +36,13 @@ class GradCheckReport:
         )
 
 
-def grad_check(loss_fn: LossFn, params: Params, eps: float = 1e-5) -> GradCheckReport:
+def grad_check(loss_fn: LossFn, params: Params) -> GradCheckReport:
     """Check analytic against numeric gradients for every parameter coordinate.
 
     loss_fn(with_grad) must return the scalar loss; when with_grad is true it
     must also accumulate analytic gradients into the parameters. Parameters
     are perturbed in place and restored exactly.
     """
-    if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
     items = params.items() if isinstance(params, ParamGroup) else list(params)
 
     for _, tensor in items:
@@ -55,12 +55,12 @@ def grad_check(loss_fn: LossFn, params: Params, eps: float = 1e-5) -> GradCheckR
         worst = 0.0
         for idx in np.ndindex(tensor.data.shape):
             original = tensor.data[idx]
-            tensor.data[idx] = original + eps
+            tensor.data[idx] = original + EPS
             loss_plus = loss_fn(False)
-            tensor.data[idx] = original - eps
+            tensor.data[idx] = original - EPS
             loss_minus = loss_fn(False)
             tensor.data[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            numeric = (loss_plus - loss_minus) / (2.0 * EPS)
             a = analytic[name][idx]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
             report.coords_checked += 1

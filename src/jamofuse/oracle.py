@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import hangul
 from .checkpoint import csv_text
+from .tensor import ConfigError
 
 KEEP = "KEEP"
 MOD = "MOD"
@@ -353,9 +354,9 @@ def corpus_stats(
 ) -> CorpusStats:
     """Aggregate action counts; partitioned aggregation merges to the same result."""
     if top_k < 0:
-        raise ValueError(f"top_k must be >= 0, got {top_k}")
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
     if partitions < 1:
-        raise ValueError(f"partitions must be >= 1, got {partitions}")
+        raise ConfigError(f"partitions must be >= 1, got {partitions}")
     parts = [CorpusStats(top_k=top_k)]  # each further part is made for its first character
     for i, ac in enumerate(aligned):
         if 0 < i < partitions:

@@ -22,7 +22,6 @@ pool first and project once per unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -148,20 +147,20 @@ class PackedBatch:
 
     Texts are sorted longest first (stable), and every array is time-major,
     as PyTorch's pack_padded_sequence lays them out: character step k holds
-    the first char_sizes[k] sorted texts, so character k of text i is row
-    char_offsets[k] + rank[i], and no row is padding. Tokens follow the
-    same order at width W: token step k*W + s has char_sizes[k] rows, and
-    slots[r] names the W token rows of character row r. A single text keeps
-    its own order and is one plain sequence, so its char_sizes, rank and
-    char_offsets are None, as GRULayer takes a plain sequence.
+    the first char_sizes[k] sorted texts, and no row is padding. rows[c] is
+    the packed row of batch character c, the characters counted over the
+    texts, text after text. Tokens follow the same order at width W: token
+    step k*W + s has char_sizes[k] rows, and slots[r] names the W token rows
+    of character row r. A single text keeps its own order and is one plain
+    sequence, so its rows are its characters' positions and its char_sizes
+    is None, as GRULayer takes a plain sequence.
     """
 
     slots: np.ndarray  # (chars, W) token rows of each character row
     passthrough: np.ndarray  # (chars,) True where the character has no slot structure
     tokens: np.ndarray  # (chars * W,) subcharacter ids in packed token order
+    rows: np.ndarray  # (chars,) packed row of each batch character
     char_sizes: Optional[np.ndarray] = None  # (steps,) texts with more than k characters
-    rank: Optional[np.ndarray] = None  # (texts,) place of each text in the longest-first order
-    char_offsets: Optional[np.ndarray] = None  # (steps + 1,) first row of each character step
 
     @property
     def token_sizes(self) -> Optional[np.ndarray]:
@@ -185,34 +184,29 @@ class PackedBatch:
             total += self.slot_rows(h, s)
         return total
 
-    def char_rows(self, texts: list[int], positions: list[int]) -> np.ndarray:
-        """The row of character positions[u] of text texts[u], for each u."""
-        if self.char_sizes is None:
-            return np.array(positions, dtype=np.int64)
-        return self.char_offsets[positions] + self.rank[texts]
-
 
 def pack(seqs: list[SubcharSequence], width: int) -> PackedBatch:
     """The packed layout of tokenized texts."""
     if len(seqs) == 1:
         (seq,) = seqs
-        return PackedBatch(np.arange(len(seq.tokens)).reshape(-1, width), seq.passthrough, seq.tokens)
+        rows = np.arange(len(seq.passthrough))
+        return PackedBatch(np.arange(len(seq.tokens)).reshape(-1, width), seq.passthrough, seq.tokens, rows)
     lengths = np.array([len(s.passthrough) for s in seqs], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(seqs))
     steps = int(lengths.max(initial=0))
     char_sizes = (lengths[:, None] > np.arange(steps)).sum(axis=0)
-    char_offsets = np.concatenate([[0], np.cumsum(char_sizes)])
+    step_offsets = np.concatenate([[0], np.cumsum(char_sizes)])  # first row of each character step
     k = np.repeat(np.arange(steps), char_sizes)  # character position of each row
-    j = np.arange(char_offsets[-1]) - char_offsets[k]  # sorted text of each row
+    j = np.arange(step_offsets[-1]) - step_offsets[k]  # sorted text of each row
     # the row's character in the texts' characters, text after text
     source = (np.cumsum(lengths) - lengths)[order[j]] + k
-    slots = (width * char_offsets[k] + j)[:, None] + np.arange(width) * char_sizes[k][:, None]
+    slots = (width * step_offsets[k] + j)[:, None] + np.arange(width) * char_sizes[k][:, None]
     tokens = np.empty(slots.size, dtype=np.int64)
     tokens[slots] = np.concatenate([s.tokens for s in seqs]).reshape(-1, width)[source]
     passthrough = np.concatenate([s.passthrough for s in seqs])[source]
-    return PackedBatch(slots, passthrough, tokens, char_sizes, rank, char_offsets)
+    rows = np.empty_like(source)
+    rows[source] = np.arange(source.size)
+    return PackedBatch(slots, passthrough, tokens, rows, char_sizes)
 
 
 @dataclass
@@ -235,9 +229,13 @@ class AttnPoolCache:
 
 @dataclass
 class ForwardCache:
+    """One forward call's record for backward and unit_labels. Every unit is
+    located by its batch character range: its character span counted over
+    the batch's texts, text after text."""
+
     texts: list[str]
     seqs: list[SubcharSequence]
-    ranges: list[tuple[int, int]]  # every unit's character range within its text, text after text
+    ranges: list[tuple[int, int]]  # every unit's batch character range: over the texts, text after text
     unit_offsets: np.ndarray  # (texts + 1,) first unit of each text
     e_S: np.ndarray
     h_S: np.ndarray
@@ -262,6 +260,11 @@ class ForwardCache:
     def cls_rows(self) -> np.ndarray:
         """Output row of each text's <cls> row."""
         return self.unit_offsets[:-1] + np.arange(len(self.texts))
+
+    @property
+    def row_count(self) -> int:
+        """Number of output rows: one per unit, plus each text's <cls> row when bypassed."""
+        return len(self.ranges) + (len(self.texts) if self.cls else 0)
 
 
 class Pipeline:
@@ -494,15 +497,15 @@ class Pipeline:
             boundaries = [None] * len(texts) if external_boundary is None else list(external_boundary)
         if len(boundaries) != len(texts):
             raise ConfigError(f"{len(boundaries)} boundary maps for {len(texts)} texts; give one boundary map per text")
-        seqs, subword_ids, ranges, text_of_unit, unit_offsets = [], [], [], [], [0]
-        for k, (text, boundary) in enumerate(zip(texts, boundaries)):
+        seqs, subword_ids, ranges, unit_offsets, chars = [], [], [], [0], 0
+        for text, boundary in zip(texts, boundaries):
             seq, text_ids, text_ranges = self._tokenized(text, boundary)
             seqs.append(seq)
             subword_ids += text_ids
-            ranges += text_ranges
-            text_of_unit += [k] * len(text_ranges)
+            ranges += [(a + chars, b + chars) for a, b in text_ranges]
             unit_offsets.append(len(ranges))
-        last_chars = [b - 1 for _, b in ranges]
+            chars += len(text)
+        last = [b - 1 for _, b in ranges]  # each unit's last batch character
 
         cache = ForwardCache(
             texts, seqs, ranges, np.array(unit_offsets),
@@ -513,7 +516,7 @@ class Pipeline:
             if cfg.compression == "principles":
                 batch = pack(seqs, w)
                 cache.tokens = batch.tokens
-                cache.last_indices = batch.char_rows(text_of_unit, last_chars)
+                cache.last_indices = batch.rows[last]
                 # the first GRU projects the rows of the distinct ids, not one row per token
                 used, local = distinct_ids(batch.tokens)
                 e_used, _ = self.params.subchar_emb.forward(used)
@@ -522,35 +525,31 @@ class Pipeline:
             else:
                 # no recurrence: the texts' tokens stay in order, one after the other
                 tokens = np.concatenate([seq.tokens for seq in seqs])
-                starts = [0, *accumulate(len(text) for text in texts)]
                 if cfg.compression == "linear":
                     # only the token rows of each unit's last character are looked up and projected
-                    last = [starts[k] + c for k, c in zip(text_of_unit, last_chars)]
                     cache.tokens = tokens.reshape(-1, w)[last].ravel()
                     e, _ = self.params.subchar_emb.forward(cache.tokens)
                     h_s, cache.linear_cache = self.params.char_proj.forward(e.reshape(len(ranges), w * d))
                 else:
                     cache.tokens = tokens
-                    shifted = [(a + starts[k], b + starts[k]) for k, (a, b) in zip(text_of_unit, ranges)]
                     used, local = distinct_ids(tokens)
                     table, _ = self.params.subchar_emb.forward(used)
-                    h_s, cache.attn_pool = self.compress_attention(local, shifted, table)
+                    h_s, cache.attn_pool = self.compress_attention(local, ranges, table)
             e_s, cache.subword_ids = self.params.subword_emb.forward(subword_ids)
             fused, cache.fuse_cache = self.fuse(e_s, h_s, cache.unit_offsets)
             cache.e_S, cache.h_S = e_s, h_s
         if not cfg.cls_bypass:
             return fused, cache
-        out = np.empty((len(ranges) + len(texts), d))
+        out = np.empty((cache.row_count, d))
         out[cache.unit_rows] = fused
         out[cache.cls_rows] = self.params.subchar_emb.table.data[self.tokenizer.vocab.cls_id]
         return out, cache
 
     def backward(self, grad_out: np.ndarray, cache: ForwardCache) -> None:
         """Accumulates parameter gradients for one forward call's output grad."""
-        expected_rows = len(cache.ranges) + (len(cache.texts) if cache.cls else 0)
-        if grad_out.shape != (expected_rows, self.config.dim):
+        if grad_out.shape != (cache.row_count, self.config.dim):
             raise ShapeError(
-                f"output grad {grad_out.shape} does not match ({expected_rows}, {self.config.dim})"
+                f"output grad {grad_out.shape} does not match ({cache.row_count}, {self.config.dim})"
             )
         if cache.cls:
             cls_ids = np.full(len(cache.texts), self.tokenizer.vocab.cls_id)
@@ -573,12 +572,11 @@ class Pipeline:
 
     def unit_labels(self, cache: ForwardCache) -> list[str]:
         """One label per output row: unit texts, each text's preceded by <cls> if bypassed."""
-        labels = []
-        for k, text in enumerate(cache.texts):
+        chars, labels = "".join(cache.texts), []
+        for a, b in zip(cache.unit_offsets, cache.unit_offsets[1:]):
             if cache.cls:
                 labels.append("<cls>")
-            a, b = cache.unit_offsets[k], cache.unit_offsets[k + 1]
-            labels += [text[i:j] for i, j in cache.ranges[a:b]]
+            labels += [chars[i:j] for i, j in cache.ranges[a:b]]
         return labels
 
 

@@ -28,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hangul
+from .tensor import ConfigError
 
 PAD = "<pad>"
 EMPTY_FINAL = "▃"  # ▃, stands in for a missing final consonant
@@ -61,7 +62,7 @@ class SubcharScheme:
     def by_name(name: str) -> "SubcharScheme":
         key = name.lower()
         if key not in _WIDTHS:
-            raise ValueError(f"unknown scheme {name!r}, expected one of {SCHEME_NAMES}")
+            raise ConfigError(f"unknown scheme {name!r}, expected one of {SCHEME_NAMES}")
         return SubcharScheme(key, _WIDTHS[key])
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .checkpoint import csv_text
 from .hangul import is_syllable
 from .layers import Linear
-from .optim import AdamConfig, AdamW, cosine_lr
+from .optim import AdamW, cosine_lr
 from .pipeline import ConfigError, ForwardCache, Pipeline
 from .tensor import ParamGroup
 
@@ -210,7 +210,7 @@ def word_vectors(pipe: Pipeline, words: Iterable[str], channel: str = "fused") -
 def _backward_words(pipe: Pipeline, cache: ForwardCache, grad_vecs: np.ndarray) -> None:
     """Backward of _forward_words for gradients on its fused word vectors."""
     counts = np.diff(cache.unit_offsets)
-    grad_out = np.zeros((len(cache.ranges) + (len(cache.texts) if cache.cls else 0), grad_vecs.shape[1]))
+    grad_out = np.zeros((cache.row_count, grad_vecs.shape[1]))
     grad_out[cache.unit_rows] = np.repeat(grad_vecs / np.maximum(counts, 1)[:, None], counts, axis=0)
     pipe.backward(grad_out, cache)
 
@@ -394,7 +394,7 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
     if config.objective == "tag-classification":
         head, labels = _make_head(pipe, data, config)
         train_group.merge("head", head.params)
-    optimizer = AdamW(train_group, AdamConfig(lr=config.lr, weight_decay=config.weight_decay))
+    optimizer = AdamW(train_group, weight_decay=config.weight_decay)
 
     rng = np.random.default_rng(config.seed)
     random_partners = _random_partners(len(records), config.seed)

@@ -30,7 +30,7 @@ from jamofuse.training import (
     train,
 )
 from jamofuse.checkpoint import save_checkpoint
-from jamofuse.optim import AdamConfig, AdamW
+from jamofuse.optim import AdamW
 
 import json
 
@@ -337,7 +337,7 @@ def test_criterion_7_ablation_plumbing(tmp_path):
                 out, cache = pipe.forward("하다 ab")
                 pipe.params.group.zero_grads()
                 pipe.backward(np.ones_like(out), cache)
-                AdamW(pipe.params.group, AdamConfig(lr=0.01)).step()
+                AdamW(pipe.params.group).step(0.01)
                 path = tmp_path / f"{scheme}-{compression}-{fusion}.ckpt"
                 save_checkpoint(str(path), pipe.params.group, seed=5, config=cfg.to_dict())
                 blobs[(scheme, compression, fusion)] = path.read_bytes()

@@ -19,7 +19,7 @@ import pytest
 
 from jamofuse.checkpoint import load_into, save_checkpoint
 from jamofuse.layers import Embedding, GRULayer, _sigmoid
-from jamofuse.optim import AdamConfig, AdamW, cosine_lr
+from jamofuse.optim import AdamW, cosine_lr
 from jamofuse.pipeline import COMPRESSIONS, FUSIONS, Pipeline, PipelineConfig
 from jamofuse.subchar import SCHEME_NAMES
 from jamofuse.subword import train_vocab
@@ -133,16 +133,15 @@ class ReferenceAdamW:
     """Standard first/second-moment update; decay is applied to the weights
     directly, never through the moments."""
 
-    def __init__(self, params: ParamGroup, config: AdamConfig = AdamConfig()):
+    def __init__(self, params: ParamGroup, weight_decay: float = 0.0):
         self.params = params
-        self.config = config
+        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
-    def step(self, lr: float | None = None) -> None:
-        c = self.config
-        lr = c.lr if lr is None else lr
+    def step(self, lr: float) -> None:
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.step_count += 1
         t = self.step_count
         for name, tensor in self.params.items():
@@ -151,15 +150,15 @@ class ReferenceAdamW:
                 raise ShapeError(f"grad shape {grad.shape} does not match param {name} {tensor.data.shape}")
             m = self._m[name]
             v = self._v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * grad
-            v *= c.beta2
-            v += (1.0 - c.beta2) * grad * grad
-            m_hat = m / (1.0 - c.beta1**t)
-            v_hat = v / (1.0 - c.beta2**t)
-            tensor.data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
-            if c.weight_decay:
-                tensor.data -= lr * c.weight_decay * tensor.data
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            if self.weight_decay:
+                tensor.data -= lr * self.weight_decay * tensor.data
 
 
 def without(group: ParamGroup, frozen) -> ParamGroup:
@@ -258,9 +257,8 @@ class TestBitwiseAgainstReference:
     def test_twenty_adamw_steps(self, frozen):
         config = PipelineConfig(dim=8, fusion="cross-attention")
         pipes = [Pipeline.build(config, VOCAB, seed=3) for _ in range(2)]
-        adam = AdamConfig(lr=0.05, weight_decay=0.01)
         groups = [without(pipe.params.group, frozen) for pipe in pipes]
-        optimizers = [AdamW(groups[0], adam), ReferenceAdamW(groups[1], adam)]
+        optimizers = [AdamW(groups[0], weight_decay=0.01), ReferenceAdamW(groups[1], weight_decay=0.01)]
         # A frozen u_r cuts each of gru_iv.u's 8 rows apart; a frozen conv.bias cuts once more.
         assert len(optimizers[0].runs) == (2 if len(frozen) == 1 else 2 + 8 + 1)
         for step in range(20):
@@ -268,7 +266,7 @@ class TestBitwiseAgainstReference:
                 pipe.params.group.zero_grads()
                 out, cache = pipe.forward(TEXTS[step % len(TEXTS)])
                 pipe.backward(np.random.default_rng(step).normal(size=out.shape), cache)
-                optimizer.step(lr=cosine_lr(step, 20, adam.lr))
+                optimizer.step(cosine_lr(step, 20, 0.05))
         initial = Pipeline.build(config, VOCAB, seed=3).params.group
         for (name, t), (_, t_ref) in zip(pipes[0].params.group.items(), pipes[1].params.group.items()):
             assert np.array_equal(t.data, t_ref.data), name
@@ -283,15 +281,14 @@ class TestBitwiseAgainstReference:
             group.add("frozen", Tensor(uniform_init(rng, (4,), 2)))
             group.merge("gru", GRULayer(3, rng).params)
             groups.append(group)
-        adam = AdamConfig(weight_decay=0.1)
         updated = [without(group, {"frozen"}) for group in groups]
-        optimizers = [AdamW(updated[0], adam), ReferenceAdamW(updated[1], adam)]
+        optimizers = [AdamW(updated[0], weight_decay=0.1), ReferenceAdamW(updated[1], weight_decay=0.1)]
         for step in range(20):
             for group, optimizer in zip(groups, optimizers):
                 for k, (_, t) in enumerate(group.items()):
                     t.zero_grad()
                     t.accumulate(np.random.default_rng([step, k]).normal(size=t.shape))
-                optimizer.step()
+                optimizer.step(1e-3)
         for (name, t), (_, t_ref) in zip(groups[0].items(), groups[1].items()):
             assert np.array_equal(t.data, t_ref.data), name
 

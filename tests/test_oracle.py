@@ -31,6 +31,7 @@ from jamofuse.oracle import (
     stats_report_csv,
     stats_report_json,
 )
+from jamofuse.tensor import ConfigError
 
 SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 BARE_JAMO = st.characters(min_codepoint=0x3131, max_codepoint=0x3163)
@@ -369,6 +370,12 @@ def fixture_nine_to_one() -> list[AlignedChar]:
 
 
 class TestCorpusStats:
+    def test_bad_settings_raise_config_error(self):
+        with pytest.raises(ConfigError, match="top_k must be >= 0"):
+            corpus_stats([], top_k=-1)
+        with pytest.raises(ConfigError, match="partitions must be >= 1"):
+            corpus_stats([], partitions=0)
+
     def test_fixture_fractions(self):
         stats = corpus_stats(fixture_nine_to_one())
         assert stats.mod == 10

@@ -358,10 +358,11 @@ class TestCompressLinear:
 
     def test_only_unit_final_characters_are_looked_up(self):
         pipe = build(compression="linear", vocab=pair_vocab())
-        _, cache = pipe.forward(["대한민국", "민국"])
-        tokens = pipe.tokenizer.tokenize("대한민국").tokens.reshape(4, 3)
-        assert cache.ranges == [(0, 2), (2, 4), (0, 2)]
-        assert np.array_equal(cache.tokens, tokens[[1, 3, 3]].ravel())
+        texts = ["대한민국", "민국"]
+        _, cache = pipe.forward(texts)
+        tokens = np.concatenate([pipe.tokenizer.tokenize(t).tokens for t in texts]).reshape(6, 3)
+        assert cache.ranges == [(0, 2), (2, 4), (4, 6)]
+        assert np.array_equal(cache.tokens, tokens[[1, 3, 5]].ravel())
 
 
 class TestCompressAttention:
@@ -752,7 +753,8 @@ class TestPackedBatch:
         pipe = build(scheme="jamo")
         seqs = [pipe.tokenizer.tokenize(t) for t in ["하", "대한민", "", "ab"]]
         batch = pack(seqs, 3)
-        assert batch.rank.tolist() == [2, 0, 3, 1]
+        # batch characters 하 대 한 민 a b, text after text
+        assert batch.rows.tolist() == [2, 0, 3, 5, 1, 4]
         assert batch.char_sizes.tolist() == [3, 2, 1]
         # character step 1: rows 3 and 4 hold the second characters of 대한민 and ab
         assert batch.passthrough.tolist() == [False, True, False, False, True, False]
@@ -764,6 +766,18 @@ class TestPackedBatch:
         starts = [0, 1, 4, 4]
         expected = np.stack([tokens[starts[t] + k] for t, k in zip(order, position)])
         assert np.array_equal(batch.tokens[batch.slots], expected)
+
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    def test_unit_ranges_tile_the_batch_characters(self, compression):
+        pipe = build(compression=compression, cls_bypass=True)
+        texts = ["하", "", "ab 대한민국"]
+        out, cache = pipe.forward(texts)
+        starts, stops = [a for a, _ in cache.ranges], [b for _, b in cache.ranges]
+        assert starts == [0, *stops[:-1]] and stops[-1] == sum(map(len, texts))
+        assert out.shape[0] == cache.row_count == len(cache.ranges) + len(texts)
+        if compression == "principles":
+            batch = cache.stage1.batch
+            assert np.array_equal(cache.last_indices, batch.rows[[b - 1 for b in stops]])
 
     def test_empty_batch_and_texts_without_characters(self):
         pipe = build(cls_bypass=True)
@@ -777,7 +791,8 @@ class TestPackedBatch:
         pipe = build(granularity="external")
         maps = [BoundaryMap([(0, 2)]), BoundaryMap([(0, 1), (1, 2)])]
         out, cache = pipe.forward(["했다", "대한"], external_boundary=maps)
-        assert cache.ranges == [(0, 2), (0, 1), (1, 2)] and out.shape == (3, 6)
+        assert cache.ranges == [(0, 2), (2, 3), (3, 4)] and out.shape == (3, 6)
+        assert pipe.unit_labels(cache) == ["했다", "대", "한"]
         with pytest.raises(ConfigError, match="one boundary map per text"):
             pipe.forward(["했다", "대한", "한"], external_boundary=maps)
 

@@ -15,6 +15,7 @@ from jamofuse.subchar import (
     SubcharScheme,
     SubcharTokenizer,
 )
+from jamofuse.tensor import ConfigError
 
 TOKENIZERS = {name: SubcharTokenizer(name) for name in subchar.SCHEME_NAMES}
 BARE_LETTERS = "".join(sorted(set(hangul.CHOSEONG) | set(hangul.JUNGSEONG) | set(hangul.JONGSEONG[1:])))
@@ -72,7 +73,7 @@ def test_scheme_widths():
     assert SubcharScheme.by_name("cji").widths == (1, 5, 1)
     assert SubcharScheme.by_name("bts").widths == (4, 5, 4)
     assert [SubcharScheme.by_name(n).width for n in ("jamo", "stroke", "cji", "bts")] == [3, 9, 7, 13]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown scheme 'nope'"):
         SubcharScheme.by_name("nope")
 
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from jamofuse import gradcheck, pipeline, subword, tensor
+from jamofuse import oracle, pipeline, subchar, subword, tensor
 from jamofuse.checkpoint import (
     CheckpointError,
     csv_text,
@@ -12,9 +12,9 @@ from jamofuse.checkpoint import (
     save_checkpoint,
     write_atomic,
 )
-from jamofuse.gradcheck import ConfigError, grad_check
+from jamofuse.gradcheck import grad_check
 from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
-from jamofuse.optim import AdamConfig, AdamW, cosine_lr
+from jamofuse.optim import AdamW, cosine_lr
 from jamofuse.pipeline import Pipeline, PipelineConfig
 from jamofuse.subword import train_vocab
 from jamofuse.tensor import ParamGroup, ShapeError, Tensor, uniform_init
@@ -224,7 +224,8 @@ class TestCoreOpGradients:
 
 class TestTensor:
     def test_one_config_error_type(self):
-        assert tensor.ConfigError is pipeline.ConfigError is subword.ConfigError is gradcheck.ConfigError
+        assert tensor.ConfigError is pipeline.ConfigError is subword.ConfigError
+        assert tensor.ConfigError is subchar.ConfigError is oracle.ConfigError
 
 
 class TestGradCheck:
@@ -238,10 +239,6 @@ class TestGradCheck:
 
         report = grad_check(loss_fn, [("theta", theta)])
         assert report.max_rel_error < 1e-10
-
-    def test_zero_eps_rejected(self):
-        with pytest.raises(ConfigError):
-            grad_check(lambda with_grad: 0.0, [], eps=0.0)
 
     def test_report_locates_worst_coordinate(self):
         theta = Tensor(np.array([1.0, 2.0]))
@@ -262,20 +259,20 @@ class TestAdamW:
         params = ParamGroup()
         params.add("w", Tensor(np.array([1.0, -2.0])))
         before = params["w"].data.copy()
-        AdamW(params).step()
+        AdamW(params).step(0.1)
         assert np.array_equal(params["w"].data, before)
 
     def test_single_step_moves_by_learning_rate(self):
         params = ParamGroup()
         w = params.add("w", Tensor(np.array([1.0])))
         w.accumulate(np.array([1.0]))
-        AdamW(params, AdamConfig(lr=0.1)).step()
+        AdamW(params).step(0.1)
         assert w.data[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_decoupled_decay_shrinks_weights(self):
         params = ParamGroup()
         w = params.add("w", Tensor(np.array([2.0])))
-        AdamW(params, AdamConfig(lr=0.1, weight_decay=0.5)).step()
+        AdamW(params, weight_decay=0.5).step(0.1)
         assert w.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_non_trainable_params_untouched(self):
@@ -286,7 +283,7 @@ class TestAdamW:
         model.grad[...] = 1.0
         params = ParamGroup()
         params.add("w", w)
-        AdamW(params, AdamConfig(lr=0.1)).step()
+        AdamW(params).step(0.1)
         assert frozen.data[0] == 3.0
         assert w.data[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -295,7 +292,7 @@ class TestCosineLR:
     def test_endpoints_and_midpoint(self):
         assert cosine_lr(0, 100, 1.0) == pytest.approx(1.0)
         assert cosine_lr(100, 100, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert cosine_lr(50, 100, 1.0, min_lr=0.2) == pytest.approx(0.6)
+        assert cosine_lr(50, 100, 1.0) == pytest.approx(0.5)
 
     def test_degenerate_total_returns_base(self):
         assert cosine_lr(0, 0, 0.5) == 0.5

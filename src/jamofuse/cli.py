@@ -334,13 +334,13 @@ def cmd_probe_pairs(args) -> int:
 def cmd_probe_pca(args) -> int:
     pipe = _load_pipeline(args)
     if args.words:
-        words = [w for w in args.words.split(",") if w]
+        words = [w.strip() for w in args.words.split(",") if w.strip()]
     elif args.words_file:
         with open(args.words_file, encoding="utf-8") as stream:
             words = [line.strip() for line in stream if line.strip()]
     else:
         raise ConfigError("need --words or --words-file")
-    result = pca_project(words, pipe, k=args.k, channel=args.channel, seed=args.seed)
+    result = pca_project(words, pipe, k=args.k, channel=args.channel)
     _emit(result.to_csv(), args.out)
     return 0
 
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source_flags(p)
     _add_pipeline_flags(p)
 
-    p = add("probe-pca", cmd_probe_pca, "power-iteration PCA coordinates for words")
+    p = add("probe-pca", cmd_probe_pca, "PCA coordinates for words")
     p.add_argument("--words", help="comma-separated word list")
     p.add_argument("--words-file", help="file with one word per line")
     p.add_argument("--k", type=int, default=2)

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
+import re
+
 import numpy as np
 
 from .checkpoint import csv_text
@@ -581,14 +583,11 @@ class Pipeline:
 
 
 def _whitespace_runs(text: str) -> list[tuple[int, int]]:
-    """Maximal runs of whitespace or non-whitespace characters, in order."""
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(text) + 1):
-        if i == len(text) or text[i].isspace() != text[start].isspace():
-            ranges.append((start, i))
-            start = i
-    return ranges
+    """Maximal runs of whitespace or non-whitespace characters, in order.
+
+    In a str pattern, \\s matches exactly the characters for which str.isspace is true.
+    """
+    return [m.span() for m in re.finditer(r"\s+|\S+", text)]
 
 
 def embeddings_csv(rows: list[tuple[str, np.ndarray]], dim: int) -> str:

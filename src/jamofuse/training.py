@@ -7,9 +7,12 @@ below the margin; tag classification trains a linear head over the same mean
 pooled vectors with cross-entropy. The raw subword table is frozen by default
 so the structured channel has to do the work, mirroring a fixed backbone.
 
-Probes report per-pair cosines, power-iteration PCA coordinates, and per-set
-dispersion, always for the raw and fused channels side by side. Everything is
-seeded; identical settings and data give bitwise identical logs and reports.
+Training and every probe take their cosines, and the contrastive loss its
+cosine gradients, row-wise from one function, `cosines`. Probes report per-pair
+cosines, PCA coordinates (eigenvectors from numpy's eigh, each signed so its
+largest-magnitude entry is positive), and per-set dispersion, always for the
+raw and fused channels side by side. Everything is seeded; identical settings
+and data give bitwise identical logs and reports.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def load_word_sets(source: Union[str, Path, IO[str]]) -> list[tuple[str, list[st
             return load_word_sets(stream)
     sets = []
     for line in source:
-        words = [w for w in line.rstrip("\n").split("\t") if w.strip()]
+        words = [w.strip() for w in line.split("\t") if w.strip()]
         if words:
             sets.append((words[0], words))
     return sets
@@ -215,20 +218,23 @@ def _backward_words(pipe: Pipeline, cache: ForwardCache, grad_vecs: np.ndarray) 
     pipe.backward(grad_out, cache)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
+def cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise cosines of u and v and their gradients; a zero row gives 0 and zero gradients.
 
-
-def _cosine_with_grads(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0, np.zeros_like(u), np.zeros_like(v)
-    c = float(u @ v / (nu * nv))
-    du = (v / nv - c * u / nu) / nu
-    dv = (u / nu - c * v / nv) / nv
+    Each row dot is a (1, d) @ (d, 1) matmul, which numpy runs as one BLAS dot: the
+    same additions, in the same order, as u[i] @ v[i] and np.linalg.norm(u[i]).
+    np.einsum and .sum(axis=1) add in other orders, and their last bits move the
+    trained parameters.
+    """
+    dot = lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    nu, nv = np.sqrt(dot(u, u)), np.sqrt(dot(v, v))
+    live = (nu != 0.0) & (nv != 0.0)
+    # a zero row's norms are read as 1, so nothing divides by zero, and its results as 0
+    nu, nv = np.where(live, nu, 1.0), np.where(live, nv, 1.0)
+    c = np.where(live, dot(u, v) / (nu * nv), 0.0)
+    live, nu, nv, cc = live[:, None], nu[:, None], nv[:, None], c[:, None]
+    du = np.where(live, (v / nv - cc * u / nu) / nu, 0.0)
+    dv = np.where(live, (u / nu - cc * v / nv) / nv, 0.0)
     return c, du, dv
 
 
@@ -267,22 +273,26 @@ def _contrastive_batch(
     pairs = [(records[i], None if neg is None else records[neg]) for i, neg in zip(batch, negatives)]
     rows = _distinct(f for rec, neg in pairs for f in (rec.form_a, rec.form_b, *((neg.form_b,) if neg else ())))
     vecs, _, cache = _forward_words(pipe, list(rows))
+    a = [rows[rec.form_a] for rec, _ in pairs]
+    b = [rows[rec.form_b] for rec, _ in pairs]
+    # a pair without a negative stands in its own form_a; its negative terms are skipped
+    n = [rows[neg.form_b] if neg else rows[rec.form_a] for rec, neg in pairs]
+    cos_p, dpa, dpb = cosines(vecs[a], vecs[b])
+    cos_n, dna, dnv = cosines(vecs[a], vecs[n])
     grads = np.zeros_like(vecs)
     total = 0.0
     scale = 1.0 / len(batch)
-    for rec, neg in pairs:
-        a, b = rows[rec.form_a], rows[rec.form_b]
-        cos_p, dpa, dpb = _cosine_with_grads(vecs[a], vecs[b])
-        total += max(0.0, (1.0 - margin) - cos_p)
-        ga = -dpa * (cos_p < 1.0 - margin)
-        grads[b] += -dpb * (cos_p < 1.0 - margin) * scale
+    cos_p, cos_n = cos_p.tolist(), cos_n.tolist()
+    # a row's contributions add up pair by pair, b then n then a: that order sets its last bits
+    for k, (_, neg) in enumerate(pairs):
+        total += max(0.0, (1.0 - margin) - cos_p[k])
+        ga = -dpa[k] * (cos_p[k] < 1.0 - margin)
+        grads[b[k]] += -dpb[k] * (cos_p[k] < 1.0 - margin) * scale
         if neg is not None:
-            n = rows[neg.form_b]
-            cos_n, dna, dnv = _cosine_with_grads(vecs[a], vecs[n])
-            total += max(0.0, cos_n - margin)
-            ga = ga + dna * (cos_n > margin)
-            grads[n] += dnv * (cos_n > margin) * scale
-        grads[a] += ga * scale
+            total += max(0.0, cos_n[k] - margin)
+            ga = ga + dna[k] * (cos_n[k] > margin)
+            grads[n[k]] += dnv[k] * (cos_n[k] > margin) * scale
+        grads[a[k]] += ga * scale
     if accumulate:
         _backward_words(pipe, cache, grads)
     return total * scale
@@ -319,14 +329,11 @@ def _classification_batch(
 def _pair_metric(pipe: Pipeline, records: list[PairRecord], random_partners: list[int]) -> tuple[float, float, float]:
     rows = _distinct(f for rec in records for f in (rec.form_a, rec.form_b))
     fused, raw = _word_vectors(pipe, list(rows))
-    cos_fused = [cosine(fused[rows[r.form_a]], fused[rows[r.form_b]]) for r in records]
-    cos_raw = [cosine(raw[rows[r.form_a]], raw[rows[r.form_b]]) for r in records]
-    cos_rand = [
-        cosine(fused[rows[records[i].form_a]], fused[rows[records[j].form_b]])
-        for i, j in enumerate(random_partners)
-    ]
-    mean = lambda xs: float(np.mean(xs)) if xs else 0.0
-    return mean(cos_fused), mean(cos_raw), mean(cos_rand)
+    a = [rows[r.form_a] for r in records]
+    b = [rows[r.form_b] for r in records]
+    partners = [b[j] for j in random_partners]
+    mean = lambda x, u, v: float(np.mean(cosines(x[u], x[v])[0])) if u else 0.0
+    return mean(fused, a, b), mean(raw, a, b), mean(fused, a[: len(partners)], partners)
 
 
 def _make_head(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> tuple[Linear, dict[str, int]]:
@@ -447,13 +454,11 @@ def pair_similarity(pipe: Pipeline, data: PairDataset) -> PairSimilarityReport:
         raise ConfigError("dataset is empty")
     rows = _distinct(f for rec in data.records for f in (rec.form_a, rec.form_b))
     fused, raw = _word_vectors(pipe, list(rows))
-    pairs = [(rows[rec.form_a], rows[rec.form_b]) for rec in data.records]
-    report_rows = [
-        (rec, cosine(raw[a], raw[b]), cosine(fused[a], fused[b])) for rec, (a, b) in zip(data.records, pairs)
-    ]
-    mean_raw = float(np.mean([r for _, r, _ in report_rows]))
-    mean_fused = float(np.mean([f for _, _, f in report_rows]))
-    return PairSimilarityReport(report_rows, mean_raw, mean_fused)
+    a = [rows[rec.form_a] for rec in data.records]
+    b = [rows[rec.form_b] for rec in data.records]
+    cos_raw, cos_fused = cosines(raw[a], raw[b])[0], cosines(fused[a], fused[b])[0]
+    report_rows = list(zip(data.records, cos_raw.tolist(), cos_fused.tolist()))
+    return PairSimilarityReport(report_rows, float(np.mean(cos_raw)), float(np.mean(cos_fused)))
 
 
 @dataclass
@@ -467,50 +472,25 @@ class PcaResult:
         return csv_text(header, ([word, *coords] for word, coords in zip(self.words, self.coordinates)))
 
 
-def _power_iteration_components(x: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Top-k eigenvectors of x.T @ x by power iteration with deflation.
+def _principal_components(x: np.ndarray, k: int) -> np.ndarray:
+    """Top-k eigenvectors of x.T @ x, largest eigenvalue first.
 
-    Each candidate is re-orthogonalized against the found components every
-    step, so the result stays orthonormal even for degenerate inputs.
+    Each is signed so that its largest-magnitude entry is positive (scikit-learn's
+    svd_flip rule), so the result does not hang on the eigensolver's choice of sign.
     """
-    dim = x.shape[1]
-    cov = x.T @ x
-    rng = np.random.default_rng(seed)
-    components: list[np.ndarray] = []
-    for _ in range(k):
-        v = rng.normal(size=dim)
-        for prev in components:
-            v -= (v @ prev) * prev
-        norm = np.linalg.norm(v)
-        v = v / norm if norm > 0 else np.eye(dim)[len(components)]
-        for _ in range(1000):
-            w = cov @ v
-            for prev in components:
-                w -= (w @ prev) * prev
-            norm = np.linalg.norm(w)
-            if norm < 1e-30:
-                break
-            w /= norm
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < 1e-14:
-                v = w
-                break
-            v = w
-        components.append(v)
-        lam = float(v @ cov @ v)
-        cov = cov - lam * np.outer(v, v)
-    return np.stack(components)
+    components = np.linalg.eigh(x.T @ x)[1][:, ::-1][:, :k].T
+    signs = np.sign(components[np.arange(k), np.abs(components).argmax(axis=1)])
+    return components * signs[:, None]
 
 
-def pca_project(
-    words: list[str], pipe: Pipeline, k: int = 2, channel: str = "fused", seed: int = 0
-) -> PcaResult:
+def pca_project(words: list[str], pipe: Pipeline, k: int = 2, channel: str = "fused") -> PcaResult:
     if len(words) < 2:
         raise ConfigError(f"PCA needs at least 2 words, got {len(words)}")
     if k < 1 or k > pipe.config.dim:
         raise ConfigError(f"k must lie in [1, {pipe.config.dim}], got {k}")
     x = word_vectors(pipe, words, channel)
     x = x - x.mean(axis=0)
-    components = _power_iteration_components(x, k, seed)
+    components = _principal_components(x, k)
     return PcaResult(list(words), x @ components.T, components)
 
 
@@ -540,11 +520,8 @@ class CohesionReport:
 
 def _dispersion(vectors: np.ndarray) -> float:
     """Mean pairwise cosine distance; 0 when all vectors coincide."""
-    n = vectors.shape[0]
-    dists = [
-        1.0 - cosine(vectors[i], vectors[j]) for i in range(n) for j in range(i + 1, n)
-    ]
-    return float(np.mean(dists))
+    i, j = np.triu_indices(len(vectors), 1)
+    return float(np.mean(1.0 - cosines(vectors[i], vectors[j])[0]))
 
 
 def _centroid_spread(vectors: np.ndarray) -> float:

@@ -654,6 +654,21 @@ class TestProbes:
         ]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "word,pc1,pc2,pc3"
 
+    def test_probe_pca_strips_words(self, trained, capsys):
+        assert main(["probe-pca", "--ckpt", trained["ckpt"], "--words", "하다,했다,가다"]) == 0
+        clean = capsys.readouterr().out
+        assert main(["probe-pca", "--ckpt", trained["ckpt"], "--words", " 하다, 했다 ,,가다 , "]) == 0
+        assert capsys.readouterr().out == clean
+
+    def test_probe_cohesion_padded_crlf_sets(self, trained, tmp_path, capsys):
+        assert main(["probe-cohesion", "--ckpt", trained["ckpt"], "--sets", SETS]) == 0
+        clean = capsys.readouterr().out
+        padded = tmp_path / "sets.tsv"
+        lines = open(SETS, encoding="utf-8").read().splitlines()
+        padded.write_bytes("".join(" \t ".join(line.split("\t")) + " \r\n" for line in lines).encode("utf-8"))
+        assert main(["probe-cohesion", "--ckpt", trained["ckpt"], "--sets", str(padded)]) == 0
+        assert capsys.readouterr().out == clean
+
     def test_probe_pca_single_word_rejected(self, trained, capsys):
         assert main(["probe-pca", "--ckpt", trained["ckpt"], "--words", "하다"]) == 1
 

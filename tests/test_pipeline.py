@@ -559,6 +559,17 @@ class TestForward:
         assert cache.ranges == [(0, 1), (1, 3), (3, 5)]
         assert pipe.unit_labels(cache) == ["하", "  ", "다!"]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(" \t\n\r\x0b\x1c\x85\xa0\u2028\u3000"))))
+    def test_whitespace_runs_match_character_loop(self, text):
+        """The character loop that pipeline._whitespace_runs replaced, kept as the reference."""
+        ranges, start = [], 0
+        for i in range(1, len(text) + 1):
+            if i == len(text) or text[i].isspace() != text[start].isspace():
+                ranges.append((start, i))
+                start = i
+        assert pipeline._whitespace_runs(text) == ranges
+
     def test_external_granularity(self):
         pipe = build(granularity="external")
         out, cache = pipe.forward("했다", external_boundary=BoundaryMap([(0, 2)]))

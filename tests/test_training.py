@@ -1,6 +1,7 @@
 import importlib.resources
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from jamofuse.training import (
     PairDataset,
     PairRecord,
     TrainConfig,
-    _power_iteration_components,
+    _principal_components,
     _require_finite,
     cohesion_report,
-    cosine,
+    cosines,
     first_batch_loss,
     load_pair_dataset,
     load_word_sets,
@@ -80,6 +81,11 @@ class TestPairDataset:
         assert len(data.records) == 50
         assert data.relations == ("verb-past",)
         assert all(r.form_a != r.form_b for r in data.records)
+
+    def test_word_sets_strip_padding_and_crlf(self):
+        clean = load_word_sets(io.StringIO("춥다\t추움\t추위\n걷다\t걸음\n"))
+        padded = load_word_sets(io.StringIO(" 춥다 \t추움\t 추위\r\n걷다\t \t걸음 \r\n"))
+        assert padded == clean == [("춥다", ["춥다", "추움", "추위"]), ("걷다", ["걷다", "걸음"])]
 
     def test_bundled_word_sets(self):
         sets = load_word_sets(fixture_path("inflection_sets.tsv"))
@@ -188,10 +194,49 @@ class TestWordVectors:
         assert peaks["attention"] <= peaks["principles"], peaks
 
     def test_cosine_basics(self):
-        v = np.array([1.0, 2.0])
-        assert cosine(v, v) == pytest.approx(1.0)
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 3.0])) == 0.0
-        assert cosine(np.zeros(2), v) == 0.0
+        u = np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 0.0]])
+        v = np.array([[1.0, 2.0], [0.0, 3.0], [1.0, 2.0]])
+        c = cosines(u, v)[0]
+        assert c[0] == pytest.approx(1.0)
+        assert c[1] == 0.0
+        assert c[2] == 0.0
+
+
+def scalar_cosine(u, v):
+    """The scalar cosine the row-wise cosines replaced, kept as the reference."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+def scalar_cosine_with_grads(u, v):
+    """The scalar cosine and gradients the row-wise cosines replaced, kept as the reference."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0, np.zeros_like(u), np.zeros_like(v)
+    c = float(u @ v / (nu * nv))
+    du = (v / nv - c * u / nu) / nu
+    dv = (u / nu - c * v / nv) / nv
+    return c, du, dv
+
+
+class TestCosines:
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_rows_match_scalar_reference_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        u, v = rng.normal(size=(2, 200, dim)) * rng.uniform(1e-3, 1e3, size=(2, 200, 1))
+        u[[3, 7]] = 0.0
+        v[[5, 7]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, du, dv = cosines(u, v)
+        assert c[7] == 0.0 and not du[3].any() and not dv[5].any()
+        for i in range(len(u)):
+            ref_c, ref_du, ref_dv = scalar_cosine_with_grads(u[i], v[i])
+            assert c[i] == ref_c == scalar_cosine(u[i], v[i])
+            assert np.array_equal(du[i], ref_du)
+            assert np.array_equal(dv[i], ref_dv)
 
 
 def per_text_means(pipe, texts):
@@ -382,20 +427,25 @@ class TestPcaProject:
         direction = rng.normal(size=6)
         x = np.outer(np.linspace(-2, 2, 5), direction)
         x -= x.mean(axis=0)
-        comps = _power_iteration_components(x, 2, seed=0)
+        comps = _principal_components(x, 2)
         coords = x @ comps.T
         assert np.abs(coords[:, 1]).max() < 1e-8
 
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(5, 8))
-        x -= x.mean(axis=0)
-        comps = _power_iteration_components(x, 2, seed=1)
-        eigvals, eigvecs = np.linalg.eigh(x.T @ x)
-        for i in range(2):
-            expected = x @ eigvecs[:, -1 - i]
-            got = x @ comps[i]
-            assert min(np.abs(got - expected).max(), np.abs(got + expected).max()) < 1e-6
+    def test_close_top_eigenvalues_resolved(self):
+        """x = U diag(s) Q.T with the top two eigenvalues of x.T @ x in ratio 0.999."""
+        rng = np.random.default_rng(4)
+        n, d = 40, 16
+        u = np.linalg.qr(rng.normal(size=(n, d)))[0]
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        s = np.array([1.0, np.sqrt(0.999), *np.linspace(0.1, 0.01, d - 2)])
+        x = u @ np.diag(s) @ q.T
+        comps = _principal_components(x, 2)
+        for got, want in zip(comps, q[:, :2].T):
+            assert min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-10
+        # sign rule: each component's largest-magnitude entry is positive
+        for y in [x, *rng.normal(size=(8, 10, 6))]:
+            comps = _principal_components(y - y.mean(axis=0), 3)
+            assert (comps[np.arange(3), np.abs(comps).argmax(axis=1)] > 0).all()
 
     def test_components_orthonormal(self):
         pipe = tiny_pipeline()

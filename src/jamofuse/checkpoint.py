@@ -6,8 +6,8 @@ float64 bytes in the header's declared order. The header carries the seed and
 a config echo so checkpoints from different configurations are
 distinguishable by content, not just by filename.
 
-The module also owns how every output is written: write_atomic for files and
-csv_text for every CSV report.
+The module also owns how files are read and written: open_text for every text
+input, write_atomic for every output file and csv_text for every CSV report.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .tensor import ParamGroup
+from .tensor import ConfigError, ParamGroup
 
 MAGIC = b"JFCK"
 FORMAT_VERSION = 1
@@ -44,6 +45,17 @@ class Checkpoint:
     @property
     def names(self) -> list[str]:
         return list(self.tensors)
+
+
+@contextmanager
+def open_text(path: str | os.PathLike, newline: Optional[str] = None) -> Iterator[IO[str]]:
+    """The UTF-8 text file at path, open for reading. Bytes that are not UTF-8 end
+    in a ConfigError that names the file, wherever in the with block they are read."""
+    with open(path, encoding="utf-8", newline=newline) as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: byte 0x{e.object[e.start]:02x} ({e.reason})") from None
 
 
 def write_atomic(path: str | os.PathLike, data: bytes) -> None:

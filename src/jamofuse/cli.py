@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, restore, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, open_text, restore, save_checkpoint, write_atomic
 from .gradcheck import grad_check
 from .oracle import (
     align,
@@ -27,7 +27,7 @@ from .oracle import (
     stats_report_csv,
     stats_report_json,
 )
-from .pipeline import Pipeline, PipelineConfig, ConfigError, embeddings_csv
+from .pipeline import GRANULARITIES, Pipeline, PipelineConfig, ConfigError, embeddings_csv
 from .subchar import SubcharTokenizer
 from .subword import SubwordVocab, encode, load_vocab, save_vocab, train_vocab
 from .training import (
@@ -51,7 +51,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _read_config_file(path: str) -> dict:
     """key = value lines; '#' starts a comment."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as stream:
+    with open_text(path) as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -103,7 +103,9 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, help="embedding width")
     parser.add_argument("--compression", help="principles, linear, or attention")
     parser.add_argument("--fusion", help="cross-attention, summation, or concatenation")
-    parser.add_argument("--granularity", help="subword, character, word, or external")
+    # external granularity takes a BoundaryMap per text, which only the library can pass
+    parser.add_argument("--granularity", choices=[g for g in GRANULARITIES if g != "external"],
+                        help="unit boundaries: subword, character, or word")
     parser.add_argument("--heads", type=int, help="attention heads for cross-attention fusion")
     parser.add_argument("--residual-fusion", action="store_true", default=None,
                         dest="residual_fusion", help="add the raw channel back after fusion")
@@ -183,7 +185,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_vocab_train(args) -> int:
-    with open(args.infile, encoding="utf-8") as stream:
+    with open_text(args.infile) as stream:
         corpus = [line.rstrip("\n") for line in stream if line.strip()]
     vocab = train_vocab(corpus, args.size, mode=args.mode)
     save_vocab(vocab, args.out)
@@ -240,7 +242,7 @@ def cmd_oracle_align(args) -> int:
         aligned = _align_writable(args.surface, args.units.split(","), args.delim)
         _emit(_format_alignment(aligned, args.delim) + "\n", args.out)
         return 0
-    with open(args.infile, encoding="utf-8") as stream:
+    with open_text(args.infile) as stream:
         records = read_jsonl_records(stream)
         blocks = [_format_alignment(_align_writable(surface, units, args.delim), args.delim) for surface, units in records]
     _emit("\n\n".join(blocks) + "\n", args.out)
@@ -248,7 +250,7 @@ def cmd_oracle_align(args) -> int:
 
 
 def cmd_oracle_stats(args) -> int:
-    with open(args.infile, encoding="utf-8") as stream:
+    with open_text(args.infile) as stream:
         aligned = list(read_jsonl_corpus(stream))
     stats = corpus_stats(aligned, top_k=args.top_k, partitions=args.partitions)
     _emit(stats_report_json(stats), args.json)
@@ -336,7 +338,7 @@ def cmd_probe_pca(args) -> int:
     if args.words:
         words = [w.strip() for w in args.words.split(",") if w.strip()]
     elif args.words_file:
-        with open(args.words_file, encoding="utf-8") as stream:
+        with open_text(args.words_file) as stream:
             words = [line.strip() for line in stream if line.strip()]
     else:
         raise ConfigError("need --words or --words-file")

@@ -134,8 +134,9 @@ class GRULayer:
     Only the recurrent products stay in the time loop (Appleyard et al.,
     arXiv:1604.01946): each step does h U[:, :2d] and (r * h) U[:, 2d:] on the
     running rows, in reused buffers, and writes its state straight into the
-    output; x W + b is formed (or gathered) for runs of steps at once. The
-    cache keeps only x, the table and the states.
+    output; x W + b is formed (or gathered) for runs of steps at once, its
+    z and r columns negated, so that exp(-(h U_zr + p_zr)) needs no negation
+    per step. The cache keeps only x, the table and the states.
 
     Backward knows every previous state from the forward, so it runs in
     phases. It gathers the previous states h_{t-1} of all rows from the
@@ -194,8 +195,12 @@ class GRULayer:
         if offsets[-1] != x.shape[0]:
             raise ShapeError(f"batch sizes cover {offsets[-1]} rows, input has {x.shape[0]}")
         u = self.u.data
-        u_zr, u_n = u[:, : 2 * d], u[:, 2 * d :]
-        table_proj = None if table is None else self._project(table, None, None)
+        # [z|r] = 1 / (1 + exp(-(h U_zr + p_zr))) is formed from -U_zr and -p_zr:
+        # h (-U) + (-p) is -(h U + p) bit for bit, as IEEE negation is exact
+        neg_u_zr, u_n = -u[:, : 2 * d], u[:, 2 * d :]
+        if table is not None:
+            table_proj = self._project(table, None, None)
+            neg_table_zr, table_n = -table_proj[:, : 2 * d], np.ascontiguousarray(table_proj[:, 2 * d :])
 
         hs = np.empty((x.shape[0], d))
         rows = offsets[1]
@@ -205,11 +210,22 @@ class GRULayer:
         gates, n, tmp = np.empty((rows, 2 * d)), np.empty((rows, d)), np.empty((rows, d))
         z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
         blocks = _step_blocks(offsets)
-        buf = None if len(blocks) == 1 else np.empty((max(PROJECTION_ROWS, rows), 3 * d))  # serves every block
+        # a block's projections, in buffers that serve every block: -p_zr and p_n as
+        # columns of x W + b, or each gathered from the table into a buffer of its own
+        block_rows = x.shape[0] if len(blocks) == 1 else max(PROJECTION_ROWS, rows)
+        if table is None:
+            buf = None if len(blocks) == 1 else np.empty((block_rows, 3 * d))
+        else:
+            zr_buf, n_buf = np.empty((block_rows, 2 * d)), np.empty((block_rows, d))
         for t0, t1 in blocks:
             base = offsets[t0]
-            proj = self._project(x[base : offsets[t1]], table_proj, buf)
-            p_zr, p_n = proj[:, : 2 * d], proj[:, 2 * d :]
+            xb = x[base : offsets[t1]]
+            if table is None:
+                proj = self._project(xb, None, buf)
+                neg_p_zr, p_n = np.negative(proj[:, : 2 * d], proj[:, : 2 * d]), proj[:, 2 * d :]
+            else:  # ids checked above
+                neg_p_zr = np.take(neg_table_zr, xb, axis=0, out=zr_buf[: xb.shape[0]], mode="clip")
+                p_n = np.take(table_n, xb, axis=0, out=n_buf[: xb.shape[0]], mode="clip")
             for t in range(t0, t1):
                 a, c = offsets[t] - base, offsets[t + 1] - base
                 if c - a != rows:
@@ -218,10 +234,8 @@ class GRULayer:
                     z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
                 # backward's operations, done in place (IEEE addition commutes, so h U + p
                 # is p + h U): the values are bitwise those backward recomputes
-                # [z|r] = 1 / (1 + exp(-(h U_zr + p_zr)))
-                np.matmul(h, u_zr, gates)
-                np.add(gates, p_zr[a:c], gates)
-                np.negative(gates, gates)
+                np.matmul(h, neg_u_zr, gates)
+                np.add(gates, neg_p_zr[a:c], gates)
                 np.exp(gates, gates)
                 np.add(gates, ones, gates)
                 np.divide(ones, gates, gates)
@@ -326,13 +340,14 @@ class Conv2x1:
 
 
 class AttnCache(NamedTuple):
-    q_in: np.ndarray
-    kv: np.ndarray
-    q: np.ndarray  # (H, N, dh)
-    k: np.ndarray  # (H, M, dh)
-    v: np.ndarray  # (H, M, dh)
-    attn: np.ndarray  # (H, N, M)
-    ctx: np.ndarray  # (N, D)
+    q_in: np.ndarray  # (rows, D) flat query rows
+    kv: np.ndarray  # (rows', D) flat key and value rows
+    q: np.ndarray  # (B, H, N, dh)
+    k: np.ndarray  # (B, H, M, dh)
+    v: np.ndarray  # (B, H, M, dh)
+    attn: np.ndarray  # (B, H, N, M), 0 at padded keys
+    ctx: np.ndarray  # (rows, D) flat context rows
+    slots: Optional[np.ndarray]  # (rows,) padded row of each flat row; None when nothing is padded
 
 
 class CrossAttention:
@@ -340,6 +355,16 @@ class CrossAttention:
 
     Queries come from one sequence, keys and values from another. The plain
     form has no residual path; pass residual=True to add q_in to the output.
+
+    Given offsets, the (texts + 1) first rows of a batch of texts, q_in and kv
+    hold the same flat rows text after text, and each text's queries attend
+    only to its own keys. Q, K and V are projected once on all rows and
+    scattered into one (texts, H, U, dh) layout, U the largest row count,
+    with the padded keys masked to -inf before the softmax; texts without rows
+    are left out. The context is gathered back to flat rows before the output
+    projection. When every text has U rows, nothing is padded: there is no
+    scatter and no mask. Without offsets, q_in (N rows) and kv (M rows) are
+    one sequence, the batch of one.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, heads: int = 1, residual: bool = False):
@@ -353,50 +378,88 @@ class CrossAttention:
             self.params.add(f"w_{name}", Tensor(uniform_init(rng, (dim, dim), dim)))
             self.params.add(f"b_{name}", Tensor(uniform_init(rng, (dim,), dim)))
 
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        n, d = x.shape
-        return x.reshape(n, self.heads, d // self.heads).transpose(1, 0, 2)
+    @staticmethod
+    def _layout(offsets: np.ndarray, rows: int) -> tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]]:
+        """(texts with rows, U, each flat row's padded row, the (texts, 1, 1, U) key mask) of a batch;
+        the last two are None when nothing is padded."""
+        bounds = np.asarray(offsets)
+        bounds = bounds.tolist() if bounds.ndim == 1 else []
+        counts = [b - a for a, b in zip(bounds, bounds[1:])]
+        if not counts or bounds[0] != 0 or bounds[-1] != rows or min(counts) < 0:
+            raise ShapeError(f"offsets {np.asarray(offsets).tolist()} do not split {rows} rows into texts")
+        counts = [c for c in counts if c]
+        texts, longest = len(counts), max(counts, default=0)
+        if texts * longest == rows:
+            return texts, longest, None, None
+        counts = np.array(counts)
+        # row i of a text that starts at flat row s goes to padded row b * U + i, so flat row r to r + b * U - s
+        slots = np.arange(rows) + np.repeat(np.arange(texts) * longest - (np.cumsum(counts) - counts), counts)
+        mask = np.where(np.arange(longest) < counts[:, None], 0.0, -np.inf)[:, None, None, :]
+        return texts, longest, slots, mask
 
-    def _join(self, x: np.ndarray) -> np.ndarray:
-        h, n, dh = x.shape
-        return x.transpose(1, 0, 2).reshape(n, h * dh)
+    def _split(self, x: np.ndarray, slots: Optional[np.ndarray], texts: int, length: int) -> np.ndarray:
+        """(rows, D) flat rows to (texts, H, length, dh); with slots, row r goes to padded row slots[r], the rest are 0."""
+        if slots is not None:
+            padded = np.zeros((texts * length, self.dim))
+            padded[slots] = x
+            x = padded
+        return x.reshape(texts, length, self.heads, self.dim // self.heads).transpose(0, 2, 1, 3)
 
-    def forward(self, q_in: np.ndarray, kv: np.ndarray) -> tuple[np.ndarray, AttnCache]:
+    def _join(self, x: np.ndarray, slots: Optional[np.ndarray]) -> np.ndarray:
+        """(texts, H, length, dh) to flat rows, the inverse of _split."""
+        texts, h, length, dh = x.shape
+        flat = x.transpose(0, 2, 1, 3).reshape(texts * length, h * dh)
+        return flat if slots is None else flat[slots]
+
+    def forward(
+        self, q_in: np.ndarray, kv: np.ndarray, offsets: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, AttnCache]:
         if q_in.ndim != 2 or kv.ndim != 2 or q_in.shape[1] != self.dim or kv.shape[1] != self.dim:
             raise ShapeError(f"cross_attention needs (*, {self.dim}) inputs, got {q_in.shape} and {kv.shape}")
+        if offsets is None:
+            texts, n, m, slots, mask = 1, q_in.shape[0], kv.shape[0], None, None
+        else:
+            if q_in.shape != kv.shape:
+                raise ShapeError(f"batched cross_attention needs one key row per query row, got {q_in.shape} and {kv.shape}")
+            texts, n, slots, mask = self._layout(offsets, q_in.shape[0])
+            m = n
         p = self.params
-        q = self._split(q_in @ p["w_q"].data + p["b_q"].data)
-        k = self._split(kv @ p["w_k"].data + p["b_k"].data)
-        v = self._split(kv @ p["w_v"].data + p["b_v"].data)
+        q = self._split(q_in @ p["w_q"].data + p["b_q"].data, slots, texts, n)
+        k = self._split(kv @ p["w_k"].data + p["b_k"].data, slots, texts, m)
+        v = self._split(kv @ p["w_v"].data + p["b_v"].data, slots, texts, m)
         scale = 1.0 / np.sqrt(self.dim / self.heads)
-        logits = (q @ k.transpose(0, 2, 1)) * scale
+        logits = (q @ k.swapaxes(-1, -2)) * scale
+        if mask is not None:
+            logits += mask
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = self._join(attn @ v)
+        ctx = self._join(attn @ v, slots)
         out = ctx @ p["w_o"].data + p["b_o"].data
         if self.residual:
             out = out + q_in
-        return out, AttnCache(q_in, kv, q, k, v, attn, ctx)
+        return out, AttnCache(q_in, kv, q, k, v, attn, ctx, slots)
 
     def backward(self, grad_out: np.ndarray, cache: AttnCache) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (grad_q_in, grad_kv)."""
+        """Returns (grad_q_in, grad_kv). Padded query rows get no gradient, and padded
+        keys none either, since their attention weights are 0."""
         p = self.params
-        q_in, kv, q, k, v, attn, ctx = cache
+        q_in, kv, q, k, v, attn, ctx, slots = cache
+        texts, _, n, _ = q.shape
         scale = 1.0 / np.sqrt(self.dim / self.heads)
 
         p["w_o"].accumulate(ctx.T @ grad_out)
         p["b_o"].accumulate(grad_out.sum(axis=0))
-        d_ctx = self._split(grad_out @ p["w_o"].data.T)
+        d_ctx = self._split(grad_out @ p["w_o"].data.T, slots, texts, n)
 
-        d_attn = d_ctx @ v.transpose(0, 2, 1)
-        d_v = attn.transpose(0, 2, 1) @ d_ctx
+        d_attn = d_ctx @ v.swapaxes(-1, -2)
+        d_v = attn.swapaxes(-1, -2) @ d_ctx
         inner = (d_attn * attn).sum(axis=-1, keepdims=True)
         d_logits = attn * (d_attn - inner) * scale
         d_q = d_logits @ k
-        d_k = d_logits.transpose(0, 2, 1) @ q
+        d_k = d_logits.swapaxes(-1, -2) @ q
 
-        d_q_flat, d_k_flat, d_v_flat = self._join(d_q), self._join(d_k), self._join(d_v)
+        d_q_flat, d_k_flat, d_v_flat = (self._join(g, slots) for g in (d_q, d_k, d_v))
         p["w_q"].accumulate(q_in.T @ d_q_flat)
         p["b_q"].accumulate(d_q_flat.sum(axis=0))
         p["w_k"].accumulate(kv.T @ d_k_flat)

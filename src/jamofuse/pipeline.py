@@ -443,7 +443,9 @@ class Pipeline:
     def fuse(
         self, e_s: np.ndarray, h_s: np.ndarray, unit_offsets: np.ndarray
     ) -> tuple[np.ndarray, Optional[object]]:
-        """Fuses the unit rows of every text; cross-attention stays within each text's units."""
+        """Fuses the unit rows of every text in one call. Cross-attention stays within
+        each text's units: the layer runs the texts as one padded batch and masks the
+        other texts' keys out (CrossAttention)."""
         if e_s.shape != h_s.shape:
             raise ShapeError(f"fusion inputs {e_s.shape} and {h_s.shape} do not match")
         mode = self.config.fusion
@@ -451,14 +453,7 @@ class Pipeline:
             return e_s + h_s, None
         if mode == "concatenation":
             return self.params.fuse_proj.forward(np.concatenate([e_s, h_s], axis=1))
-        offsets = np.asarray(unit_offsets).tolist()
-        outs, caches = [], []
-        for a, b in zip(offsets, offsets[1:]):
-            if b > a:
-                out, cache = self.params.fuse_attn.forward(e_s[a:b], h_s[a:b])
-                outs.append(out)
-                caches.append(((a, b), cache))
-        return (outs[0] if len(outs) == 1 else np.concatenate(outs)), caches
+        return self.params.fuse_attn.forward(e_s, h_s, unit_offsets)
 
     def backward_fuse(
         self, grad_out: np.ndarray, fuse_cache: Optional[object]
@@ -470,10 +465,7 @@ class Pipeline:
             grad_cat = self.params.fuse_proj.backward(grad_out, fuse_cache)
             d = grad_out.shape[1]
             return grad_cat[:, :d], grad_cat[:, d:]
-        grad_es, grad_hs = np.empty_like(grad_out), np.empty_like(grad_out)
-        for (a, b), cache in fuse_cache:
-            grad_es[a:b], grad_hs[a:b] = self.params.fuse_attn.backward(grad_out[a:b], cache)
-        return grad_es, grad_hs
+        return self.params.fuse_attn.backward(grad_out, fuse_cache)
 
     # end to end -------------------------------------------------------------
 
@@ -488,7 +480,9 @@ class Pipeline:
         vector per unit. A text without characters has no unit rows. For a
         batch, external_boundary holds one boundary map per text. The
         principles GRUs run the batch as packed sequences (PackedBatch); a
-        single text is the batch of one.
+        single text is the batch of one. Cross-attention fusion pads every
+        text to the batch's largest unit count U, so it holds texts x heads x
+        U x U attention weights; word_vectors cuts its passes to bound them.
         """
         cfg = self.config
         d, w = cfg.dim, self.tokenizer.scheme.width

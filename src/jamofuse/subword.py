@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .checkpoint import write_atomic
+from .checkpoint import open_text, write_atomic
 from .tensor import ConfigError
 
 UNK = "<unk>"
@@ -226,7 +226,7 @@ def save_vocab(vocab: SubwordVocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> SubwordVocab:
-    with open(path, encoding="utf-8", newline="\n") as f:
+    with open_text(path, newline="\n") as f:
         lines = f.read().split("\n")
     if not lines or not lines[0].startswith("mode="):
         raise ConfigError(f"{path}: missing vocab header")

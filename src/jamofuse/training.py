@@ -22,9 +22,12 @@ from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
 import math
+import operator
+from functools import reduce
+
 import numpy as np
 
-from .checkpoint import csv_text
+from .checkpoint import csv_text, open_text
 from .hangul import is_syllable
 from .layers import Linear
 from .optim import AdamW, cosine_lr
@@ -67,7 +70,7 @@ class PairDataset:
 def load_pair_dataset(source: Union[str, Path, IO[str]]) -> PairDataset:
     """TSV with three columns: form_a, form_b, relation."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as stream:
+        with open_text(source) as stream:
             return load_pair_dataset(stream)
     records = []
     for lineno, line in enumerate(source, start=1):
@@ -84,7 +87,7 @@ def load_pair_dataset(source: Union[str, Path, IO[str]]) -> PairDataset:
 def load_word_sets(source: Union[str, Path, IO[str]]) -> list[tuple[str, list[str]]]:
     """One set per line, words tab-separated; the first word labels the set."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as stream:
+        with open_text(source) as stream:
             return load_word_sets(stream)
     sets = []
     for line in source:
@@ -176,7 +179,8 @@ def _forward_words(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.nda
 # first GRU's states (that GRU projects only the embedding rows of the distinct ids,
 # and stage 1 gathers one (chars, d) slot at a time), attention the weighted token
 # rows it pools, linear only the rows of unit-final characters. Passes are cut so
-# that array stays within this.
+# that array stays within this, and so does cross-attention fusion's padded
+# (texts, heads, U, U) attention, U at most the pass's longest text in characters.
 PASS_BYTES = 1 << 21
 
 
@@ -184,12 +188,18 @@ def _word_vectors(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.ndar
     """(fused, raw) word vectors without gradients, longest texts first in bounded passes."""
     width, dim = pipe.tokenizer.scheme.width, pipe.config.dim
     limit = PASS_BYTES // (8 * dim)
+    heads = pipe.config.heads if pipe.config.fusion == "cross-attention" else 0
     order = sorted(range(len(texts)), key=lambda k: -len(texts[k]))
     fused, raw = np.zeros((len(texts), dim)), np.zeros((len(texts), dim))
     start = 0
     while start < len(order):
         stop, rows = start + 1, len(texts[order[start]]) * width
-        while stop < len(order) and rows + len(texts[order[stop]]) * width <= limit:
+        cells = heads * len(texts[order[start]]) ** 2  # each text's padded attention, at most
+        while (
+            stop < len(order)
+            and rows + len(texts[order[stop]]) * width <= limit
+            and (stop + 1 - start) * cells <= PASS_BYTES // 8
+        ):
             rows += len(texts[order[stop]]) * width
             stop += 1
         group = order[start:stop]
@@ -279,20 +289,21 @@ def _contrastive_batch(
     n = [rows[neg.form_b] if neg else rows[rec.form_a] for rec, neg in pairs]
     cos_p, dpa, dpb = cosines(vecs[a], vecs[b])
     cos_n, dna, dnv = cosines(vecs[a], vecs[n])
-    grads = np.zeros_like(vecs)
-    total = 0.0
     scale = 1.0 / len(batch)
-    cos_p, cos_n = cos_p.tolist(), cos_n.tolist()
-    # a row's contributions add up pair by pair, b then n then a: that order sets its last bits
-    for k, (_, neg) in enumerate(pairs):
-        total += max(0.0, (1.0 - margin) - cos_p[k])
-        ga = -dpa[k] * (cos_p[k] < 1.0 - margin)
-        grads[b[k]] += -dpb[k] * (cos_p[k] < 1.0 - margin) * scale
-        if neg is not None:
-            total += max(0.0, cos_n[k] - margin)
-            ga = ga + dna[k] * (cos_n[k] > margin)
-            grads[n[k]] += dnv[k] * (cos_n[k] > margin) * scale
-        grads[a[k]] += ga * scale
+    on_p, on_n = (cos_p < 1.0 - margin)[:, None], (cos_n > margin)[:, None]
+    has = np.array([neg is not None for _, neg in pairs])
+    ga = -dpa * on_p
+    ga = np.where(has[:, None], ga + dna * on_n, ga)
+    # per pair the rows b, n and a, without n when the pair has no negative; np.add.at adds
+    # in this order, which sets the last bits of a row that several pairs touch
+    keep = np.stack([np.ones_like(has), has, np.ones_like(has)], axis=1)
+    idx = np.stack([b, n, a], axis=1)[keep]
+    vals = np.stack([-dpb * on_p * scale, dnv * on_n * scale, ga * scale], axis=1)[keep]
+    grads = np.zeros_like(vecs)
+    np.add.at(grads, idx, vals)
+    # the hinges, pair after pair, added one by one (x if x > 0 else 0 is max(0.0, x))
+    hinges = np.stack([(1.0 - margin) - cos_p, cos_n - margin], axis=1)[keep[:, :2]]
+    total = reduce(operator.add, np.where(hinges > 0.0, hinges, 0.0).tolist(), 0.0)
     if accumulate:
         _backward_words(pipe, cache, grads)
     return total * scale

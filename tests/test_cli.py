@@ -87,6 +87,33 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
 
 
+# one file of each kind that a subcommand reads as text: valid lines, then a line with a byte that is not UTF-8
+BAD_UTF8_FILES = {
+    "pair-tsv": ("하다\t했다\tpast\n", lambda path, ckpt, out: ["train", "--pairs", path, "--out", out]),
+    "pair-tsv-vocab": ("하다\t했다\tpast\n", lambda path, ckpt, out: ["embed", "--pairs-vocab", path, "--text", "하"]),
+    "jsonl-stats": ('{"surface": "했다", "lemma_units": ["하다"]}\n', lambda path, ckpt, out: ["oracle-stats", "--in", path]),
+    "jsonl-align": ('{"surface": "했다", "lemma_units": ["하다"]}\n', lambda path, ckpt, out: ["oracle-align", "--in", path]),
+    "vocab": ("mode=charlist\tsize=1\n", lambda path, ckpt, out: ["encode", "a", "--vocab", path]),
+    "vocab-corpus": ("하다 했다\n", lambda path, ckpt, out: ["vocab-train", "--in", path, "--size", "10", "--out", out]),
+    "word-sets": ("하다\t했다\n", lambda path, ckpt, out: ["probe-cohesion", "--ckpt", ckpt, "--sets", path]),
+    "words-file": ("하다\n했다\n", lambda path, ckpt, out: ["probe-pca", "--ckpt", ckpt, "--words-file", path]),
+    "config": ("dim = 4\n", lambda path, ckpt, out: ["embed", "--pairs-vocab", PAIRS, "--text", "하", "--config", path]),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_UTF8_FILES))
+def test_invalid_utf8_error_names_the_file(tmp_path, trained, capsys, kind):
+    good, argv = BAD_UTF8_FILES[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(good.encode("utf-8") + b"\xe8\xb0\n\xff\n")
+    out = tmp_path / "out"
+    assert main(argv(str(path), trained["ckpt"], str(out))) == 1
+    err = capsys.readouterr().err
+    assert_one_line_error_text(err)
+    assert err == f"error: {path}: not UTF-8 text: byte 0xe8 (invalid continuation byte)\n"
+    assert not out.exists()
+
+
 class TestDecompose:
     def test_four_syllables_make_twelve_jamo_lines(self, capsys):
         assert main(["decompose", "--scheme", "jamo", "대한민국"]) == 0
@@ -402,6 +429,14 @@ class TestGradcheck:
             "gradcheck", "--d", "4", "--text", "하 a", "--scheme", "stroke",
             "--compression", "attention", "--fusion", "concatenation",
         ]) == 0
+
+
+def test_external_granularity_refused_by_argparse(capsys):
+    # the library's external granularity needs a boundary map per text, which no flag can give
+    assert main(["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--granularity", "external"]) == 2
+    assert "invalid choice: 'external'" in capsys.readouterr().err
+    for granularity in ("subword", "character", "word"):
+        assert main(["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--granularity", granularity]) == 0
 
 
 class TestConfigPrecedence:

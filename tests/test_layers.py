@@ -524,3 +524,63 @@ class TestCrossAttention:
             return float((out * r).sum())
 
         check_layer_grads(attn, loss_fn, extra_inputs=[q, kv])
+
+
+class TestPaddedCrossAttention:
+    """The batch form: flat rows of several texts, each text attending only to its own rows."""
+
+    OFFSETS = [0, 3, 3, 4, 8]  # texts of 3, 0, 1 and 4 rows
+
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_gradient_with_mask(self, residual):
+        rng = np.random.default_rng(23)
+        attn = CrossAttention(4, rng, heads=2, residual=residual)
+        q = Tensor(rng.standard_normal((8, 4)))
+        kv = Tensor(rng.standard_normal((8, 4)))
+        r = rng.standard_normal((8, 4))
+
+        def loss_fn(with_grad):
+            out, cache = attn.forward(q.data, kv.data, self.OFFSETS)
+            assert cache.slots is not None
+            if with_grad:
+                grad_q, grad_kv = attn.backward(r, cache)
+                q.accumulate(grad_q)
+                kv.accumulate(grad_kv)
+            return float((out * r).sum())
+
+        check_layer_grads(attn, loss_fn, extra_inputs=[q, kv])
+
+    def test_texts_do_not_see_each_other(self):
+        rng = np.random.default_rng(4)
+        attn = CrossAttention(6, rng, heads=2)
+        q, kv = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
+        out, cache = attn.forward(q, kv, self.OFFSETS)
+        assert cache.attn.shape == (3, 2, 4, 4)
+        assert np.abs(cache.attn.sum(axis=-1) - 1.0).max() < 1e-12
+        assert (cache.attn[:, :, :, 3][:2] == 0.0).all()  # the texts of 3 and 1 rows have no fourth key
+        kv2 = kv.copy()
+        kv2[4:] += 1.0  # the last text's keys and values
+        out2, _ = attn.forward(q, kv2, self.OFFSETS)
+        assert np.abs(out2[:4] - out[:4]).max() <= 1e-12
+        assert np.abs(out2[4:] - out[4:]).max() > 1e-3
+
+    def test_equal_lengths_take_no_padding(self):
+        rng = np.random.default_rng(8)
+        attn = CrossAttention(4, rng, heads=2)
+        q, kv = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+        _, cache = attn.forward(q, kv, [0, 3, 3, 6])
+        assert cache.slots is None and cache.attn.shape == (2, 2, 3, 3)
+        one, cache = attn.forward(q, kv, np.array([0, 6]))
+        assert cache.slots is None
+        assert np.array_equal(one, attn.forward(q, kv)[0])  # one text is the one-sequence call, bit for bit
+
+    @pytest.mark.parametrize("offsets", [[0, 3], [1, 4], [0, 4, 3, 4], [0], []])
+    def test_offsets_must_split_the_rows(self, offsets):
+        attn = CrossAttention(4, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="offsets"):
+            attn.forward(np.ones((4, 4)), np.ones((4, 4)), offsets)
+
+    def test_batch_needs_one_key_row_per_query_row(self):
+        attn = CrossAttention(4, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="one key row per query row"):
+            attn.forward(np.ones((4, 4)), np.ones((3, 4)), [0, 4])

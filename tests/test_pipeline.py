@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from jamofuse import pipeline
 from jamofuse.gradcheck import grad_check
+from jamofuse.layers import CrossAttention
 from jamofuse.pipeline import (
     COMPRESSIONS,
     FUSIONS,
@@ -806,6 +808,106 @@ class TestPackedBatch:
         assert pipe.unit_labels(cache) == ["했다", "대", "한"]
         with pytest.raises(ConfigError, match="one boundary map per text"):
             pipe.forward(["했다", "대한", "한"], external_boundary=maps)
+
+
+def per_text_fuse(self, e_s, h_s, unit_offsets):
+    """Cross-attention fusion one text at a time, as Pipeline.fuse ran it before the
+    padded batch; kept as the reference."""
+    offsets = np.asarray(unit_offsets).tolist()
+    outs, caches = [], []
+    for a, b in zip(offsets, offsets[1:]):
+        if b > a:
+            out, cache = self.params.fuse_attn.forward(e_s[a:b], h_s[a:b])
+            outs.append(out)
+            caches.append(((a, b), cache))
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs)), caches
+
+
+def per_text_backward_fuse(self, grad_out, fuse_cache):
+    grad_es, grad_hs = np.empty_like(grad_out), np.empty_like(grad_out)
+    for (a, b), cache in fuse_cache:
+        grad_es[a:b], grad_hs[a:b] = self.params.fuse_attn.backward(grad_out[a:b], cache)
+    return grad_es, grad_hs
+
+
+def forward_and_grads(pipe, texts):
+    """Output rows and the flat gradient of one batched forward and backward."""
+    out, cache = pipe.forward(texts)
+    pipe.params.group.zero_grads()
+    pipe.backward(np.random.default_rng(2).normal(size=out.shape), cache)
+    return out, pipe.params.group.grad.copy()
+
+
+# every unit count from 1 to 15, and two texts without units, in shuffled order
+UNIT_COUNT_TEXTS = ["하다가나라마바사아자차카타파했"[:k] for k in range(1, 16)] + ["", ""]
+
+
+class TestPaddedFusion:
+    """Cross-attention fusion of a whole batch in one padded call, against the per-text loop."""
+
+    def assert_matches_per_text_loop(self, pipe, texts, monkeypatch):
+        out, grads = forward_and_grads(pipe, texts)
+        with monkeypatch.context() as patch:
+            patch.setattr(Pipeline, "fuse", per_text_fuse)
+            patch.setattr(Pipeline, "backward_fuse", per_text_backward_fuse)
+            ref_out, ref_grads = forward_and_grads(pipe, texts)
+        assert out.shape == ref_out.shape
+        assert np.abs(out - ref_out).max() <= BATCH_TOL
+        assert np.abs(grads - ref_grads).max() <= BATCH_TOL
+        assert np.abs(pipe.params.group["fuse_attn.w_q"].grad).max() > 0.0
+
+    @pytest.mark.parametrize("cls_bypass", [False, True])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_unit_counts_1_to_15_and_empty_texts(self, monkeypatch, heads, residual, cls_bypass):
+        cfg = PipelineConfig(dim=8, heads=heads, residual_fusion=residual, cls_bypass=cls_bypass, granularity="character")
+        pipe = Pipeline.build(cfg, small_vocab(), seed=heads)
+        texts = [UNIT_COUNT_TEXTS[k] for k in np.random.default_rng(heads).permutation(len(UNIT_COUNT_TEXTS))]
+        _, cache = pipe.forward(texts)
+        assert sorted(np.diff(cache.unit_offsets).tolist()) == [0, 0, *range(1, 16)]
+        self.assert_matches_per_text_loop(pipe, texts, monkeypatch)
+
+    @pytest.mark.parametrize("cls_bypass", [False, True])
+    def test_subword_units_of_mixed_texts(self, monkeypatch, cls_bypass):
+        pipe = build(heads=2, residual_fusion=True, cls_bypass=cls_bypass)
+        self.assert_matches_per_text_loop(pipe, BATCH_TEXTS, monkeypatch)
+
+    def test_bts_d64_chunk_of_32_texts(self, monkeypatch):
+        # as the benchmark's embed stream builds a chunk: a vocab of the bundled pair file's
+        # forms, and distinct texts of 1 to 3 of those forms
+        from jamofuse.training import load_pair_dataset
+
+        path = str(resources.files("jamofuse.data") / "verb_past_pairs.tsv")
+        records = load_pair_dataset(path).records
+        forms = sorted({f for r in records for f in (r.form_a, r.form_b)})
+        vocab = train_vocab([f"{r.form_a} {r.form_b}" for r in records], 200)
+        pipe = Pipeline.build(PipelineConfig(scheme="bts", dim=64, fusion="cross-attention"), vocab, seed=0)
+        rng = np.random.default_rng(901)
+        texts = []
+        while len(texts) < 32:
+            text = " ".join(rng.choice(forms, size=int(rng.integers(1, 4))))
+            if text not in texts:
+                texts.append(text)
+        _, cache = pipe.forward(texts)
+        counts = np.diff(cache.unit_offsets)
+        assert counts.min() >= 1 and counts.min() < counts.max()  # the chunk is padded
+        self.assert_matches_per_text_loop(pipe, texts, monkeypatch)
+
+    def test_one_layer_call_per_batch(self, monkeypatch):
+        pipe = build()
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            method = getattr(CrossAttention, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(CrossAttention, name, counted)
+        assert len(BATCH_TEXTS) == 10
+        out, cache = pipe.forward(BATCH_TEXTS)
+        pipe.backward(np.ones_like(out), cache)
+        assert calls == {"forward": 1, "backward": 1}
 
 
 class TestEmbeddingsCsv:

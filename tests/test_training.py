@@ -154,6 +154,27 @@ class TestWordVectors:
         assert sorted(text for batch in calls for text in batch) == sorted(texts)
         assert np.abs(cut - whole).max() <= 1e-12
 
+    def test_cross_attention_passes_bound_the_padded_attention(self, monkeypatch):
+        # one long text pads every text of its pass to its units: the passes are cut so the
+        # (texts, heads, U, U) attention stays within PASS_BYTES, U at most the longest text's characters
+        pipe = tiny_pipeline(dim=4, fusion="cross-attention", heads=2, granularity="character")
+        texts = ["하" * 200, *(f"{a}{b}" for a in "가나다라" for b in "마바사아")]
+        calls = []
+        forward = Pipeline.forward
+
+        def counted(self, batch, *args):
+            calls.append(list(batch))
+            return forward(self, batch, *args)
+
+        monkeypatch.setattr(Pipeline, "forward", counted)
+        vectors = word_vectors(pipe, texts)
+        assert len(calls) > 1
+        for batch in calls:
+            assert len(batch) == 1 or len(batch) * 2 * max(map(len, batch)) ** 2 * 8 <= training.PASS_BYTES
+        assert calls[0][0] == texts[0]
+        for k in (0, 1, len(texts) - 1):
+            assert np.abs(vectors[k] - word_vector(pipe, texts[k])).max() <= 1e-12
+
     def test_chunk_of_32_texts_is_one_pass_at_d64(self, monkeypatch):
         pipe = tiny_pipeline(dim=64, scheme="bts", fusion="cross-attention")
         syllables = "하가먹보춥걷돕묻"
@@ -219,6 +240,55 @@ def scalar_cosine_with_grads(u, v):
     du = (v / nv - c * u / nu) / nu
     dv = (u / nu - c * v / nv) / nv
     return c, du, dv
+
+
+def per_pair_contrastive(vecs, a, b, n, has, margin, scale):
+    """The per-pair loop that _contrastive_batch's np.add.at replaced, kept as the reference:
+    (the hinge total, the gradient on the word vectors)."""
+    cos_p, dpa, dpb = cosines(vecs[a], vecs[b])
+    cos_n, dna, dnv = cosines(vecs[a], vecs[n])
+    grads = np.zeros_like(vecs)
+    total = 0.0
+    cos_p, cos_n = cos_p.tolist(), cos_n.tolist()
+    for k in range(len(a)):
+        total += max(0.0, (1.0 - margin) - cos_p[k])
+        ga = -dpa[k] * (cos_p[k] < 1.0 - margin)
+        grads[b[k]] += -dpb[k] * (cos_p[k] < 1.0 - margin) * scale
+        if has[k]:
+            total += max(0.0, cos_n[k] - margin)
+            ga = ga + dna[k] * (cos_n[k] > margin)
+            grads[n[k]] += dnv[k] * (cos_n[k] > margin) * scale
+        grads[a[k]] += ga * scale
+    return total, grads
+
+
+class TestContrastiveBatch:
+    @pytest.mark.parametrize("margin", [0.0, 0.2, 0.5])
+    def test_matches_per_pair_loop_bitwise(self, monkeypatch, margin):
+        pipe = tiny_pipeline()
+        records = tiny_dataset().records
+        # each form in many pairs, so the order of a row's additions shows in its last bits,
+        # and pairs without a negative
+        rng = np.random.default_rng(5)
+        batch = rng.integers(0, len(records), size=40)
+        negatives = [None if k % 5 == 0 else int(rng.integers(0, len(records))) for k in range(len(batch))]
+        captured = []
+        monkeypatch.setattr(training, "_backward_words", lambda pipe, cache, grads: captured.append(grads))
+        total = training._contrastive_batch(pipe, records, batch, negatives, margin, accumulate=True)
+        (grads,) = captured
+
+        forms = training._distinct(
+            f for i, neg in zip(batch, negatives)
+            for f in (records[i].form_a, records[i].form_b, *(() if neg is None else (records[neg].form_b,)))
+        )
+        vecs = word_vectors(pipe, list(forms))
+        a = [forms[records[i].form_a] for i in batch]
+        b = [forms[records[i].form_b] for i in batch]
+        n = [forms[records[neg].form_b] if neg is not None else forms[records[i].form_a] for i, neg in zip(batch, negatives)]
+        ref_total, ref_grads = per_pair_contrastive(vecs, a, b, n, [neg is not None for neg in negatives], margin, 1 / len(batch))
+        assert total == ref_total * (1 / len(batch))
+        assert np.array_equal(grads, ref_grads)
+        assert grads.any()
 
 
 class TestCosines:

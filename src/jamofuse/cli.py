@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 on domain errors (one diagnostic line on stderr),
 2 on usage errors. Outputs are UTF-8 text, CSV, or JSON per subcommand, and
 file outputs are written atomically so interrupted runs leave nothing behind.
 Configuration precedence is flags over config file over built-in defaults;
-pass --verbose to echo the effective configuration to stderr.
+pass --verbose to echo the effective configuration to stderr (gradcheck: each
+parameter's worst relative error).
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _read_config_file(path: str) -> dict:
 
 
 _DEFAULTS = PipelineConfig().to_dict()
+# external granularity takes a BoundaryMap per text, which only the library can pass
+_CLI_GRANULARITIES = tuple(g for g in GRANULARITIES if g != "external")
 
 
 def _coerce_config_value(key: str, value: str):
@@ -91,6 +94,9 @@ def _pipeline_config(args) -> PipelineConfig:
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r} in {args.config}")
             values[key] = _coerce_config_value(key, raw)
+        if values["granularity"] not in _CLI_GRANULARITIES:
+            raise ConfigError(f"{args.config}: granularity must be one of {', '.join(_CLI_GRANULARITIES)}; "
+                              f"got {values['granularity']!r}")
     for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -103,8 +109,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, help="embedding width")
     parser.add_argument("--compression", help="principles, linear, or attention")
     parser.add_argument("--fusion", help="cross-attention, summation, or concatenation")
-    # external granularity takes a BoundaryMap per text, which only the library can pass
-    parser.add_argument("--granularity", choices=[g for g in GRANULARITIES if g != "external"],
+    parser.add_argument("--granularity", choices=_CLI_GRANULARITIES,
                         help="unit boundaries: subword, character, or word")
     parser.add_argument("--heads", type=int, help="attention heads for cross-attention fusion")
     parser.add_argument("--residual-fusion", action="store_true", default=None,
@@ -279,6 +284,9 @@ def cmd_gradcheck(args) -> int:
     report = grad_check(loss_fn, pipe.params.group)
     print(f"max_rel_error={report.max_rel_error:.3e} worst={report.worst_param} "
           f"coords={report.coords_checked} tol={args.tol:.1e}")
+    if args.verbose:
+        for name, worst in report.per_param.items():
+            print(f"{name} {worst:.3e}", file=sys.stderr)
     return 0 if report.max_rel_error < args.tol else 1
 
 
@@ -367,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, out_required=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--verbose", action="store_true", help="echo effective config to stderr")
+        p.add_argument("--verbose", action="store_true",
+                       help="echo effective config to stderr (gradcheck: per-parameter errors)")
         p.add_argument("--seed", type=int, default=0, help="generator seed where randomness exists")
         if out_required:
             p.add_argument("--out", required=True, help="output file path")

@@ -11,12 +11,18 @@ character boundary) versus character-level (whole syllable replaced).
 Alignment is a small dynamic program: each surface character receives a
 contiguous, possibly empty, run of lemma characters, costed by the edit
 distance between their letter sequences, so e.g. 했 pairs with 하+았 at cost 3
-while pushing 았 onto the following 다 would cost 5.
+while pushing 았 onto the following 다 would cost 5. The distances of every
+run from one lemma start are read off one Wagner-Fischer column walked along
+the lemma inside that program. A step of the column depends only on its
+offsets and on which source letters each letter of the next character equals,
+so one module-level table of steps, at most 16,566 of them, serves every
+alignment.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -132,23 +138,47 @@ def _letters(ch: str) -> tuple[str, ...]:
     return (ch,) if block is None else tuple(letter for letter in block.letters if letter)
 
 
-def _prefix_distances(source: tuple[str, ...], chars: list[str], start: int) -> list[int]:
-    """Edit distance from `source` to the letters of chars[start:j] for every j >= start, read
-    off one Wagner-Fischer pass (J. ACM 21(1), 1974) at the character boundaries."""
-    col = list(range(len(source) + 1))
-    out = [col[-1]]
-    for ch in chars[start:]:
-        for y in _letters(ch):
-            diag = col[0]
-            left = col[0] = diag + 1
-            for k, x in enumerate(source, start=1):
-                up = col[k]
-                gap = (up if up < left else left) + 1
-                cell = diag + (x != y)
-                col[k] = left = cell if cell < gap else gap
-                diag = up
-        out.append(col[-1])
-    return out
+# (column offsets, letter masks) -> offsets of the next column, filled by _step_column the
+# first time a key is seen. A source and a target character have 1-3 letters each, and
+# neighbouring cells differ by at most 1, so there are at most
+# sum_s 3^s * sum_l 2^(s*l) = 16,566 keys.
+class _ColumnTable(dict):
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+        offsets = self[key] = _step_column(*key)
+        return offsets
+
+
+_COLUMNS = _ColumnTable()
+
+
+def _step_column(offsets: tuple[int, ...], masks: tuple[int, ...]) -> tuple[int, ...]:
+    """One Wagner-Fischer column (J. ACM 21(1), 1974) moved over one target character.
+
+    A column holds the edit distances from each prefix of the source letters to the target
+    letters so far; `offsets` are its cells after the first, less the first. `masks` holds
+    one mask per letter of the character, with bit k set when source letter k (from 0)
+    equals that letter. The step depends on nothing else, which is what lets `_COLUMNS`
+    serve every alignment.
+    """
+    col = [0, *offsets]
+    for mask in masks:
+        diag = col[0]
+        left = col[0] = diag + 1
+        for k in range(1, len(col)):
+            up = col[k]
+            gap = (up if up < left else left) + 1
+            cell = diag + 1 - (mask >> (k - 1) & 1)
+            col[k] = left = cell if cell < gap else gap
+            diag = up
+    return tuple(c - col[0] for c in col[1:])
+
+
+def _masks(source: tuple[str, ...], chars: list[str]) -> list[tuple[int, ...]]:
+    """Per character of `chars`, per letter of it, the bits of the `source` letters equal to it."""
+    bits: dict[str, int] = {}
+    for k, x in enumerate(source):
+        bits[x] = bits.get(x, 0) | 1 << k
+    return [tuple(map(bits.get, _letters(c), (0, 0, 0))) for c in chars]
 
 
 # tie-break order for equal-cost alignments: prefer KEEP, then MOD, then NOOP
@@ -176,18 +206,31 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     INF = 10**18
     best = [0] + [INF] * n
     choice: list[list[int]] = [[-1] * (n + 1) for _ in range(m + 1)]
+    # letters in lemma_chars[:j]: the distance of run a..j is the letters in it plus the last
+    # offset of the column walked from a to j
+    ends = list(itertools.accumulate((len(_letters(c)) for c in lemma_chars), initial=0))
+    masks_of: dict[str, list[tuple[int, ...]]] = {}
     for i, ch in enumerate(surface, start=1):
         letters, row, pick = _letters(ch), [INF] * (n + 1), choice[i]
+        masks = masks_of.get(ch)
+        if masks is None:
+            masks = masks_of[ch] = _masks(letters, lemma_chars)
+        first = tuple(range(1, len(letters) + 1))  # the column before any lemma letter
+        noop = len(letters) * scale + _PREF_NOOP
+        last = len(letters) - 1
         for a, base in enumerate(best):
             if base == INF:
                 continue
-            for j, dist in enumerate(_prefix_distances(letters, lemma_chars, a), start=a):
-                if j == a:
-                    cand = base + len(letters) * scale + _PREF_NOOP
-                elif j == a + 1 and lemma_chars[a] == ch:
+            if base + noop < row[a]:
+                row[a], pick[a] = base + noop, a
+            mod = base - ends[a] * scale + _PREF_MOD
+            offsets = first
+            for j in range(a + 1, n + 1):
+                offsets = _COLUMNS[offsets, masks[j - 1]]
+                if j == a + 1 and lemma_chars[a] == ch:
                     cand = base + _PREF_KEEP
                 else:
-                    cand = base + dist * scale + _PREF_MOD
+                    cand = mod + (ends[j] + offsets[last]) * scale
                 if cand < row[j]:
                     row[j], pick[j] = cand, a
         best = row

@@ -430,6 +430,28 @@ class TestGradcheck:
             "--compression", "attention", "--fusion", "concatenation",
         ]) == 0
 
+    def test_verbose_prints_each_parameter_to_stderr(self, monkeypatch, capsys):
+        argv = ["gradcheck", "--d", "4", "--fusion", "summation"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        reports, names = [], []
+        check = cli.grad_check
+
+        def recorded(loss_fn, params):
+            names.append([name for name, _ in params.items()])
+            reports.append(check(loss_fn, params))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "grad_check", recorded)
+        assert main([*argv, "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out
+        (report,) = reports
+        assert list(report.per_param) == names[0]
+        assert verbose.err.splitlines() == [f"{name} {worst:.3e}" for name, worst in report.per_param.items()]
+        assert names[0][0] == "subchar_emb.table" and len(names[0]) > 10
+
 
 def test_external_granularity_refused_by_argparse(capsys):
     # the library's external granularity needs a boundary map per text, which no flag can give
@@ -485,6 +507,28 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert_one_line_error_text(err)
         assert message in err
+
+    @pytest.mark.parametrize("granularity", ["external", "sentence"])
+    @pytest.mark.parametrize("command", ["train", "embed", "probe-pca"])
+    def test_config_granularity_outside_the_cli_choices_rejected(
+        self, tmp_path, monkeypatch, capsys, command, granularity
+    ):
+        cfg, out, log = tmp_path / "pipe.cfg", tmp_path / "out", tmp_path / "m.csv"
+        cfg.write_text(f"dim = 4\ngranularity = {granularity}\n", encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(cli, "train_vocab", lambda *args, **kwargs: trained.append(args))
+        argv = {
+            "train": ["train", "--pairs", PAIRS, "--log", str(log)],
+            "embed": ["embed", "--pairs-vocab", PAIRS, "--text", "하다"],
+            "probe-pca": ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다"],
+        }[command]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error_text(captured.err)
+        assert f"{cfg}: granularity must be one of subword, character, word; got '{granularity}'" in captured.err
+        assert trained == []
+        assert not out.exists() and not log.exists()
 
     def test_verbose_echoes_config_to_stderr(self, capsys):
         assert main([

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import random
 from importlib import resources
@@ -36,6 +37,8 @@ from jamofuse.tensor import ConfigError
 SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 BARE_JAMO = st.characters(min_codepoint=0x3131, max_codepoint=0x3163)
 ALIGN_CHARS = st.one_of(SYLLABLES, BARE_JAMO, st.sampled_from("ab z"))
+# syllables whose final repeats their initial (각 is ㄱ,ㅏ,ㄱ), so one letter sets two mask bits
+REPEATED_LETTERS = st.sampled_from("각난닫랄맘밥삿앙잦찿깎")
 
 
 def actions_of(aligned: AlignedChar) -> list[str]:
@@ -290,6 +293,16 @@ class TestAlignMatchesReference:
     def test_mixed_text(self, surface, units):
         assert_matches_reference(surface, units)
 
+    def test_seeded_long_joins_of_bundled_records(self):
+        records = bundled_records()
+        rng = random.Random(21)
+        for _ in range(30):
+            chosen = rng.sample(records, rng.randint(3, 6))
+            units: list[str] = []
+            for k, r in enumerate(chosen):
+                units += ([" "] if k else []) + r["lemma_units"]
+            assert_matches_reference(" ".join(r["surface"] for r in chosen), units)
+
     def test_seen_characters_are_not_decomposed_again(self, monkeypatch):
         oracle._letters.cache_clear()
         calls = []
@@ -300,6 +313,95 @@ class TestAlignMatchesReference:
         calls.clear()
         align("했다", ["하", "았", "다"])
         assert calls == []
+
+
+def table_distances(source: str, chars: list[str], start: int) -> list[int]:
+    """Edit distance from the letters of `source` to those of chars[start:end] for every end,
+    walked through the column table as align walks it."""
+    letters = oracle._letters(source)
+    masks = oracle._masks(letters, chars)
+    offsets = tuple(range(1, len(letters) + 1))
+    consumed = 0
+    out = [len(letters)]
+    for k in range(start, len(chars)):
+        offsets = oracle._COLUMNS[offsets, masks[k]]
+        consumed += len(oracle._letters(chars[k]))
+        out.append(consumed + offsets[-1])
+    return out
+
+
+def random_syllable_lines(count: int, seed: int) -> list[tuple[str, list[str]]]:
+    rng = random.Random(seed)
+
+    def syllables(k: int) -> str:
+        return "".join(chr(rng.randrange(0xAC00, 0xD7A4)) for _ in range(k))
+
+    return [
+        (syllables(rng.randint(1, 6)), [syllables(rng.randint(1, 3)) for _ in range(rng.randint(1, 4))])
+        for _ in range(count)
+    ]
+
+
+# at most 3^s columns of s = 1-3 source letters, each with every mask tuple of l = 1-3 letters
+TABLE_BOUND = sum(3**s * sum(2 ** (s * n) for n in (1, 2, 3)) for s in (1, 2, 3))
+
+
+class TestColumnTable:
+    def test_masks_mark_every_equal_source_letter(self):
+        letters = oracle._letters("각")
+        assert letters == ("ㄱ", "ㅏ", "ㄱ")
+        assert oracle._masks(letters, ["ㄱ", "각", "a", "갂"]) == [
+            (0b101,), (0b101, 0b010, 0b101), (0,), (0b101, 0b010, 0),
+        ]
+        assert oracle._masks(("a",), ["a", " ", "아"]) == [(1,), (0,), (0, 0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ALIGN_CHARS, REPEATED_LETTERS), st.lists(st.one_of(ALIGN_CHARS, REPEATED_LETTERS), max_size=6))
+    def test_distances_match_reference(self, source, chars):
+        source_letters = _reference_letters(source)
+        for start in range(len(chars) + 1):
+            want = [
+                _reference_edit_distance(source_letters, _reference_letters("".join(chars[start:end])))
+                for end in range(start, len(chars) + 1)
+            ]
+            assert table_distances(source, chars, start) == want, (source, chars, start)
+
+    def test_every_reachable_key_fits_the_bound(self):
+        keys = set()
+        for s in (1, 2, 3):
+            seen, todo = set(), [tuple(range(1, s + 1))]
+            while todo:
+                offsets = todo.pop()
+                if offsets in seen:
+                    continue
+                seen.add(offsets)
+                assert all(abs(b - a) <= 1 for a, b in zip((0, *offsets), offsets))
+                for masks in (m for n in (1, 2, 3) for m in itertools.product(range(2**s), repeat=n)):
+                    keys.add((offsets, masks))
+                    todo.append(oracle._step_column(offsets, masks))
+            assert len(seen) <= 3**s
+        assert len(keys) <= TABLE_BOUND == 16_566
+
+    def test_table_stays_bounded_and_a_second_pass_adds_nothing(self, monkeypatch):
+        lines = [(r["surface"], r["lemma_units"]) for r in bundled_records()] + random_syllable_lines(300, 5)
+        first = [[ac.action_string() for ac in align(s, u)] for s, u in lines]
+        size = len(oracle._COLUMNS)
+        assert 0 < size <= TABLE_BOUND
+        calls = []
+        step = oracle._step_column
+        monkeypatch.setattr(oracle, "_step_column", lambda *key: calls.append(key) or step(*key))
+        assert [[ac.action_string() for ac in align(s, u)] for s, u in lines] == first
+        assert calls == []
+        assert len(oracle._COLUMNS) == size
+
+    def test_new_keys_are_filled_by_the_column_update(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_COLUMNS", oracle._ColumnTable())
+        calls = []
+        step = oracle._step_column
+        monkeypatch.setattr(oracle, "_step_column", lambda *key: calls.append(key) or step(*key))
+        align("했다", ["하", "았", "다"])
+        assert calls and sorted(calls) == sorted(oracle._COLUMNS)
+        assert all(oracle._COLUMNS[key] == step(*key) for key in calls)
 
 
 class TestReconstructTargets:

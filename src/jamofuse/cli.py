@@ -87,21 +87,22 @@ def _coerce_config_value(key: str, value: str):
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """Flags beat the config file, which beats the defaults."""
-    values = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in values:
-                raise ConfigError(f"unknown config key {key!r} in {args.config}")
-            values[key] = _coerce_config_value(key, raw)
-        if values["granularity"] not in _CLI_GRANULARITIES:
-            raise ConfigError(f"{args.config}: granularity must be one of {', '.join(_CLI_GRANULARITIES)}; "
-                              f"got {values['granularity']!r}")
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return PipelineConfig.from_dict(values)
+    """Flags beat the config file, which beats the defaults; an error the flags alone do not make names the file."""
+    path, from_file = getattr(args, "config", None), {}
+    for key, raw in (_read_config_file(path) if path else {}).items():
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+        from_file[key] = _coerce_config_value(key, raw)
+    flags = {key: getattr(args, key) for key in _DEFAULTS if getattr(args, key, None) is not None}
+    values = {**_DEFAULTS, **from_file, **flags}
+    if values["granularity"] not in _CLI_GRANULARITIES:  # argparse keeps the flag to these
+        raise ConfigError(f"{path}: granularity must be one of {', '.join(_CLI_GRANULARITIES)}; "
+                          f"got {values['granularity']!r}")
+    try:
+        return PipelineConfig.from_dict(values)
+    except ConfigError as e:
+        PipelineConfig.from_dict({**_DEFAULTS, **flags})  # raises when the flags alone are at fault
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:

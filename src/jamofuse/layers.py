@@ -340,31 +340,30 @@ class Conv2x1:
 
 
 class AttnCache(NamedTuple):
-    q_in: np.ndarray  # (rows, D) flat query rows
-    kv: np.ndarray  # (rows', D) flat key and value rows
-    q: np.ndarray  # (B, H, N, dh)
-    k: np.ndarray  # (B, H, M, dh)
-    v: np.ndarray  # (B, H, M, dh)
-    attn: np.ndarray  # (B, H, N, M), 0 at padded keys
-    ctx: np.ndarray  # (rows, D) flat context rows
-    slots: Optional[np.ndarray]  # (rows,) padded row of each flat row; None when nothing is padded
+    q_in: np.ndarray  # (rows, D) query rows, text after text
+    kv: np.ndarray  # (rows, D) key and value rows, text after text
+    q: np.ndarray  # (rows, D) projected queries, in count order
+    k: np.ndarray  # (rows, D) projected keys, in count order
+    v: np.ndarray  # (rows, D) projected values, in count order
+    attn: list[np.ndarray]  # (texts, H, U, U) attention weights of the texts of each row count U, U ascending
+    ctx: np.ndarray  # (rows, D) context rows, text after text
+    order: Optional[np.ndarray]  # (rows,) the rows in count order; None when that is their order
 
 
 class CrossAttention:
     """Scaled dot-product attention with learned Q/K/V/output projections.
 
-    Queries come from one sequence, keys and values from another. The plain
-    form has no residual path; pass residual=True to add q_in to the output.
+    Queries come from one sequence, keys and values from another with as many
+    rows. The plain form has no residual path; pass residual=True to add q_in
+    to the output.
 
-    Given offsets, the (texts + 1) first rows of a batch of texts, q_in and kv
-    hold the same flat rows text after text, and each text's queries attend
-    only to its own keys. Q, K and V are projected once on all rows and
-    scattered into one (texts, H, U, dh) layout, U the largest row count,
-    with the padded keys masked to -inf before the softmax; texts without rows
-    are left out. The context is gathered back to flat rows before the output
-    projection. When every text has U rows, nothing is padded: there is no
-    scatter and no mask. Without offsets, q_in (N rows) and kv (M rows) are
-    one sequence, the batch of one.
+    Given offsets, the (texts + 1) first rows of a batch of texts, each text's
+    queries attend only to its own keys; without offsets the rows are one
+    text. Q, K and V are projected once on all rows and gathered once in
+    count order (the texts stably sorted by row count U), so the texts of each
+    U are one run of rows and one unmasked (texts, H, U, U) attention; nothing
+    is padded. The backward walks the same runs, and the weight gradients are
+    whole-batch products.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, heads: int = 1, residual: bool = False):
@@ -379,96 +378,97 @@ class CrossAttention:
             self.params.add(f"b_{name}", Tensor(uniform_init(rng, (dim,), dim)))
 
     @staticmethod
-    def _layout(offsets: np.ndarray, rows: int) -> tuple[int, int, Optional[np.ndarray], Optional[np.ndarray]]:
-        """(texts with rows, U, each flat row's padded row, the (texts, 1, 1, U) key mask) of a batch;
-        the last two are None when nothing is padded."""
+    def _groups(offsets, rows: int) -> tuple[Optional[np.ndarray], list[tuple[int, int]]]:
+        """(the rows in count order, None when that is their order; the (texts, U) of each
+        row count U > 0, U ascending) of a batch."""
         bounds = np.asarray(offsets)
         bounds = bounds.tolist() if bounds.ndim == 1 else []
         counts = [b - a for a, b in zip(bounds, bounds[1:])]
         if not counts or bounds[0] != 0 or bounds[-1] != rows or min(counts) < 0:
             raise ShapeError(f"offsets {np.asarray(offsets).tolist()} do not split {rows} rows into texts")
-        counts = [c for c in counts if c]
-        texts, longest = len(counts), max(counts, default=0)
-        if texts * longest == rows:
-            return texts, longest, None, None
-        counts = np.array(counts)
-        # row i of a text that starts at flat row s goes to padded row b * U + i, so flat row r to r + b * U - s
-        slots = np.arange(rows) + np.repeat(np.arange(texts) * longest - (np.cumsum(counts) - counts), counts)
-        mask = np.where(np.arange(longest) < counts[:, None], 0.0, -np.inf)[:, None, None, :]
-        return texts, longest, slots, mask
+        sizes = [c for c in counts if c]
+        groups = [(sizes.count(u), u) for u in sorted(set(sizes))]
+        if sizes == sorted(sizes):
+            return None, groups
+        return np.argsort(np.repeat(counts, counts), kind="stable"), groups
 
-    def _split(self, x: np.ndarray, slots: Optional[np.ndarray], texts: int, length: int) -> np.ndarray:
-        """(rows, D) flat rows to (texts, H, length, dh); with slots, row r goes to padded row slots[r], the rest are 0."""
-        if slots is not None:
-            padded = np.zeros((texts * length, self.dim))
-            padded[slots] = x
-            x = padded
-        return x.reshape(texts, length, self.heads, self.dim // self.heads).transpose(0, 2, 1, 3)
-
-    def _join(self, x: np.ndarray, slots: Optional[np.ndarray]) -> np.ndarray:
-        """(texts, H, length, dh) to flat rows, the inverse of _split."""
-        texts, h, length, dh = x.shape
-        flat = x.transpose(0, 2, 1, 3).reshape(texts * length, h * dh)
-        return flat if slots is None else flat[slots]
+    def _split(self, x: np.ndarray, texts: int) -> np.ndarray:
+        """(texts * U, D) rows to a (texts, H, U, dh) view."""
+        return x.reshape(texts, -1, self.heads, self.dim // self.heads).swapaxes(1, 2)
 
     def forward(
         self, q_in: np.ndarray, kv: np.ndarray, offsets: Optional[np.ndarray] = None
     ) -> tuple[np.ndarray, AttnCache]:
-        if q_in.ndim != 2 or kv.ndim != 2 or q_in.shape[1] != self.dim or kv.shape[1] != self.dim:
-            raise ShapeError(f"cross_attention needs (*, {self.dim}) inputs, got {q_in.shape} and {kv.shape}")
-        if offsets is None:
-            texts, n, m, slots, mask = 1, q_in.shape[0], kv.shape[0], None, None
-        else:
-            if q_in.shape != kv.shape:
-                raise ShapeError(f"batched cross_attention needs one key row per query row, got {q_in.shape} and {kv.shape}")
-            texts, n, slots, mask = self._layout(offsets, q_in.shape[0])
-            m = n
+        if q_in.ndim != 2 or q_in.shape[1] != self.dim or kv.shape != q_in.shape:
+            raise ShapeError(f"cross_attention needs (rows, {self.dim}) inputs with one key row per query row, "
+                             f"got {q_in.shape} and {kv.shape}")
+        rows = q_in.shape[0]
+        order, groups = self._groups([0, rows] if offsets is None else offsets, rows)
         p = self.params
-        q = self._split(q_in @ p["w_q"].data + p["b_q"].data, slots, texts, n)
-        k = self._split(kv @ p["w_k"].data + p["b_k"].data, slots, texts, m)
-        v = self._split(kv @ p["w_v"].data + p["b_v"].data, slots, texts, m)
+        q = q_in @ p["w_q"].data + p["b_q"].data
+        k = kv @ p["w_k"].data + p["b_k"].data
+        v = kv @ p["w_v"].data + p["b_v"].data
+        if order is not None:
+            q, k, v = q[order], k[order], v[order]
         scale = 1.0 / np.sqrt(self.dim / self.heads)
-        logits = (q @ k.swapaxes(-1, -2)) * scale
-        if mask is not None:
-            logits += mask
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = self._join(attn @ v, slots)
+        ctx, attns, start = np.empty((rows, self.dim)), [], 0
+        for texts, length in groups:
+            stop = start + texts * length
+            q_g, k_g, v_g = (self._split(x[start:stop], texts) for x in (q, k, v))
+            attn = q_g @ k_g.swapaxes(-1, -2)  # the softmax of the scaled logits, in place
+            attn *= scale
+            attn -= attn.max(axis=-1, keepdims=True)
+            np.exp(attn, attn)
+            attn /= attn.sum(axis=-1, keepdims=True)
+            np.matmul(attn, v_g, self._split(ctx[start:stop], texts))
+            attns.append(attn)
+            start = stop
+        if order is not None:
+            ctx = ctx[np.argsort(order)]
         out = ctx @ p["w_o"].data + p["b_o"].data
         if self.residual:
             out = out + q_in
-        return out, AttnCache(q_in, kv, q, k, v, attn, ctx, slots)
+        return out, AttnCache(q_in, kv, q, k, v, attns, ctx, order)
 
     def backward(self, grad_out: np.ndarray, cache: AttnCache) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (grad_q_in, grad_kv). Padded query rows get no gradient, and padded
-        keys none either, since their attention weights are 0."""
+        """Returns (grad_q_in, grad_kv)."""
         p = self.params
-        q_in, kv, q, k, v, attn, ctx, slots = cache
-        texts, _, n, _ = q.shape
+        q_in, kv, q, k, v, attns, ctx, order = cache
         scale = 1.0 / np.sqrt(self.dim / self.heads)
 
         p["w_o"].accumulate(ctx.T @ grad_out)
         p["b_o"].accumulate(grad_out.sum(axis=0))
-        d_ctx = self._split(grad_out @ p["w_o"].data.T, slots, texts, n)
+        d_ctx = grad_out @ p["w_o"].data.T
+        if order is not None:
+            d_ctx = d_ctx[order]
 
-        d_attn = d_ctx @ v.swapaxes(-1, -2)
-        d_v = attn.swapaxes(-1, -2) @ d_ctx
-        inner = (d_attn * attn).sum(axis=-1, keepdims=True)
-        d_logits = attn * (d_attn - inner) * scale
-        d_q = d_logits @ k
-        d_k = d_logits.swapaxes(-1, -2) @ q
+        d_q, d_k, d_v, start = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape), 0
+        for attn in attns:
+            texts, _, length, _ = attn.shape
+            stop = start + texts * length
+            q_g, k_g, v_g, d_ctx_g = (self._split(x[start:stop], texts) for x in (q, k, v, d_ctx))
+            d_logits = d_ctx_g @ v_g.swapaxes(-1, -2)
+            np.matmul(attn.swapaxes(-1, -2), d_ctx_g, self._split(d_v[start:stop], texts))
+            # d_logits = attn * (d_attn - sum(d_attn * attn)) * scale, in place
+            d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
+            d_logits *= attn
+            d_logits *= scale
+            np.matmul(d_logits, k_g, self._split(d_q[start:stop], texts))
+            np.matmul(d_logits.swapaxes(-1, -2), q_g, self._split(d_k[start:stop], texts))
+            start = stop
+        if order is not None:
+            inverse = np.argsort(order)
+            d_q, d_k, d_v = d_q[inverse], d_k[inverse], d_v[inverse]
 
-        d_q_flat, d_k_flat, d_v_flat = (self._join(g, slots) for g in (d_q, d_k, d_v))
-        p["w_q"].accumulate(q_in.T @ d_q_flat)
-        p["b_q"].accumulate(d_q_flat.sum(axis=0))
-        p["w_k"].accumulate(kv.T @ d_k_flat)
-        p["b_k"].accumulate(d_k_flat.sum(axis=0))
-        p["w_v"].accumulate(kv.T @ d_v_flat)
-        p["b_v"].accumulate(d_v_flat.sum(axis=0))
+        p["w_q"].accumulate(q_in.T @ d_q)
+        p["b_q"].accumulate(d_q.sum(axis=0))
+        p["w_k"].accumulate(kv.T @ d_k)
+        p["b_k"].accumulate(d_k.sum(axis=0))
+        p["w_v"].accumulate(kv.T @ d_v)
+        p["b_v"].accumulate(d_v.sum(axis=0))
 
-        grad_q_in = d_q_flat @ p["w_q"].data.T
-        grad_kv = d_k_flat @ p["w_k"].data.T + d_v_flat @ p["w_v"].data.T
+        grad_q_in = d_q @ p["w_q"].data.T
+        grad_kv = d_k @ p["w_k"].data.T + d_v @ p["w_v"].data.T
         if self.residual:
             grad_q_in = grad_q_in + grad_out
         return grad_q_in, grad_kv

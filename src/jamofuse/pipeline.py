@@ -444,8 +444,8 @@ class Pipeline:
         self, e_s: np.ndarray, h_s: np.ndarray, unit_offsets: np.ndarray
     ) -> tuple[np.ndarray, Optional[object]]:
         """Fuses the unit rows of every text in one call. Cross-attention stays within
-        each text's units: the layer runs the texts as one padded batch and masks the
-        other texts' keys out (CrossAttention)."""
+        each text's units: the layer runs one attention for the texts of each unit
+        count, nothing padded (CrossAttention)."""
         if e_s.shape != h_s.shape:
             raise ShapeError(f"fusion inputs {e_s.shape} and {h_s.shape} do not match")
         mode = self.config.fusion
@@ -480,9 +480,8 @@ class Pipeline:
         vector per unit. A text without characters has no unit rows. For a
         batch, external_boundary holds one boundary map per text. The
         principles GRUs run the batch as packed sequences (PackedBatch); a
-        single text is the batch of one. Cross-attention fusion pads every
-        text to the batch's largest unit count U, so it holds texts x heads x
-        U x U attention weights; word_vectors cuts its passes to bound them.
+        single text is the batch of one. Cross-attention fusion holds heads x
+        U x U attention weights for each text of U units, and no more.
         """
         cfg = self.config
         d, w = cfg.dim, self.tokenizer.scheme.width

@@ -179,8 +179,8 @@ def _forward_words(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.nda
 # first GRU's states (that GRU projects only the embedding rows of the distinct ids,
 # and stage 1 gathers one (chars, d) slot at a time), attention the weighted token
 # rows it pools, linear only the rows of unit-final characters. Passes are cut so
-# that array stays within this, and so does cross-attention fusion's padded
-# (texts, heads, U, U) attention, U at most the pass's longest text in characters.
+# that array stays within this, and so do cross-attention fusion's attention
+# weights, heads x U x U for each text of U units, U at most its characters.
 PASS_BYTES = 1 << 21
 
 
@@ -193,14 +193,12 @@ def _word_vectors(pipe: Pipeline, texts: list[str]) -> tuple[np.ndarray, np.ndar
     fused, raw = np.zeros((len(texts), dim)), np.zeros((len(texts), dim))
     start = 0
     while start < len(order):
-        stop, rows = start + 1, len(texts[order[start]]) * width
-        cells = heads * len(texts[order[start]]) ** 2  # each text's padded attention, at most
-        while (
-            stop < len(order)
-            and rows + len(texts[order[stop]]) * width <= limit
-            and (stop + 1 - start) * cells <= PASS_BYTES // 8
-        ):
-            rows += len(texts[order[stop]]) * width
+        stop, rows, cells = start, 0, 0
+        while stop < len(order):
+            n = len(texts[order[stop]])
+            rows, cells = rows + n * width, cells + heads * n * n
+            if stop > start and (rows > limit or cells > PASS_BYTES // 8):
+                break
             stop += 1
         group = order[start:stop]
         fused[group], raw[group], _ = _forward_words(pipe, [texts[k] for k in group])

@@ -530,6 +530,45 @@ class TestConfigPrecedence:
         assert trained == []
         assert not out.exists() and not log.exists()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("scheme = foo", "unknown scheme 'foo', expected one of"),
+            ("dim = 4\nheads = 3", "heads must divide dim, got 3 heads for dim 4"),
+        ],
+        ids=["scheme", "heads"],
+    )
+    @pytest.mark.parametrize("command", ["train", "embed", "probe-pca"])
+    def test_invalid_config_file_value_names_the_file(self, tmp_path, monkeypatch, capsys, command, lines, message):
+        cfg, out, log = tmp_path / "pipe.cfg", tmp_path / "out", tmp_path / "m.csv"
+        cfg.write_text(lines + "\n", encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(cli, "train_vocab", lambda *args, **kwargs: trained.append(args))
+        argv = {
+            "train": ["train", "--pairs", PAIRS, "--log", str(log)],
+            "embed": ["embed", "--pairs-vocab", PAIRS, "--text", "하다"],
+            "probe-pca": ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다"],
+        }[command]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error_text(captured.err)
+        assert f"error: {cfg}: {message}" in captured.err
+        assert trained == []
+        assert not out.exists() and not log.exists()
+
+    def test_flag_overrides_an_invalid_config_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text("dim = 4\nheads = 3\n", encoding="utf-8")
+        argv = ["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--config", str(cfg)]
+        assert main([*argv, "--heads", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith("dim3")
+        # a flag that is wrong on its own is reported without the file's name
+        assert main([*argv, "--scheme", "foo"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert "error: unknown scheme 'foo'" in err and str(cfg) not in err
+
     def test_verbose_echoes_config_to_stderr(self, capsys):
         assert main([
             "embed", "--pairs-vocab", PAIRS, "--text", "하다",

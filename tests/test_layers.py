@@ -466,13 +466,14 @@ class TestConv2x1:
 
 class TestCrossAttention:
     def test_single_key_degeneracy(self):
+        # texts of one row each: every query has one key, whatever the query
         rng = np.random.default_rng(2)
         attn = CrossAttention(4, rng)
-        kv = rng.standard_normal((1, 4))
+        kv = np.repeat(rng.standard_normal((1, 4)), 3, axis=0)
         q_any = rng.standard_normal((3, 4))
-        out, cache = attn.forward(q_any, kv)
+        out, cache = attn.forward(q_any, kv, [0, 1, 2, 3])
         projected_value = (
-            kv @ attn.params["w_v"].data + attn.params["b_v"].data
+            kv[:1] @ attn.params["w_v"].data + attn.params["b_v"].data
         ) @ attn.params["w_o"].data + attn.params["b_o"].data
         assert np.allclose(out, np.repeat(projected_value, 3, axis=0))
         assert np.allclose(cache.attn, 1.0)
@@ -483,15 +484,16 @@ class TestCrossAttention:
             attn.params[f"w_{name}"].data = np.eye(4)
             attn.params[f"b_{name}"].data[:] = 0.0
         kv = np.eye(4)  # orthogonal keys; values = same basis rows
-        q = np.array([[0.0, 50.0, 0.0, 0.0]])
+        pick = [1, 2, 3, 0]
+        q = 50.0 * np.eye(4)[pick]  # query i points at key pick[i]
         out, _ = attn.forward(q, kv)
-        assert np.allclose(out[0], kv[1], atol=1e-8)
+        assert np.allclose(out, kv[pick], atol=1e-8)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
         attn = CrossAttention(6, rng, heads=2)
-        _, cache = attn.forward(rng.standard_normal((3, 6)), rng.standard_normal((5, 6)))
-        assert np.abs(cache.attn.sum(axis=-1) - 1.0).max() < 1e-12
+        _, cache = attn.forward(rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
+        assert np.abs(cache.attn[0].sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ShapeError):
@@ -501,7 +503,7 @@ class TestCrossAttention:
         rng = np.random.default_rng(6)
         plain = CrossAttention(4, rng)
         res = CrossAttention(4, np.random.default_rng(6), residual=True)
-        q = np.random.default_rng(1).standard_normal((2, 4))
+        q = np.random.default_rng(1).standard_normal((3, 4))
         kv = np.random.default_rng(2).standard_normal((3, 4))
         out_plain, _ = plain.forward(q, kv)
         out_res, _ = res.forward(q, kv)
@@ -511,9 +513,9 @@ class TestCrossAttention:
     def test_gradient(self, heads, residual):
         rng = np.random.default_rng(17)
         attn = CrossAttention(4, rng, heads=heads, residual=residual)
-        q = Tensor(rng.standard_normal((3, 4)))
+        q = Tensor(rng.standard_normal((4, 4)))
         kv = Tensor(rng.standard_normal((4, 4)))
-        r = rng.standard_normal((3, 4))
+        r = rng.standard_normal((4, 4))
 
         def loss_fn(with_grad):
             out, cache = attn.forward(q.data, kv.data)
@@ -527,9 +529,10 @@ class TestCrossAttention:
 
 
 class TestPaddedCrossAttention:
-    """The batch form: flat rows of several texts, each text attending only to its own rows."""
+    """The batch form: flat rows of several texts, each text attending only to its own
+    rows, one unmasked attention per row count."""
 
-    OFFSETS = [0, 3, 3, 4, 8]  # texts of 3, 0, 1 and 4 rows
+    OFFSETS = [0, 3, 3, 4, 8]  # texts of 3, 0, 1 and 4 rows: three row counts
 
     @pytest.mark.parametrize("residual", [False, True])
     def test_gradient_with_mask(self, residual):
@@ -541,7 +544,7 @@ class TestPaddedCrossAttention:
 
         def loss_fn(with_grad):
             out, cache = attn.forward(q.data, kv.data, self.OFFSETS)
-            assert cache.slots is not None
+            assert [a.shape for a in cache.attn] == [(1, 2, 1, 1), (1, 2, 3, 3), (1, 2, 4, 4)]
             if with_grad:
                 grad_q, grad_kv = attn.backward(r, cache)
                 q.accumulate(grad_q)
@@ -555,9 +558,8 @@ class TestPaddedCrossAttention:
         attn = CrossAttention(6, rng, heads=2)
         q, kv = rng.standard_normal((8, 6)), rng.standard_normal((8, 6))
         out, cache = attn.forward(q, kv, self.OFFSETS)
-        assert cache.attn.shape == (3, 2, 4, 4)
-        assert np.abs(cache.attn.sum(axis=-1) - 1.0).max() < 1e-12
-        assert (cache.attn[:, :, :, 3][:2] == 0.0).all()  # the texts of 3 and 1 rows have no fourth key
+        for a in cache.attn:
+            assert np.abs(a.sum(axis=-1) - 1.0).max() < 1e-12
         kv2 = kv.copy()
         kv2[4:] += 1.0  # the last text's keys and values
         out2, _ = attn.forward(q, kv2, self.OFFSETS)
@@ -569,10 +571,9 @@ class TestPaddedCrossAttention:
         attn = CrossAttention(4, rng, heads=2)
         q, kv = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
         _, cache = attn.forward(q, kv, [0, 3, 3, 6])
-        assert cache.slots is None and cache.attn.shape == (2, 2, 3, 3)
+        assert cache.order is None and [a.shape for a in cache.attn] == [(2, 2, 3, 3)]
         one, cache = attn.forward(q, kv, np.array([0, 6]))
-        assert cache.slots is None
-        assert np.array_equal(one, attn.forward(q, kv)[0])  # one text is the one-sequence call, bit for bit
+        assert np.array_equal(one, attn.forward(q, kv)[0])  # one text is the call without offsets, bit for bit
 
     @pytest.mark.parametrize("offsets", [[0, 3], [1, 4], [0, 4, 3, 4], [0], []])
     def test_offsets_must_split_the_rows(self, offsets):

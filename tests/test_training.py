@@ -154,11 +154,12 @@ class TestWordVectors:
         assert sorted(text for batch in calls for text in batch) == sorted(texts)
         assert np.abs(cut - whole).max() <= 1e-12
 
-    def test_cross_attention_passes_bound_the_padded_attention(self, monkeypatch):
-        # one long text pads every text of its pass to its units: the passes are cut so the
-        # (texts, heads, U, U) attention stays within PASS_BYTES, U at most the longest text's characters
+    def test_cross_attention_passes_bound_the_attention_weights(self, monkeypatch):
+        # a text of U units holds heads x U x U attention weights: the passes are cut so the
+        # sum over a pass's texts stays within PASS_BYTES, U at most a text's characters
         pipe = tiny_pipeline(dim=4, fusion="cross-attention", heads=2, granularity="character")
-        texts = ["하" * 200, *(f"{a}{b}" for a in "가나다라" for b in "마바사아")]
+        texts = [c * n for c, n in zip("하가나다", (200, 190, 180, 170))]
+        texts += [f"{a}{b}" for a in "가나다라" for b in "마바사아"]
         calls = []
         forward = Pipeline.forward
 
@@ -168,11 +169,11 @@ class TestWordVectors:
 
         monkeypatch.setattr(Pipeline, "forward", counted)
         vectors = word_vectors(pipe, texts)
-        assert len(calls) > 1
+        # 2 x (200^2 + 190^2 + 180^2) cells fit in one pass, and the 170-character text does not fit with them
+        assert calls == [texts[:3], texts[3:]]
         for batch in calls:
-            assert len(batch) == 1 or len(batch) * 2 * max(map(len, batch)) ** 2 * 8 <= training.PASS_BYTES
-        assert calls[0][0] == texts[0]
-        for k in (0, 1, len(texts) - 1):
+            assert sum(2 * len(text) ** 2 * 8 for text in batch) <= training.PASS_BYTES
+        for k in (0, 3, 4, len(texts) - 1):
             assert np.abs(vectors[k] - word_vector(pipe, texts[k])).max() <= 1e-12
 
     def test_chunk_of_32_texts_is_one_pass_at_d64(self, monkeypatch):

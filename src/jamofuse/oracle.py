@@ -15,8 +15,10 @@ while pushing 았 onto the following 다 would cost 5. The distances of every
 run from one lemma start are read off one Wagner-Fischer column walked along
 the lemma inside that program. A step of the column depends only on its
 offsets and on which source letters each letter of the next character equals,
-so one module-level table of steps, at most 16,566 of them, serves every
-alignment.
+so one module-level automaton serves every alignment: its states number the
+distinct columns (at most 39), its mask ids the distinct tuples of letter
+masks (at most 584), and each alignment cell steps it with two int lookups
+over transitions filled on first sight (at most 16,566).
 """
 
 from __future__ import annotations
@@ -138,17 +140,53 @@ def _letters(ch: str) -> tuple[str, ...]:
     return (ch,) if block is None else tuple(letter for letter in block.letters if letter)
 
 
-# (column offsets, letter masks) -> offsets of the next column, filled by _step_column the
-# first time a key is seen. A source and a target character have 1-3 letters each, and
-# neighbouring cells differ by at most 1, so there are at most
-# sum_s 3^s * sum_l 2^(s*l) = 16,566 keys.
-class _ColumnTable(dict):
-    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
-        offsets = self[key] = _step_column(*key)
-        return offsets
+class _MaskIds(dict):
+    """Letter-mask tuple -> id, numbering each new tuple when it is first looked up."""
+
+    def __init__(self):
+        super().__init__()
+        self.masks: list[tuple[int, ...]] = []  # per id
+
+    def __missing__(self, masks: tuple[int, ...]) -> int:
+        m = self[masks] = len(self.masks)
+        self.masks.append(masks)
+        return m
 
 
-_COLUMNS = _ColumnTable()
+class _ColumnAutomaton:
+    """Wagner-Fischer columns numbered as the states of one automaton (Ukkonen,
+    J. Algorithms 6, 1985), so stepping a column over a character is two int lookups.
+
+    A state is a column's offsets, a mask id a character's tuple of letter masks (see
+    `_step_column`). A source has 1-3 letters and neighbouring cells differ by at most 1, so
+    there are at most 3 + 9 + 27 = 39 states; a character has 1-3 letters, so at most
+    8 + 64 + 512 = 584 mask ids and sum_s 3^s * sum_l 2^(s*l) = 16,566 transitions. All
+    three are numbered or filled on first sight.
+    """
+
+    def __init__(self):
+        self.state_ids: dict[tuple[int, ...], int] = {}
+        self.offsets: list[tuple[int, ...]] = []  # per state
+        self.last: list[int] = []  # per state, its last offset
+        self.next: list[dict[int, int]] = []  # per state, mask id -> next state
+        self.mask_ids = _MaskIds()
+
+    def state(self, offsets: tuple[int, ...]) -> int:
+        s = self.state_ids.get(offsets)
+        if s is None:
+            s = self.state_ids[offsets] = len(self.offsets)
+            self.offsets.append(offsets)
+            self.last.append(offsets[-1])
+            self.next.append({})
+        return s
+
+    def fill(self, s: int, m: int) -> int:
+        """Fill in and return the state after state `s` reads mask id `m`."""
+        t = self.next[s][m] = self.state(_step_column(self.offsets[s], self.mask_ids.masks[m]))
+        return t
+
+
+_AUTOMATON = _ColumnAutomaton()
 
 
 def _step_column(offsets: tuple[int, ...], masks: tuple[int, ...]) -> tuple[int, ...]:
@@ -157,7 +195,7 @@ def _step_column(offsets: tuple[int, ...], masks: tuple[int, ...]) -> tuple[int,
     A column holds the edit distances from each prefix of the source letters to the target
     letters so far; `offsets` are its cells after the first, less the first. `masks` holds
     one mask per letter of the character, with bit k set when source letter k (from 0)
-    equals that letter. The step depends on nothing else, which is what lets `_COLUMNS`
+    equals that letter. The step depends on nothing else, which is what lets `_AUTOMATON`
     serve every alignment.
     """
     col = [0, *offsets]
@@ -184,6 +222,9 @@ def _masks(source: tuple[str, ...], chars: list[str]) -> list[tuple[int, ...]]:
 # tie-break order for equal-cost alignments: prefer KEEP, then MOD, then NOOP
 _PREF_KEEP, _PREF_MOD, _PREF_NOOP = 0, 1, 2
 
+# ActionTag is frozen, so every KEEP and NOOP character of align's output shares these
+_B_KEEP, _I_KEEP, _B_NOOP = ActionTag("B", KEEP), ActionTag("I", KEEP), ActionTag("B", NOOP)
+
 
 def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     """Assign lemma characters to surface characters by minimal letter edits.
@@ -209,28 +250,41 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     # letters in lemma_chars[:j]: the distance of run a..j is the letters in it plus the last
     # offset of the column walked from a to j
     ends = list(itertools.accumulate((len(_letters(c)) for c in lemma_chars), initial=0))
-    masks_of: dict[str, list[tuple[int, ...]]] = {}
+    automaton = _AUTOMATON
+    nxt, last_of, fill = automaton.next, automaton.last, automaton.fill
+    distinct = list(dict.fromkeys(lemma_chars))
+    mask_ids_of: dict[str, list[int]] = {}
     for i, ch in enumerate(surface, start=1):
         letters, row, pick = _letters(ch), [INF] * (n + 1), choice[i]
-        masks = masks_of.get(ch)
-        if masks is None:
-            masks = masks_of[ch] = _masks(letters, lemma_chars)
-        first = tuple(range(1, len(letters) + 1))  # the column before any lemma letter
+        mids = mask_ids_of.get(ch)  # per lemma position, built once per distinct lemma character
+        if mids is None:
+            ids = dict(zip(distinct, map(automaton.mask_ids.__getitem__, _masks(letters, distinct))))
+            mids = mask_ids_of[ch] = list(map(ids.__getitem__, lemma_chars))
+        first = automaton.state(tuple(range(1, len(letters) + 1)))  # the column before any lemma letter
         noop = len(letters) * scale + _PREF_NOOP
-        last = len(letters) - 1
         for a, base in enumerate(best):
             if base == INF:
                 continue
             if base + noop < row[a]:
                 row[a], pick[a] = base + noop, a
+            if a == n:
+                continue
             mod = base - ends[a] * scale + _PREF_MOD
-            offsets = first
-            for j in range(a + 1, n + 1):
-                offsets = _COLUMNS[offsets, masks[j - 1]]
-                if j == a + 1 and lemma_chars[a] == ch:
-                    cand = base + _PREF_KEEP
-                else:
-                    cand = mod + (ends[j] + offsets[last]) * scale
+            # a transition is missing at most 16,566 times per process, and a try costs nothing
+            # while it is found
+            try:
+                s = nxt[first][mids[a]]
+            except KeyError:
+                s = fill(first, mids[a])
+            cand = base + _PREF_KEEP if lemma_chars[a] == ch else mod + (ends[a + 1] + last_of[s]) * scale
+            if cand < row[a + 1]:
+                row[a + 1], pick[a + 1] = cand, a
+            for j in range(a + 2, n + 1):
+                try:
+                    s = nxt[s][mids[j - 1]]
+                except KeyError:
+                    s = fill(s, mids[j - 1])
+                cand = mod + (ends[j] + last_of[s]) * scale
                 if cand < row[j]:
                     row[j], pick[j] = cand, a
         best = row
@@ -247,11 +301,10 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
         a, b = cuts[i], cuts[i + 1]
         group = lemma_chars[a:b]
         if not group:
-            out.append(AlignedChar(ch, [ActionTag("B", NOOP)]))
+            out.append(AlignedChar(ch, [_B_NOOP]))
             continue
         if group == [ch]:
-            bio = "B" if starts_unit[a] else "I"
-            out.append(AlignedChar(ch, [ActionTag(bio, KEEP)]))
+            out.append(AlignedChar(ch, [_B_KEEP if starts_unit[a] else _I_KEEP]))
             continue
         actions: list[ActionTag] = []
         pos = a

@@ -317,16 +317,18 @@ class TestAlignMatchesReference:
 
 def table_distances(source: str, chars: list[str], start: int) -> list[int]:
     """Edit distance from the letters of `source` to those of chars[start:end] for every end,
-    walked through the column table as align walks it."""
+    walked through the column automaton's state ids as align walks it."""
+    automaton = oracle._AUTOMATON
     letters = oracle._letters(source)
-    masks = oracle._masks(letters, chars)
-    offsets = tuple(range(1, len(letters) + 1))
+    mask_ids = [automaton.mask_ids[masks] for masks in oracle._masks(letters, chars)]
+    state = automaton.state(tuple(range(1, len(letters) + 1)))
     consumed = 0
     out = [len(letters)]
     for k in range(start, len(chars)):
-        offsets = oracle._COLUMNS[offsets, masks[k]]
+        row = automaton.next[state]
+        state = row[mask_ids[k]] if mask_ids[k] in row else automaton.fill(state, mask_ids[k])
         consumed += len(oracle._letters(chars[k]))
-        out.append(consumed + offsets[-1])
+        out.append(consumed + automaton.last[state])
     return out
 
 
@@ -342,8 +344,38 @@ def random_syllable_lines(count: int, seed: int) -> list[tuple[str, list[str]]]:
     ]
 
 
+def joined_record_lines(count: int, seed: int) -> list[str]:
+    """jsonl lines each joining 1-3 bundled records with a " " unit, as the oracle-corpus benchmark does."""
+    records = bundled_records()
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        chosen = rng.choices(records, k=rng.choice((1, 1, 1, 1, 1, 2, 2, 2, 3, 3)))
+        units: list[str] = []
+        for k, r in enumerate(chosen):
+            units += ([" "] if k else []) + r["lemma_units"]
+        surface = " ".join(r["surface"] for r in chosen)
+        lines.append(json.dumps({"surface": surface, "lemma_units": units}, ensure_ascii=False) + "\n")
+    return lines
+
+
+def transitions(automaton) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every filled transition as (offsets, masks), the arguments `_step_column` filled it from."""
+    masks = automaton.mask_ids.masks
+    return [(automaton.offsets[s], masks[m]) for s, row in enumerate(automaton.next) for m in row]
+
+
 # at most 3^s columns of s = 1-3 source letters, each with every mask tuple of l = 1-3 letters
+STATE_BOUND = 3 + 9 + 27
+MASK_BOUND = 8 + 64 + 512
 TABLE_BOUND = sum(3**s * sum(2 ** (s * n) for n in (1, 2, 3)) for s in (1, 2, 3))
+
+
+def assert_within_bounds(automaton) -> None:
+    assert 0 < len(automaton.offsets) <= STATE_BOUND == 39
+    assert len(automaton.state_ids) == len(automaton.offsets) == len(automaton.last) == len(automaton.next)
+    assert len(automaton.mask_ids) == len(automaton.mask_ids.masks) <= MASK_BOUND == 584
+    assert 0 < len(transitions(automaton)) <= TABLE_BOUND == 16_566
 
 
 class TestColumnTable:
@@ -367,41 +399,52 @@ class TestColumnTable:
             assert table_distances(source, chars, start) == want, (source, chars, start)
 
     def test_every_reachable_key_fits_the_bound(self):
-        keys = set()
+        automaton = oracle._ColumnAutomaton()
+        all_masks = [m for n in (1, 2, 3) for m in itertools.product(range(8), repeat=n)]
         for s in (1, 2, 3):
-            seen, todo = set(), [tuple(range(1, s + 1))]
+            first = automaton.state(tuple(range(1, s + 1)))
+            seen, todo = set(), [first]
             while todo:
-                offsets = todo.pop()
-                if offsets in seen:
+                state = todo.pop()
+                if state in seen:
                     continue
-                seen.add(offsets)
+                seen.add(state)
+                offsets = automaton.offsets[state]
+                assert len(offsets) == s and automaton.last[state] == offsets[-1]
                 assert all(abs(b - a) <= 1 for a, b in zip((0, *offsets), offsets))
-                for masks in (m for n in (1, 2, 3) for m in itertools.product(range(2**s), repeat=n)):
-                    keys.add((offsets, masks))
-                    todo.append(oracle._step_column(offsets, masks))
+                for masks in (m for m in all_masks if max(m) < 2**s):
+                    todo.append(automaton.fill(state, automaton.mask_ids[masks]))
             assert len(seen) <= 3**s
-        assert len(keys) <= TABLE_BOUND == 16_566
+        assert len(automaton.mask_ids) == MASK_BOUND
+        assert_within_bounds(automaton)
+        for offsets, masks in transitions(automaton):
+            s, m = automaton.state_ids[offsets], automaton.mask_ids[masks]
+            assert automaton.offsets[automaton.next[s][m]] == oracle._step_column(offsets, masks)
 
     def test_table_stays_bounded_and_a_second_pass_adds_nothing(self, monkeypatch):
         lines = [(r["surface"], r["lemma_units"]) for r in bundled_records()] + random_syllable_lines(300, 5)
         first = [[ac.action_string() for ac in align(s, u)] for s, u in lines]
-        size = len(oracle._COLUMNS)
-        assert 0 < size <= TABLE_BOUND
+        automaton = oracle._AUTOMATON
+        assert_within_bounds(automaton)
+        sizes = len(automaton.offsets), len(automaton.mask_ids), transitions(automaton)
         calls = []
         step = oracle._step_column
         monkeypatch.setattr(oracle, "_step_column", lambda *key: calls.append(key) or step(*key))
         assert [[ac.action_string() for ac in align(s, u)] for s, u in lines] == first
         assert calls == []
-        assert len(oracle._COLUMNS) == size
+        assert (len(automaton.offsets), len(automaton.mask_ids), transitions(automaton)) == sizes
 
     def test_new_keys_are_filled_by_the_column_update(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_COLUMNS", oracle._ColumnTable())
+        automaton = oracle._ColumnAutomaton()
+        monkeypatch.setattr(oracle, "_AUTOMATON", automaton)
         calls = []
         step = oracle._step_column
         monkeypatch.setattr(oracle, "_step_column", lambda *key: calls.append(key) or step(*key))
         align("했다", ["하", "았", "다"])
-        assert calls and sorted(calls) == sorted(oracle._COLUMNS)
-        assert all(oracle._COLUMNS[key] == step(*key) for key in calls)
+        assert calls and sorted(calls) == sorted(transitions(automaton))
+        for offsets, masks in calls:
+            s, m = automaton.state_ids[offsets], automaton.mask_ids[masks]
+            assert automaton.offsets[automaton.next[s][m]] == step(offsets, masks)
 
 
 class TestReconstructTargets:
@@ -638,6 +681,17 @@ class TestJsonlCorpus:
         lines = ['{"surface": "하다", "lemma_units": ["하다"]}', "", json.dumps(record, ensure_ascii=False)]
         with pytest.raises(ParseError, match="^line 3: bad corpus record: "):
             list(read_jsonl_records(lines))
+
+    def test_corpus_path_matches_reference(self):
+        lines = joined_record_lines(300, 19)
+        aligned = list(read_jsonl_corpus(lines))
+        want = [ac for surface, units in read_jsonl_records(lines) for ac in reference_align(surface, units)]
+        assert [(ac.surface, ac.action_string()) for ac in aligned] == [(ac.surface, ac.action_string()) for ac in want]
+        reference = corpus_stats(want, top_k=50)
+        for partitions in (1, 7):
+            stats = corpus_stats(aligned, top_k=50, partitions=partitions)
+            assert stats.to_json_dict() == reference.to_json_dict()
+            assert stats.top_mod_types() == reference.top_mod_types()
 
     def test_records_keep_their_fields(self):
         lines = ['{"surface": "했다", "lemma_units": ["하", "았", "다"], "note": 1}\n']

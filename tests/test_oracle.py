@@ -402,8 +402,7 @@ class TestColumnTable:
         automaton = oracle._ColumnAutomaton()
         all_masks = [m for n in (1, 2, 3) for m in itertools.product(range(8), repeat=n)]
         for s in (1, 2, 3):
-            first = automaton.state(tuple(range(1, s + 1)))
-            seen, todo = set(), [first]
+            seen, todo = set(), [automaton.state(tuple(range(1, s + 1)))]
             while todo:
                 state = todo.pop()
                 if state in seen:

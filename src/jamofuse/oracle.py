@@ -18,7 +18,16 @@ offsets and on which source letters each letter of the next character equals,
 so one module-level automaton serves every alignment: its states number the
 distinct columns (at most 39), its mask ids the distinct tuples of letter
 masks (at most 584), and each alignment cell steps it with two int lookups
-over transitions filled on first sight (at most 16,566).
+over transitions filled on first sight (at most 16,566). The automaton also
+keeps the mask id of each (surface character, lemma character) pair it has
+seen, at most `PAIR_CAP` of them between calls.
+
+The program visits only cells that can lie on an optimal alignment (Ukkonen's
+cutoff). It first prices one real alignment, which bounds the optimum from
+above. It then drops a start whose value plus a lower bound on the rest of the
+path exceeds that price. It also stops a run once the lowest cell of its column
+(`low`, per state) prices every further end above it. Every dropped candidate
+costs strictly more than the optimum, so the output is that of the full program.
 """
 
 from __future__ import annotations
@@ -153,6 +162,12 @@ class _MaskIds(dict):
         return m
 
 
+# (surface character, lemma character) mask ids that one automaton keeps between calls.
+# The bundled corpus pairs at most 146 x 121 = 17,666 characters, about 0.5 MB held this way;
+# a pair alone in its row costs about 210 bytes, so the cap bounds that case near 7 MB.
+PAIR_CAP = 1 << 15
+
+
 class _ColumnAutomaton:
     """Wagner-Fischer columns numbered as the states of one automaton (Ukkonen,
     J. Algorithms 6, 1985), so stepping a column over a character is two int lookups.
@@ -161,15 +176,23 @@ class _ColumnAutomaton:
     `_step_column`). A source has 1-3 letters and neighbouring cells differ by at most 1, so
     there are at most 3 + 9 + 27 = 39 states; a character has 1-3 letters, so at most
     8 + 64 + 512 = 584 mask ids and sum_s 3^s * sum_l 2^(s*l) = 16,566 transitions. All
-    three are numbered or filled on first sight.
+    three are numbered or filled on first sight. `rows` keeps the mask id of each
+    (surface character, lemma character) pair seen, `pairs` of them, and is emptied when a
+    call leaves more than `PAIR_CAP`.
     """
 
     def __init__(self):
         self.state_ids: dict[tuple[int, ...], int] = {}
         self.offsets: list[tuple[int, ...]] = []  # per state
         self.last: list[int] = []  # per state, its last offset
+        # per state, its lowest offset or 0: no column that follows it has a lower cell
+        self.low: list[int] = []
         self.next: list[dict[int, int]] = []  # per state, mask id -> next state
         self.mask_ids = _MaskIds()
+        self.rows: dict[str, dict[str, int]] = {}  # surface character -> lemma character -> mask id
+        self.pairs = 0
+        # by source letter count, the column before any target letter
+        self.first = {k: self.state(tuple(range(1, k + 1))) for k in (1, 2, 3)}
 
     def state(self, offsets: tuple[int, ...]) -> int:
         s = self.state_ids.get(offsets)
@@ -177,6 +200,7 @@ class _ColumnAutomaton:
             s = self.state_ids[offsets] = len(self.offsets)
             self.offsets.append(offsets)
             self.last.append(offsets[-1])
+            self.low.append(min(0, *offsets))
             self.next.append({})
         return s
 
@@ -184,6 +208,24 @@ class _ColumnAutomaton:
         """Fill in and return the state after state `s` reads mask id `m`."""
         t = self.next[s][m] = self.state(_step_column(self.offsets[s], self.mask_ids.masks[m]))
         return t
+
+    def mask_row(self, char: str, chars: list[str]) -> list[int]:
+        """The mask id of surface character `char` against each character of `chars`."""
+        row = self.rows.get(char)
+        if row is None:
+            row = self.rows[char] = {}
+            missing = dict.fromkeys(chars)
+        else:
+            mids = list(map(row.get, chars))
+            if None not in mids:
+                return mids
+            missing = dict.fromkeys(c for c in chars if c not in row)
+        row.update(zip(missing, map(self.mask_ids.__getitem__, _masks(_letters(char), missing))))
+        self.pairs += len(missing)
+        mids = list(map(row.__getitem__, chars))
+        if self.pairs > PAIR_CAP:
+            self.rows, self.pairs = {}, 0
+        return mids
 
 
 _AUTOMATON = _ColumnAutomaton()
@@ -211,12 +253,16 @@ def _step_column(offsets: tuple[int, ...], masks: tuple[int, ...]) -> tuple[int,
     return tuple(c - col[0] for c in col[1:])
 
 
-def _masks(source: tuple[str, ...], chars: list[str]) -> list[tuple[int, ...]]:
+_ZEROS = ((), (0,), (0, 0), (0, 0, 0))  # by letter count, the masks of a character sharing no letter
+
+
+def _masks(source: tuple[str, ...], chars: Iterable[str]) -> list[tuple[int, ...]]:
     """Per character of `chars`, per letter of it, the bits of the `source` letters equal to it."""
     bits: dict[str, int] = {}
     for k, x in enumerate(source):
         bits[x] = bits.get(x, 0) | 1 << k
-    return [tuple(map(bits.get, _letters(c), (0, 0, 0))) for c in chars]
+    apart = bits.keys().isdisjoint
+    return [_ZEROS[len(ls)] if apart(ls) else tuple(map(bits.get, ls, (0, 0, 0))) for ls in map(_letters, chars)]
 
 
 # tie-break order for equal-cost alignments: prefer KEEP, then MOD, then NOOP
@@ -234,6 +280,24 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     match = KEEP, anything else = MOD per covered lemma unit). Runs are
     scored by letter-level edit distance with unit costs; ties prefer KEEP
     over MOD over NOOP, then the earliest run start.
+
+    The program drops what cannot be optimal (Ukkonen's cutoff, Inf. Control 64,
+    1985). Before it, one real alignment is priced through the automaton: surface
+    character i takes the lemma characters up to the nearest cut at i/m of the lemma.
+    Its (cost, pref) integer `bound` is therefore at least the optimum's. Three kinds
+    of candidate are dropped, each costing strictly more than `bound`:
+    - every candidate of a start `a` whose value, plus the difference between the
+      surface letters left and the lemma letters left (a lower bound on any rest of
+      the path), exceeds `bound`;
+    - any candidate above `bound`, which a cell does not keep (a cell no kept
+      candidate reaches holds `bound + 1`);
+    - the rest of a run from `a` once its column's lowest cell prices every further
+      end above `bound`, since no later column of the run has a lower cell.
+    On an optimal path every cell's final value is at most `bound`, so each dropped
+    candidate costs strictly more than it. By induction along the path, every cell on
+    it keeps the value and the earliest start that the full program gives it, so the
+    backtrace, the tie-breaks and the actions are unchanged. Cells off every optimal
+    path may keep larger values, and the backtrace never reads them.
     """
     if not surface or not lemma_units or not all(lemma_units):
         raise ValueError("surface and lemma units must be non-empty")
@@ -244,26 +308,49 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     m, n = len(surface), len(lemma_chars)
     # (cost, pref) as one integer: a path's summed pref is at most 2m < scale
     scale = 2 * m + 1
-    INF = 10**18
-    best = [0] + [INF] * n
-    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(m + 1)]
     # letters in lemma_chars[:j]: the distance of run a..j is the letters in it plus the last
     # offset of the column walked from a to j
     ends = list(itertools.accumulate((len(_letters(c)) for c in lemma_chars), initial=0))
     automaton = _AUTOMATON
-    nxt, last_of, fill = automaton.next, automaton.last, automaton.fill
-    distinct = list(dict.fromkeys(lemma_chars))
-    mask_ids_of: dict[str, list[int]] = {}
+    nxt, last_of, low_of, fill = automaton.next, automaton.last, automaton.low, automaton.fill
+    # per surface character: its letter count, the column before any lemma letter and the mask
+    # id of each lemma position. The same pass prices one real alignment as the bound: surface
+    # character i takes the lemma characters up to the cut nearest i/m of them.
+    rows: dict[str, tuple[int, int, list[int]]] = {}
+    letters_left = bound = b = 0
     for i, ch in enumerate(surface, start=1):
-        letters, row, pick = _letters(ch), [INF] * (n + 1), choice[i]
-        mids = mask_ids_of.get(ch)  # per lemma position, built once per distinct lemma character
-        if mids is None:
-            ids = dict(zip(distinct, map(automaton.mask_ids.__getitem__, _masks(letters, distinct))))
-            mids = mask_ids_of[ch] = list(map(ids.__getitem__, lemma_chars))
-        first = automaton.state(tuple(range(1, len(letters) + 1)))  # the column before any lemma letter
-        noop = len(letters) * scale + _PREF_NOOP
+        entry = rows.get(ch)
+        if entry is None:
+            size = len(_letters(ch))
+            entry = rows[ch] = size, automaton.first[size], automaton.mask_row(ch, lemma_chars)
+        size, s, mids = entry
+        letters_left += size
+        a, b = b, (2 * i * n + m) // (2 * m)
+        if a == b:
+            bound += size * scale + _PREF_NOOP
+        elif b == a + 1 and lemma_chars[a] == ch:
+            bound += _PREF_KEEP
+        else:
+            for mid in mids[a:b]:
+                try:
+                    s = nxt[s][mid]
+                except KeyError:
+                    s = fill(s, mid)
+            bound += (ends[b] - ends[a] + last_of[s]) * scale + _PREF_MOD
+
+    # what a cell holds until a candidate within the bound reaches it
+    over = bound + 1
+    best = [0] + [over] * n
+    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(m + 1)]
+    for i, ch in enumerate(surface, start=1):
+        size, first, mids = rows[ch]
+        row, pick = [over] * (n + 1), choice[i]
+        noop = size * scale + _PREF_NOOP
+        # a start a with ends[a] lemma letters done leaves |ends[a] - level| more edits at least
+        level = ends[n] - letters_left
+        letters_left -= size
         for a, base in enumerate(best):
-            if base == INF:
+            if base + abs(ends[a] - level) * scale > bound:
                 continue
             if base + noop < row[a]:
                 row[a], pick[a] = base + noop, a
@@ -287,6 +374,10 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
                 cand = mod + (ends[j] + last_of[s]) * scale
                 if cand < row[j]:
                     row[j], pick[j] = cand, a
+                # no later column of the run has a cell below this one's lowest, so no later end
+                # costs less than that cell prices
+                elif cand > bound and mod + (ends[j] + low_of[s]) * scale > bound:
+                    break
         best = row
 
     cuts = [n]

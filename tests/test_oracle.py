@@ -39,6 +39,8 @@ BARE_JAMO = st.characters(min_codepoint=0x3131, max_codepoint=0x3163)
 ALIGN_CHARS = st.one_of(SYLLABLES, BARE_JAMO, st.sampled_from("ab z"))
 # syllables whose final repeats their initial (각 is ㄱ,ㅏ,ㄱ), so one letter sets two mask bits
 REPEATED_LETTERS = st.sampled_from("각난닫랄맘밥삿앙잦찿깎")
+# align's characters among any others, which align treats as one letter each
+MIXED_CHARS = st.one_of(ALIGN_CHARS, st.characters(codec="utf-8"))
 
 
 def actions_of(aligned: AlignedChar) -> list[str]:
@@ -293,6 +295,46 @@ class TestAlignMatchesReference:
     def test_mixed_text(self, surface, units):
         assert_matches_reference(surface, units)
 
+    def test_runs_whose_cost_falls_after_passing_the_bound(self):
+        """A run's distance can pass the bound and fall below it a character later, so a run
+        stops on its column's lowest cell, not on its last one."""
+        for surface, units in [
+            ("ㄴ가", ["나", "ㅓㄱㅏ"]),
+            ("가ㅏ나", ["가나", "ㅏㄱㅓ", "ㄴㅏ"]),
+            ("ㅏㅓㄴ가", ["ㅏ나", "가ㅓ", "ㅏㅓㄱ", "ㅏ"]),
+            ("ㄱㅏ가", ["ㅓㄴ", "ㄴㅏㅏ", "ㄴㅓㄱ", "ㅏ"]),
+        ]:
+            assert_matches_reference(surface, units)
+
+    # Skewed lengths, where the alignment priced before the program is poor and its bound loose
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.text(MIXED_CHARS, min_size=10, max_size=25),
+        st.lists(st.text(MIXED_CHARS, min_size=1, max_size=3), min_size=1, max_size=2),
+    )
+    def test_long_surface_against_few_units(self, surface, units):
+        assert_matches_reference(surface, units)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.text(MIXED_CHARS, min_size=1, max_size=2),
+        st.lists(st.text(MIXED_CHARS, min_size=1, max_size=3), min_size=5, max_size=10),
+    )
+    def test_short_surface_against_many_units(self, surface, units):
+        assert_matches_reference(surface, units)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.text(ALIGN_CHARS, min_size=1, max_size=3), min_size=1, max_size=5),
+        st.text(MIXED_CHARS, min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_surface_shifted_by_extra_characters(self, units, extra, in_front):
+        """The lemma text itself plus extra characters: a cheap optimum that the proportional
+        first alignment misses by the shift."""
+        text = "".join(units)
+        assert_matches_reference(extra + text if in_front else text + extra, units)
+
     def test_seeded_long_joins_of_bundled_records(self):
         records = bundled_records()
         rng = random.Random(21)
@@ -373,7 +415,13 @@ TABLE_BOUND = sum(3**s * sum(2 ** (s * n) for n in (1, 2, 3)) for s in (1, 2, 3)
 
 def assert_within_bounds(automaton) -> None:
     assert 0 < len(automaton.offsets) <= STATE_BOUND == 39
-    assert len(automaton.state_ids) == len(automaton.offsets) == len(automaton.last) == len(automaton.next)
+    assert (
+        len(automaton.state_ids)
+        == len(automaton.offsets)
+        == len(automaton.last)
+        == len(automaton.low)
+        == len(automaton.next)
+    )
     assert len(automaton.mask_ids) == len(automaton.mask_ids.masks) <= MASK_BOUND == 584
     assert 0 < len(transitions(automaton)) <= TABLE_BOUND == 16_566
 
@@ -410,9 +458,13 @@ class TestColumnTable:
                 seen.add(state)
                 offsets = automaton.offsets[state]
                 assert len(offsets) == s and automaton.last[state] == offsets[-1]
+                assert automaton.low[state] == min(0, *offsets)
                 assert all(abs(b - a) <= 1 for a, b in zip((0, *offsets), offsets))
                 for masks in (m for m in all_masks if max(m) < 2**s):
-                    todo.append(automaton.fill(state, automaton.mask_ids[masks]))
+                    target = automaton.fill(state, automaton.mask_ids[masks])
+                    # k letters later the column's lowest cell is no lower: align's run cutoff
+                    assert automaton.low[target] + len(masks) >= automaton.low[state]
+                    todo.append(target)
             assert len(seen) <= 3**s
         assert len(automaton.mask_ids) == MASK_BOUND
         assert_within_bounds(automaton)
@@ -444,6 +496,29 @@ class TestColumnTable:
         for offsets, masks in calls:
             s, m = automaton.state_ids[offsets], automaton.mask_ids[masks]
             assert automaton.offsets[automaton.next[s][m]] == step(offsets, masks)
+
+
+    def test_pair_memo_stays_within_its_cap(self, monkeypatch):
+        rng = random.Random(22)
+
+        def syllables(k: int) -> str:
+            return "".join(chr(rng.randrange(0xAC00, 0xD7A4)) for _ in range(k))
+
+        # about 20 x 16 new pairs a line, so 120 lines pass the cap of 32,768
+        lines = [(syllables(20), [syllables(rng.randint(1, 3)) for _ in range(8)]) for _ in range(120)]
+        want = []
+        for surface, units in lines:
+            monkeypatch.setattr(oracle, "_AUTOMATON", oracle._ColumnAutomaton())
+            want.append([ac.action_string() for ac in align(surface, units)])
+        automaton = oracle._ColumnAutomaton()
+        monkeypatch.setattr(oracle, "_AUTOMATON", automaton)
+        emptied = False
+        for (surface, units), actions in zip(lines, want):
+            before = automaton.pairs
+            assert [ac.action_string() for ac in align(surface, units)] == actions
+            assert automaton.pairs == sum(map(len, automaton.rows.values())) <= oracle.PAIR_CAP == 32_768
+            emptied |= automaton.pairs < before
+        assert emptied
 
 
 class TestReconstructTargets:

@@ -316,13 +316,13 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     # per surface character: its letter count, the column before any lemma letter and the mask
     # id of each lemma position. The same pass prices one real alignment as the bound: surface
     # character i takes the lemma characters up to the cut nearest i/m of them.
-    rows: dict[str, tuple[int, int, list[int]]] = {}
+    info: dict[str, tuple[int, int, list[int]]] = {}
     letters_left = bound = b = 0
     for i, ch in enumerate(surface, start=1):
-        entry = rows.get(ch)
+        entry = info.get(ch)
         if entry is None:
             size = len(_letters(ch))
-            entry = rows[ch] = size, automaton.first[size], automaton.mask_row(ch, lemma_chars)
+            entry = info[ch] = size, automaton.first[size], automaton.mask_row(ch, lemma_chars)
         size, s, mids = entry
         letters_left += size
         a, b = b, (2 * i * n + m) // (2 * m)
@@ -343,7 +343,7 @@ def align(surface: str, lemma_units: list[str]) -> list[AlignedChar]:
     best = [0] + [over] * n
     choice: list[list[int]] = [[-1] * (n + 1) for _ in range(m + 1)]
     for i, ch in enumerate(surface, start=1):
-        size, first, mids = rows[ch]
+        size, first, mids = info[ch]
         row, pick = [over] * (n + 1), choice[i]
         noop = size * scale + _PREF_NOOP
         # a start a with ends[a] lemma letters done leaves |ends[a] - level| more edits at least

@@ -62,17 +62,19 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Write data to a temp file in the target directory, then replace path.
 
     An interrupted or failed write leaves the old file as it was and no temp
-    file behind.
+    file behind. An OSError names path and its reason, never the temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".jamofuse-", suffix=".tmp")
+    directory, tmp_path = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".jamofuse-", suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as e:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from e
         raise
 
 

@@ -65,8 +65,6 @@ def _read_config_file(path: str) -> dict:
 
 
 _DEFAULTS = PipelineConfig().to_dict()
-# external granularity takes a BoundaryMap per text, which only the library can pass
-_CLI_GRANULARITIES = tuple(g for g in GRANULARITIES if g != "external")
 
 
 def _coerce_config_value(key: str, value: str):
@@ -94,12 +92,8 @@ def _pipeline_config(args) -> PipelineConfig:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         from_file[key] = _coerce_config_value(key, raw)
     flags = {key: getattr(args, key) for key in _DEFAULTS if getattr(args, key, None) is not None}
-    values = {**_DEFAULTS, **from_file, **flags}
-    if values["granularity"] not in _CLI_GRANULARITIES:  # argparse keeps the flag to these
-        raise ConfigError(f"{path}: granularity must be one of {', '.join(_CLI_GRANULARITIES)}; "
-                          f"got {values['granularity']!r}")
     try:
-        return PipelineConfig.from_dict(values)
+        return PipelineConfig.from_dict({**_DEFAULTS, **from_file, **flags})
     except ConfigError as e:
         PipelineConfig.from_dict({**_DEFAULTS, **flags})  # raises when the flags alone are at fault
         raise ConfigError(f"{path}: {e}") from e
@@ -110,7 +104,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, help="embedding width")
     parser.add_argument("--compression", help="principles, linear, or attention")
     parser.add_argument("--fusion", help="cross-attention, summation, or concatenation")
-    parser.add_argument("--granularity", choices=_CLI_GRANULARITIES,
+    parser.add_argument("--granularity", choices=GRANULARITIES,
                         help="unit boundaries: subword, character, or word")
     parser.add_argument("--heads", type=int, help="attention heads for cross-attention fusion")
     parser.add_argument("--residual-fusion", action="store_true", default=None,
@@ -148,9 +142,10 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
         raise ConfigError(f"{path}: checkpoint subword_vocab needs a mode string and an entries object")
     try:
         subword_vocab = SubwordVocab(vocab["mode"], dict(vocab["entries"]))
+        config = PipelineConfig.from_dict(pipeline)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-    pipe = Pipeline.build(PipelineConfig.from_dict(pipeline), subword_vocab, seed=ckpt.seed)
+    pipe = Pipeline.build(config, subword_vocab, seed=ckpt.seed)
     restore(pipe.params.group, ckpt, path)
     return pipe
 
@@ -210,14 +205,15 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _align_writable(surface: str, units: list[str], delim: str):
-    """align(), for output that parse_action_file reads back as written.
+def _aligned_lines(surface: str, units: list[str], delim: str) -> str:
+    """align()'s `<char> DELIM <actions>` lines, as parse_action_file reads them back.
 
     A unit is written inside `;`-joined actions, so it must not hold `;`, the
     delimiter or a line break, nor end in whitespace, which the reader strips.
     Each surface character starts a line that the reader splits at its first
     delimiter, so it must not be a line break, nor make the delimiter start at
-    the character itself (a delimiter made of that character alone).
+    the character itself (a delimiter made of that character alone). The
+    delimiter must not occur in a line's action string either.
     """
     for unit in units:
         if ";" in unit or delim in unit or "\n" in unit or "\r" in unit or unit[-1:].isspace():
@@ -230,11 +226,13 @@ def _align_writable(surface: str, units: list[str], delim: str):
             raise ConfigError(
                 f"surface character {ch!r} cannot be written back: it is a line break or makes up the delimiter {delim!r}"
             )
-    return align(surface, units)
-
-
-def _format_alignment(aligned, delim: str) -> str:
-    return "\n".join(f"{ac.surface}{delim}{ac.action_string()}" for ac in aligned)
+    lines = []
+    for ac in align(surface, units):
+        actions = ac.action_string()
+        if delim in actions:
+            raise ConfigError(f"delimiter {delim!r} cannot be written back: it occurs in the actions {actions!r}")
+        lines.append(f"{ac.surface}{delim}{actions}")
+    return "\n".join(lines)
 
 
 def cmd_oracle_align(args) -> int:
@@ -242,15 +240,16 @@ def cmd_oracle_align(args) -> int:
         raise ConfigError("give either a surface with --units, or --in for a jsonl corpus")
     if not args.delim:
         raise ConfigError("--delim must not be empty: an action line needs a delimiter between its fields")
+    if "\n" in args.delim or "\r" in args.delim:
+        raise ConfigError(f"delimiter {args.delim!r} cannot be written back: it holds a line break")
     if args.surface is not None:
         if not args.units:
             raise ConfigError("--units is required with a surface argument")
-        aligned = _align_writable(args.surface, args.units.split(","), args.delim)
-        _emit(_format_alignment(aligned, args.delim) + "\n", args.out)
+        _emit(_aligned_lines(args.surface, args.units.split(","), args.delim) + "\n", args.out)
         return 0
     with open_text(args.infile) as stream:
         records = read_jsonl_records(stream)
-        blocks = [_format_alignment(_align_writable(surface, units, args.delim), args.delim) for surface, units in records]
+        blocks = [_aligned_lines(surface, units, args.delim) for surface, units in records]
     _emit("\n\n".join(blocks) + "\n", args.out)
     return 0
 

@@ -37,7 +37,7 @@ from .tensor import ConfigError, ParamGroup, ShapeError, Tensor, uniform_init
 
 COMPRESSIONS = ("principles", "linear", "attention")
 FUSIONS = ("cross-attention", "summation", "concatenation")
-GRANULARITIES = ("subword", "character", "word", "external")
+GRANULARITIES = ("subword", "character", "word")
 # texts a Pipeline keeps tokenized; the memo is emptied when it is full
 MEMO_TEXTS = 1024
 
@@ -302,40 +302,35 @@ class Pipeline:
 
     # unit boundaries --------------------------------------------------------
 
-    def unit_ranges(
-        self, text: str, external_boundary: Optional[BoundaryMap] = None
-    ) -> tuple[list[int], list[tuple[int, int]]]:
-        """Subword ids and character ranges at the configured granularity.
-
-        Non-subword granularities label each unit with the vocab entry for its
-        exact text, falling back to UNK.
-        """
+    def unit_ranges(self, text: str) -> tuple[list[int], list[tuple[int, int]]]:
+        """Subword ids and character ranges at the configured granularity."""
         granularity = self.config.granularity
         if granularity == "subword":
             ids, boundary = subword_encode(text, self.subword_vocab)
             return ids, list(boundary.ranges)
-        if granularity == "character":
-            ranges = [(i, i + 1) for i in range(len(text))]
-        elif granularity == "word":
-            ranges = _whitespace_runs(text)
-        else:
-            if external_boundary is None:
-                raise ConfigError("granularity 'external' needs an explicit boundary map")
-            external_boundary.validate(len(text))
-            ranges = list(external_boundary.ranges)
-            if any(a == b for a, b in ranges):
-                raise AlignmentError("external boundary has an empty range, which has no last character")
-        entries = self.subword_vocab.entries
-        unk = self.subword_vocab.unk_id
-        ids = [entries.get(text[a:b], unk) for a, b in ranges]
-        return ids, ranges
+        ranges = [(i, i + 1) for i in range(len(text))] if granularity == "character" else _whitespace_runs(text)
+        return self._unit_ids(text, ranges), ranges
+
+    def _unit_ids(self, text: str, ranges: list[tuple[int, int]]) -> list[int]:
+        """The vocab entry for each unit's exact text, falling back to UNK."""
+        entries, unk = self.subword_vocab.entries, self.subword_vocab.unk_id
+        return [entries.get(text[a:b], unk) for a, b in ranges]
 
     def _tokenized(
-        self, text: str, external_boundary: Optional[BoundaryMap]
+        self, text: str, boundary: Optional[BoundaryMap]
     ) -> tuple[SubcharSequence, Sequence[int], Sequence[tuple[int, int]]]:
-        """The text's subcharacter sequence, unit ids and unit ranges, memoized unless a boundary map is given."""
-        if external_boundary is not None:
-            return (self.tokenizer.tokenize(text), *self.unit_ranges(text, external_boundary))
+        """The text's subcharacter sequence, unit ids and unit ranges.
+
+        A given boundary map sets the units, whatever the granularity: its
+        ranges must tile the text and be non-empty, and it bypasses the memo.
+        Without a map, unit_ranges gives the units, memoized per text.
+        """
+        if boundary is not None:
+            boundary.validate(len(text))
+            ranges = list(boundary.ranges)
+            if any(a == b for a, b in ranges):
+                raise AlignmentError("boundary map has an empty range, which has no last character")
+            return self.tokenizer.tokenize(text), self._unit_ids(text, ranges), ranges
         hit = self._memo.get(text)
         if hit is None:
             seq = self.tokenizer.tokenize(text)
@@ -472,13 +467,15 @@ class Pipeline:
     def forward(
         self,
         texts: Union[str, Sequence[str]],
-        external_boundary: Union[None, BoundaryMap, Sequence[BoundaryMap]] = None,
+        external_boundary: Union[None, BoundaryMap, Sequence[Optional[BoundaryMap]]] = None,
     ) -> tuple[np.ndarray, ForwardCache]:
         """The output rows of one text, or of a batch of texts, text after text.
 
         A text's rows are a <cls> row when cls_bypass is set, then one fused
-        vector per unit. A text without characters has no unit rows. For a
-        batch, external_boundary holds one boundary map per text. The
+        vector per unit. A text without characters has no unit rows. A
+        boundary map given for a text sets its units (Pipeline._tokenized); a
+        text without one takes the configured granularity. For a batch,
+        external_boundary holds one entry per text, a map or None. The
         principles GRUs run the batch as packed sequences (PackedBatch); a
         single text is the batch of one. Cross-attention fusion holds heads x
         U x U attention weights for each text of U units, and no more.

@@ -60,10 +60,9 @@ class SubcharScheme:
 
     @staticmethod
     def by_name(name: str) -> "SubcharScheme":
-        key = name.lower()
-        if key not in _WIDTHS:
+        if name not in _WIDTHS:
             raise ConfigError(f"unknown scheme {name!r}, expected one of {SCHEME_NAMES}")
-        return SubcharScheme(key, _WIDTHS[key])
+        return SubcharScheme(name, _WIDTHS[name])
 
 
 def parse_decomp_table(lines: Iterable[str], max_width: int) -> dict[str, tuple[str, ...]]:

@@ -68,6 +68,28 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["decompose", "한"], ["tokenize", "한"], ["gradcheck", "--d", "4"]],
+                             ids=["decompose", "tokenize", "gradcheck"])
+    def test_scheme_names_are_exact(self, capsys, argv):
+        assert main([*argv, "--scheme", "JAMO"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert "unknown scheme 'JAMO'" in err
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_failed_write_names_the_given_path(self, tmp_path, capsys, target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        errs = []
+        for _ in range(2):
+            assert main(["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert_one_line_error_text(captured.err)
+            assert repr(str(out)) in captured.err and ".jamofuse-" not in captured.err
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+        assert list(tmp_path.glob("**/.jamofuse-*")) == []
+
     def test_missing_file_is_domain_error(self, capsys):
         assert main(["oracle-stats", "--in", "/does/not/exist.jsonl"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -257,6 +279,23 @@ class TestOracleAlign:
         err = capsys.readouterr().err
         assert_one_line_error_text(err)
         assert "--delim must not be empty" in err
+
+    @pytest.mark.parametrize("mode", ["surface", "corpus"])
+    @pytest.mark.parametrize("delim", [";", "-", "B", "KEEP", "\n", "|\r", "-하"],
+                             ids=["semicolon", "dash", "letter", "action-name", "newline", "carriage-return", "dash-unit"])
+    def test_delimiter_in_the_action_syntax_is_domain_error(self, tmp_path, capsys, mode, delim):
+        # 했 is written as B-MOD-하;I-MOD-았 and 다 as B-KEEP
+        if mode == "surface":
+            argv = ["oracle-align", "했다", "--units", "하,았,다"]
+        else:
+            path = tmp_path / "corpus.jsonl"
+            path.write_text('{"surface": "했다", "lemma_units": ["하", "았", "다"]}\n', encoding="utf-8")
+            argv = ["oracle-align", "--in", str(path)]
+        assert main([*argv, f"--delim={delim}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: delimiter {delim!r} cannot be written back")
+        assert_one_line_error_text(captured.err)
 
     def test_units_required_with_surface(self, capsys):
         assert main(["oracle-align", "했다"]) == 1
@@ -526,7 +565,7 @@ class TestConfigPrecedence:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert_one_line_error_text(captured.err)
-        assert f"{cfg}: granularity must be one of subword, character, word; got '{granularity}'" in captured.err
+        assert f"error: {cfg}: unknown granularity '{granularity}', expected one of" in captured.err
         assert trained == []
         assert not out.exists() and not log.exists()
 
@@ -755,6 +794,29 @@ class TestCheckpointRoundTrip:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+    @pytest.mark.parametrize("command", ["embed", "probe-pca"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("granularity", "external", "unknown granularity 'external'"), ("scheme", "foo", "unknown scheme 'foo'")],
+        ids=["granularity", "scheme"],
+    )
+    def test_invalid_stored_config_names_the_checkpoint(self, trained, tmp_path, capsys, command, key, value, message):
+        with open(trained["ckpt"], "rb") as stream:
+            blob = stream.read()
+        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+        header = json.loads(blob[16 : 16 + header_len])
+        header["config"]["pipeline"][key] = value
+        new_header = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(struct.pack("<4sIQ", magic, version, len(new_header)) + new_header + blob[16 + header_len :])
+        argv = {"embed": ["--text", "하다"], "probe-pca": ["--words", "하다,했다"]}[command]
+        assert main([command, "--ckpt", str(ckpt), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error_text(captured.err)
+        assert captured.err.startswith(f"error: {ckpt}: {message}")
 
 
 class TestProbes:

@@ -239,6 +239,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(**{"dim": 16, **overrides}).validate()
 
+    def test_external_granularity_rejected(self):
+        # a text's boundary map is passed to forward, not named by the config
+        with pytest.raises(ConfigError, match="unknown granularity 'external'"):
+            PipelineConfig(granularity="external").validate()
+
     def test_dict_roundtrip(self):
         cfg = PipelineConfig(scheme="bts", dim=8, fusion="summation", cls_bypass=True)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
@@ -574,14 +579,26 @@ class TestForward:
         assert pipeline._whitespace_runs(text) == ranges
 
     def test_external_granularity(self):
-        pipe = build(granularity="external")
+        pipe = build()
         out, cache = pipe.forward("했다", external_boundary=BoundaryMap([(0, 2)]))
         assert cache.ranges == [(0, 2)] and out.shape == (1, 6)
         with pytest.raises(ConfigError, match="external"):
-            pipe.forward("했다")
+            build(granularity="external")
         for bad in ([(0, 1)], [(1, 2)], [(0, 3)], [(0, 0), (0, 2)]):
             with pytest.raises(AlignmentError):
                 pipe.forward("했다", external_boundary=BoundaryMap(bad))
+
+    @pytest.mark.parametrize("granularity", ["subword", "character", "word"])
+    def test_boundary_map_sets_the_units_at_any_granularity(self, granularity):
+        vocab = train_vocab(["하다 했다"], 40)
+        assert "하다" in vocab.entries
+        pipe = build(vocab, granularity=granularity)
+        out, cache = pipe.forward("하다", BoundaryMap([(0, 1), (1, 2)]))
+        assert cache.ranges == [(0, 1), (1, 2)] and out.shape == (2, 6)
+        assert pipe.unit_labels(cache) == ["하", "다"]
+        assert cache.subword_ids.tolist() == [vocab.entries.get(u, vocab.unk_id) for u in ("하", "다")]
+        with pytest.raises(AlignmentError, match="covers 5 characters, text has 2"):
+            pipe.forward("하다", BoundaryMap([(0, 5)]))
 
     def test_boundary_map_is_validated_once(self, monkeypatch):
         calls = []
@@ -654,10 +671,11 @@ class TestMemo:
         assert np.array_equal(cache_again.subword_ids, cache.subword_ids)
 
     def test_external_boundary_bypasses_the_memo(self, calls):
-        pipe = build(granularity="external")
+        pipe = build()
         for call in range(1, 3):
             pipe.forward("했다", external_boundary=BoundaryMap([(0, 1), (1, 2)]))
             assert calls["validate"] == call and calls["tokenize"] == call
+        assert calls["encode"] == 0 and pipe._memo == {}
 
     def test_memoized_arrays_are_read_only(self):
         pipe = build()
@@ -802,13 +820,23 @@ class TestPackedBatch:
         pipe.backward(np.ones((2, 6)), cache)
 
     def test_external_boundaries_per_text(self):
-        pipe = build(granularity="external")
+        pipe = build()
         maps = [BoundaryMap([(0, 2)]), BoundaryMap([(0, 1), (1, 2)])]
         out, cache = pipe.forward(["했다", "대한"], external_boundary=maps)
         assert cache.ranges == [(0, 2), (2, 3), (3, 4)] and out.shape == (3, 6)
         assert pipe.unit_labels(cache) == ["했다", "대", "한"]
         with pytest.raises(ConfigError, match="one boundary map per text"):
             pipe.forward(["했다", "대한", "한"], external_boundary=maps)
+
+    def test_a_batch_mixes_boundary_maps_and_configured_units(self):
+        pipe = build(pair_vocab(), cls_bypass=True)
+        out, cache = pipe.forward(["대한", "대한 민국"], external_boundary=[BoundaryMap([(0, 1), (1, 2)]), None])
+        assert cache.ranges == [(0, 1), (1, 2), (2, 4), (4, 5), (5, 7)]
+        assert pipe.unit_labels(cache) == ["<cls>", "대", "한", "<cls>", "대한", " ", "민국"]
+        assert out.shape == (7, 6)
+        alone, _ = pipe.forward("대한 민국")
+        assert np.array_equal(out[3:], alone)
+        pipe.backward(np.ones_like(out), cache)
 
 
 def per_text_fuse(self, e_s, h_s, unit_offsets):

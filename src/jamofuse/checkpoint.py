@@ -55,7 +55,12 @@ def open_text(path: str | os.PathLike, newline: Optional[str] = None) -> Iterato
         try:
             yield stream
         except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text: byte 0x{e.object[e.start]:02x} ({e.reason})") from None
+            raise not_utf8(path, e) from None
+
+
+def not_utf8(where: str | os.PathLike, e: UnicodeDecodeError) -> ConfigError:
+    """The error for a text input, named by where, whose bytes are not UTF-8."""
+    return ConfigError(f"{where}: not UTF-8 text: byte 0x{e.object[e.start]:02x} ({e.reason})")
 
 
 def write_atomic(path: str | os.PathLike, data: bytes) -> None:

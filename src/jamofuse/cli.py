@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 on domain errors (one diagnostic line on stderr),
 2 on usage errors. Outputs are UTF-8 text, CSV, or JSON per subcommand, and
 file outputs are written atomically so interrupted runs leave nothing behind.
-Configuration precedence is flags over config file over built-in defaults;
-pass --verbose to echo the effective configuration to stderr (gradcheck: each
+Configuration precedence is flags over config file over the library's defaults
+(a flag left out takes the default of the field or parameter it sets); pass
+--verbose to echo the effective configuration to stderr (gradcheck: each
 parameter's worst relative error).
 """
 
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, open_text, restore, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, not_utf8, open_text, restore, save_checkpoint, write_atomic
 from .gradcheck import grad_check
 from .oracle import (
     align,
@@ -47,6 +48,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         write_atomic(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
+
+
+class _Text(argparse.Action):
+    """A text argument: bytes in it that are not UTF-8 end in a ConfigError naming it, before any work."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            (value or "").encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise not_utf8(option_string or self.dest, e) from None
+        setattr(namespace, self.dest, value)
 
 
 def _read_config_file(path: str) -> dict:
@@ -84,6 +96,11 @@ def _coerce_config_value(key: str, value: str):
     return value
 
 
+def _given(args, keys) -> dict:
+    """The flags among keys that were given; the others keep the library's defaults."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+
 def _pipeline_config(args) -> PipelineConfig:
     """Flags beat the config file, which beats the defaults; an error the flags alone do not make names the file."""
     path, from_file = getattr(args, "config", None), {}
@@ -91,7 +108,7 @@ def _pipeline_config(args) -> PipelineConfig:
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         from_file[key] = _coerce_config_value(key, raw)
-    flags = {key: getattr(args, key) for key in _DEFAULTS if getattr(args, key, None) is not None}
+    flags = _given(args, _DEFAULTS)
     try:
         return PipelineConfig.from_dict({**_DEFAULTS, **from_file, **flags})
     except ConfigError as e:
@@ -142,10 +159,9 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
         raise ConfigError(f"{path}: checkpoint subword_vocab needs a mode string and an entries object")
     try:
         subword_vocab = SubwordVocab(vocab["mode"], dict(vocab["entries"]))
-        config = PipelineConfig.from_dict(pipeline)
+        pipe = Pipeline.build(PipelineConfig.from_dict(pipeline), subword_vocab, seed=ckpt.seed)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-    pipe = Pipeline.build(config, subword_vocab, seed=ckpt.seed)
     restore(pipe.params.group, ckpt, path)
     return pipe
 
@@ -153,7 +169,7 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
 def _load_pipeline(args) -> Pipeline:
     """Builds the model from a checkpoint, or fresh from flags and a vocab."""
     if getattr(args, "ckpt", None):
-        ignored = ["--" + key.replace("_", "-") for key in _CKPT_FIXED if getattr(args, key, None) is not None]
+        ignored = ["--" + key.replace("_", "-") for key in _given(args, _CKPT_FIXED)]
         if ignored:
             raise ConfigError(f"--ckpt fixes the model and its vocab; drop {', '.join(ignored)}")
         return _pipeline_from_checkpoint(args.ckpt)
@@ -188,7 +204,7 @@ def cmd_tokenize(args) -> int:
 def cmd_vocab_train(args) -> int:
     with open_text(args.infile) as stream:
         corpus = [line.rstrip("\n") for line in stream if line.strip()]
-    vocab = train_vocab(corpus, args.size, mode=args.mode)
+    vocab = train_vocab(corpus, args.size, **_given(args, ["mode"]))
     save_vocab(vocab, args.out)
     if args.verbose:
         print(f"trained {vocab.mode} vocab of {vocab.size} entries", file=sys.stderr)
@@ -257,7 +273,7 @@ def cmd_oracle_align(args) -> int:
 def cmd_oracle_stats(args) -> int:
     with open_text(args.infile) as stream:
         aligned = list(read_jsonl_corpus(stream))
-    stats = corpus_stats(aligned, top_k=args.top_k, partitions=args.partitions)
+    stats = corpus_stats(aligned, **_given(args, ["top_k", "partitions"]))
     _emit(stats_report_json(stats), args.json)
     if args.csv:
         write_atomic(args.csv, stats_report_csv(stats).encode("utf-8"))
@@ -298,16 +314,7 @@ def cmd_train(args) -> int:
     else:
         vocab = _vocab_from_pairs(args.pairs, args.vocab_size)
     pipe = Pipeline.build(config, vocab, seed=args.seed)
-    train_config = TrainConfig(
-        objective=args.objective,
-        epochs=args.epochs,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        margin=args.margin,
-        weight_decay=args.weight_decay,
-        freeze_subword=not args.no_freeze_subword,
-        seed=args.seed,
-    )
+    train_config = TrainConfig(**_given(args, TrainConfig().to_dict()))
     if args.verbose:
         effective = {"pipeline": config.to_dict(), "train": train_config.to_dict()}
         print(f"config: {json.dumps(effective, sort_keys=True)}", file=sys.stderr)
@@ -350,7 +357,7 @@ def cmd_probe_pca(args) -> int:
             words = [line.strip() for line in stream if line.strip()]
     else:
         raise ConfigError("need --words or --words-file")
-    result = pca_project(words, pipe, k=args.k, channel=args.channel)
+    result = pca_project(words, pipe, **_given(args, ["k", "channel"]))
     _emit(result.to_csv(), args.out)
     return 0
 
@@ -385,39 +392,39 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("decompose", cmd_tokenize, "print subcharacter atoms with role labels")
-    p.add_argument("text")
+    p.add_argument("text", action=_Text)
     p.add_argument("--scheme", help="jamo, stroke, cji, or bts")
 
     p = add("tokenize", cmd_tokenize, "print vocab ids, atoms, and roles")
-    p.add_argument("text")
+    p.add_argument("text", action=_Text)
     p.add_argument("--scheme", help="jamo, stroke, cji, or bts")
 
     p = add("vocab-train", cmd_vocab_train, "train a subword vocab from a text file",
             out_required=True)
     p.add_argument("--in", dest="infile", required=True, help="one training text per line")
     p.add_argument("--size", type=int, required=True, help="target vocab size")
-    p.add_argument("--mode", default="bpe-lite", help="bpe-lite, wordlist, or charlist")
+    p.add_argument("--mode", help="bpe-lite, wordlist, or charlist")
 
     p = add("encode", cmd_encode, "encode text with a trained subword vocab")
-    p.add_argument("text")
+    p.add_argument("text", action=_Text)
     p.add_argument("--vocab", required=True, help="vocab JSON from vocab-train")
     p.add_argument("--cls", action="store_true", help="prepend the CLS token")
 
     p = add("oracle-align", cmd_oracle_align, "align a surface form to its lemma units")
-    p.add_argument("surface", nargs="?", help="surface form (with --units)")
-    p.add_argument("--units", help="comma-separated lemma units")
+    p.add_argument("surface", nargs="?", action=_Text, help="surface form (with --units)")
+    p.add_argument("--units", action=_Text, help="comma-separated lemma units")
     p.add_argument("--in", dest="infile", help="jsonl corpus of surface and lemma_units")
-    p.add_argument("--delim", default="\t", help="output delimiter (default tab)")
+    p.add_argument("--delim", default="\t", action=_Text, help="output delimiter (default tab)")
 
     p = add("oracle-stats", cmd_oracle_stats, "aggregate action statistics over a corpus")
     p.add_argument("--in", dest="infile", required=True, help="jsonl corpus")
-    p.add_argument("--top-k", type=int, default=10, help="size of the ranked MOD table")
-    p.add_argument("--partitions", type=int, default=1, help="parallel-style partition count")
+    p.add_argument("--top-k", type=int, help="size of the ranked MOD table")
+    p.add_argument("--partitions", type=int, help="parallel-style partition count")
     p.add_argument("--json", help="write the JSON report here instead of stdout")
     p.add_argument("--csv", help="also write the ranked CSV table here")
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of the whole pipeline")
-    p.add_argument("--text", default="하다", help="input text for the check")
+    p.add_argument("--text", default="하다", action=_Text, help="input text for the check")
     p.add_argument("--d", type=int, dest="dim", help="embedding width, the same as --dim")
     p.add_argument("--tol", type=float, default=1e-4, help="max relative error to accept")
     _add_pipeline_flags(p)
@@ -428,18 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="write the per-epoch metric CSV here")
     p.add_argument("--vocab", help="subword vocab JSON; default derives from the pairs")
     p.add_argument("--vocab-size", type=int, default=200)
-    p.add_argument("--objective", default="contrastive-pairs")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--no-freeze-subword", action="store_true",
+    p.add_argument("--objective")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--no-freeze-subword", action="store_false", default=None, dest="freeze_subword",
                    help="also train the raw subword table")
     _add_pipeline_flags(p)
 
     p = add("embed", cmd_embed, "emit fused embeddings for a text as CSV")
-    p.add_argument("--text", required=True)
+    p.add_argument("--text", required=True, action=_Text)
     _add_model_source_flags(p)
     _add_pipeline_flags(p)
 
@@ -449,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
 
     p = add("probe-pca", cmd_probe_pca, "PCA coordinates for words")
-    p.add_argument("--words", help="comma-separated word list")
+    p.add_argument("--words", action=_Text, help="comma-separated word list")
     p.add_argument("--words-file", help="file with one word per line")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--channel", default="fused", help="raw or fused")
+    p.add_argument("--k", type=int)
+    p.add_argument("--channel", help="raw or fused")
     _add_model_source_flags(p)
     _add_pipeline_flags(p)
 
@@ -471,10 +478,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

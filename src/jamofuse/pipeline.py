@@ -96,6 +96,8 @@ class PipelineParams:
 
     def __init__(self, config: PipelineConfig, subchar_vocab_size: int, subword_vocab_size: int, seed: int):
         config.validate()
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.config = config
         self.seed = seed
         rng = np.random.default_rng(seed)

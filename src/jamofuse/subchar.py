@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -203,6 +203,11 @@ class SubcharSequence:
 
 
 class SubcharTokenizer:
+    """Text -> SubcharSequence under one scheme, and back. Detokenization reads the
+    tokenizer's own windows: a syllable's three slot windows as _slot writes them, a
+    bare letter's window as _char_tokens writes it, and a passthrough window's first
+    token; any other window raises MalformedSequenceError."""
+
     def __init__(self, scheme: str = "jamo"):
         self.scheme = SubcharScheme.by_name(scheme)
         self.vocab = SubcharVocab.build()
@@ -212,8 +217,8 @@ class SubcharTokenizer:
             table.consonant_map if self.scheme.name in ("stroke", "bts") else _IDENTITY_CONSONANTS
         )
         self.vowel_map = table.vowel_map if self.scheme.name in ("cji", "bts") else _IDENTITY_VOWELS
-        self._inv_consonant = {atoms: c for c, atoms in self.consonant_map.items()}
-        self._inv_vowel = {atoms: v for v, atoms in self.vowel_map.items()}
+        # a final slot holds its consonant's atoms, or the empty-final token when there is none
+        self.final_map = {"": (EMPTY_FINAL,), **self.consonant_map}
         # character -> (its W ids, passthrough flag), filled by _char_tokens on first sight
         self._chars: dict[str, tuple[list[int], bool]] = {}
 
@@ -226,11 +231,8 @@ class SubcharTokenizer:
         block = hangul.decompose(ch)
         if block is not None:
             cho, jung, jong = block.letters
-            f_slot = (
-                self._slot((EMPTY_FINAL,), wf) if jong == "" else self._slot(self.consonant_map[jong], wf)
-            )
-            tokens = self._slot(self.consonant_map[cho], wi) + self._slot(self.vowel_map[jung], wv) + f_slot
-            return tokens, False
+            tokens = self._slot(self.consonant_map[cho], wi) + self._slot(self.vowel_map[jung], wv)
+            return tokens + self._slot(self.final_map[jong], wf), False
         if ch in self.consonant_map:
             pad = [self.vocab.pad_id]
             return self._slot(self.consonant_map[ch], wi) + pad * wv + pad * wf, False
@@ -260,49 +262,34 @@ class SubcharTokenizer:
         start, stop = k * self.scheme.width, (k + 1) * self.scheme.width
         return (start, start + wi), (start + wi, start + wi + wv), (start + wi + wv, stop)
 
-    def _decode_span(self, seq: SubcharSequence, k: int) -> str:
-        wi, wv, _ = self.scheme.widths
-        start, stop = k * self.scheme.width, (k + 1) * self.scheme.width
-        if seq.passthrough[k]:
-            token = seq.tokens[start]
-            if token == self.vocab.other_id:
-                return seq.text[k]
-            return self.vocab.atom(token)
-        pad = self.vocab.pad_id
-        i_atoms = tuple(self.vocab.atom(t) for t in seq.tokens[start : start + wi] if t != pad)
-        v_atoms = tuple(self.vocab.atom(t) for t in seq.tokens[start + wi : start + wi + wv] if t != pad)
-        f_atoms = tuple(self.vocab.atom(t) for t in seq.tokens[start + wi + wv : stop] if t != pad)
-        if i_atoms and v_atoms:
-            jong = "" if f_atoms == (EMPTY_FINAL,) else self._inv_consonant.get(f_atoms)
-            cho = self._inv_consonant.get(i_atoms)
-            jung = self._inv_vowel.get(v_atoms)
-            if (
-                cho not in hangul.CHOSEONG_INDEX
-                or jung not in hangul.JUNGSEONG_INDEX
-                or jong not in hangul.JONGSEONG_INDEX
-            ):
-                raise MalformedSequenceError(
-                    f"character {k}: atoms {i_atoms} / {v_atoms} / {f_atoms} fit no syllable"
-                )
-            return hangul.compose(
-                hangul.SyllableBlock(
-                    hangul.CHOSEONG_INDEX[cho], hangul.JUNGSEONG_INDEX[jung], hangul.JONGSEONG_INDEX[jong]
-                )
-            )
-        if i_atoms and not v_atoms and not f_atoms:
-            if i_atoms in self._inv_consonant:
-                return self._inv_consonant[i_atoms]
-            raise MalformedSequenceError(f"character {k}: unknown consonant atoms {i_atoms}")
-        if v_atoms and not i_atoms and not f_atoms:
-            if v_atoms in self._inv_vowel:
-                return self._inv_vowel[v_atoms]
-            raise MalformedSequenceError(f"character {k}: unknown vowel atoms {v_atoms}")
-        raise MalformedSequenceError(f"character {k}: slot contents fit no character shape")
+    @cached_property
+    def _windows(self) -> tuple[dict, dict, dict, dict]:
+        """Initial, vowel and final slot window -> letter index, and bare letter window
+        -> letter: the forward code's windows, read back. Built on first detokenize."""
+        wi, wv, wf = self.scheme.widths
+        return (
+            {tuple(self._slot(self.consonant_map[c], wi)): i for i, c in enumerate(hangul.CHOSEONG)},
+            {tuple(self._slot(self.vowel_map[v], wv)): i for i, v in enumerate(hangul.JUNGSEONG)},
+            {tuple(self._slot(self.final_map[f], wf)): i for i, f in enumerate(hangul.JONGSEONG)},
+            {tuple(self._char_tokens(c)[0]): c for c in [*self.consonant_map, *self.vowel_map]},
+        )
 
     def detokenize(self, seq: SubcharSequence) -> str:
-        if len(seq.tokens) % self.scheme.width != 0:
-            raise MalformedSequenceError(
-                f"token count {len(seq.tokens)} not a multiple of width {self.scheme.width}"
-            )
-        return "".join(self._decode_span(seq, k) for k in range(seq.char_count))
-
+        width = self.scheme.width
+        if len(seq.tokens) != width * seq.char_count:
+            raise MalformedSequenceError(f"{len(seq.tokens)} tokens for {seq.char_count} characters of width {width}")
+        initial, vowel, final, letters = self._windows
+        wi, wv, _ = self.scheme.widths
+        chars = []
+        for k, window in enumerate(map(tuple, seq.tokens.reshape(-1, width).tolist())):
+            block = initial.get(window[:wi]), vowel.get(window[wi : wi + wv]), final.get(window[wi + wv :])
+            if seq.passthrough[k]:
+                chars.append(seq.text[k] if window[0] == self.vocab.other_id else self.vocab.atom(window[0]))
+            elif None not in block:
+                chars.append(hangul.compose(hangul.SyllableBlock(*block)))
+            elif window in letters:
+                chars.append(letters[window])
+            else:
+                atoms = [self.vocab.atom(t) for t in window]
+                raise MalformedSequenceError(f"character {k}: {self.scheme.name} writes no window {atoms}")
+        return "".join(chars)

@@ -17,7 +17,7 @@ and data give bitwise identical logs and reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
@@ -113,6 +113,8 @@ class TrainConfig:
             raise ConfigError(f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.margin < 1.0:
             raise ConfigError(f"margin must lie in [0, 1), got {self.margin}")
         if not 0.0 <= self.lr < math.inf:
@@ -275,7 +277,6 @@ def _contrastive_batch(
     batch: np.ndarray,
     negatives: list[Optional[int]],
     margin: float,
-    accumulate: bool,
 ) -> float:
     """Forwards the batch's distinct forms at once, then runs one backward."""
     pairs = [(records[i], None if neg is None else records[neg]) for i, neg in zip(batch, negatives)]
@@ -302,8 +303,7 @@ def _contrastive_batch(
     # the hinges, pair after pair, added one by one (x if x > 0 else 0 is max(0.0, x))
     hinges = np.stack([(1.0 - margin) - cos_p, cos_n - margin], axis=1)[keep[:, :2]]
     total = reduce(operator.add, np.where(hinges > 0.0, hinges, 0.0).tolist(), 0.0)
-    if accumulate:
-        _backward_words(pipe, cache, grads)
+    _backward_words(pipe, cache, grads)
     return total * scale
 
 
@@ -313,7 +313,6 @@ def _classification_batch(
     batch: np.ndarray,
     head: Linear,
     labels: dict[str, int],
-    accumulate: bool,
 ) -> float:
     # both forms of a record are examples of its relation tag
     examples = [(records[i].form_a, labels[records[i].relation]) for i in batch]
@@ -326,12 +325,11 @@ def _classification_batch(
     probs = shifted / shifted.sum(axis=1, keepdims=True)
     scale = 1.0 / len(examples)
     total = sum(-float(np.log(p[label])) for p, (_, label) in zip(probs, examples))
-    if accumulate:
-        d_logits = probs.copy()
-        d_logits[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
-        grads = np.zeros_like(vecs)
-        np.add.at(grads, which, head.backward(d_logits * scale, head_cache))
-        _backward_words(pipe, cache, grads)
+    d_logits = probs.copy()
+    d_logits[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
+    grads = np.zeros_like(vecs)
+    np.add.at(grads, which, head.backward(d_logits * scale, head_cache))
+    _backward_words(pipe, cache, grads)
     return total * scale
 
 
@@ -345,35 +343,20 @@ def _pair_metric(pipe: Pipeline, records: list[PairRecord], random_partners: lis
     return mean(fused, a, b), mean(raw, a, b), mean(fused, a[: len(partners)], partners)
 
 
-def _make_head(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> tuple[Linear, dict[str, int]]:
-    relations = data.relations
-    head = Linear(pipe.config.dim, len(relations), np.random.default_rng([config.seed, 2]))
-    head.params.flatten()
-    return head, {tag: i for i, tag in enumerate(relations)}
-
-
 def _random_partners(n: int, seed: int) -> list[int]:
     rng = np.random.default_rng([seed, 1])
     return [p for i in range(n) if (p := _draw_negative(rng, i, n)) is not None]
 
 
 def first_batch_loss(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> float:
-    """Loss of epoch 0's first batch, without touching any parameter.
+    """Loss of epoch 0's first batch: train() for one epoch at learning rate 0.
 
-    Replays the exact generator draws of train(), so the value matches the
-    log entry recomputed from a checkpoint of the untrained parameters.
+    A learning rate of 0 leaves every parameter bitwise unchanged, so the value
+    matches the log entry recomputed from a checkpoint of the untrained
+    parameters. It runs the whole epoch with its backward passes, overwriting
+    the gradients, and raises wherever train() raises.
     """
-    config.validate()
-    if not data.records:
-        raise ConfigError("dataset is empty")
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(data.records))
-    batch = next(_batches(order, config.batch_size))
-    if config.objective == "contrastive-pairs":
-        negatives = [_draw_negative(rng, i, len(data.records)) for i in batch]
-        return _contrastive_batch(pipe, data.records, batch, negatives, config.margin, accumulate=False)
-    head, labels = _make_head(pipe, data, config)
-    return _classification_batch(pipe, data.records, batch, head, labels, accumulate=False)
+    return train(pipe, data, replace(config, epochs=1, lr=0.0)).first_batch_loss
 
 
 def _require_finite(optimizer: AdamW, what: str, epoch: int, batch: int) -> None:
@@ -408,7 +391,9 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
     head: Optional[Linear] = None
     labels: dict[str, int] = {}
     if config.objective == "tag-classification":
-        head, labels = _make_head(pipe, data, config)
+        head = Linear(pipe.config.dim, len(data.relations), np.random.default_rng([config.seed, 2]))
+        head.params.flatten()
+        labels = {tag: i for i, tag in enumerate(data.relations)}
         train_group.merge("head", head.params)
     optimizer = AdamW(train_group, weight_decay=config.weight_decay)
 
@@ -428,9 +413,9 @@ def train(pipe: Pipeline, data: PairDataset, config: TrainConfig) -> TrainLog:
                 head.params.zero_grads()
             if config.objective == "contrastive-pairs":
                 negatives = [_draw_negative(rng, i, len(records)) for i in batch]
-                loss = _contrastive_batch(pipe, records, batch, negatives, config.margin, accumulate=True)
+                loss = _contrastive_batch(pipe, records, batch, negatives, config.margin)
             else:
-                loss = _classification_batch(pipe, records, batch, head, labels, accumulate=True)
+                loss = _classification_batch(pipe, records, batch, head, labels)
             if log.first_batch_loss is None:
                 log.first_batch_loss = loss
             _require_finite(optimizer, "gradient", epoch, batch_no)

@@ -1,20 +1,27 @@
 """End-to-end tests for the command line interface.
 
-Every test drives main(argv) directly and asserts on exit codes and emitted
-text, so the whole dispatch path runs without spawning subprocesses.
+Nearly every test drives main(argv) directly and asserts on exit codes and
+emitted text, so the whole dispatch path runs without spawning subprocesses;
+the tests of argv bytes that are not UTF-8 run the CLI in a new process.
 """
 
+import inspect
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from importlib import resources
 
 from jamofuse import checkpoint, cli
 from jamofuse.cli import main
-from jamofuse.oracle import align, parse_action_file, read_jsonl_records
-from jamofuse.subword import SPECIALS, load_vocab
+from jamofuse.oracle import align, corpus_stats, parse_action_file, read_jsonl_records
+from jamofuse.subword import SPECIALS, load_vocab, train_vocab
+from jamofuse.training import TrainConfig, pca_project
 
 
 def data_file(name: str) -> str:
@@ -888,3 +895,210 @@ class TestDeterminism:
             ]) == 0
             blobs.append(ckpt.read_bytes())
         assert blobs[0] != blobs[1]
+
+
+def write_checkpoint(path, header: bytes, payload: bytes = b"", version: int = 1) -> None:
+    path.write_bytes(struct.pack("<4sIQ", b"JFCK", version, len(header)) + header + payload)
+
+
+def header_of(blob: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's header and the payload after it."""
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16 : 16 + header_len]), blob[16 + header_len :]
+
+
+def tensor_entries(entries) -> bytes:
+    return json.dumps({"format_version": 1, "seed": 0, "config": {}, "tensors": entries}).encode("utf-8")
+
+
+class TestCheckpointRefusals:
+    """Each refusal of a checkpoint file ends embed with exit 1 and one line naming the file."""
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda p: p.write_bytes(b"JFCK\x01\x00"), "truncated prefix"),
+            (lambda p: write_checkpoint(p, b"{}", version=2), "unsupported format version 2"),
+            (lambda p: p.write_bytes(struct.pack("<4sIQ", b"JFCK", 1, 100) + b"{}"), "truncated header"),
+            (lambda p: write_checkpoint(p, b"{\xff}"), "bad header: 'utf-8' codec can't decode byte 0xff"),
+            (lambda p: write_checkpoint(p, b"{"), "bad header: Expecting property name"),
+            (lambda p: write_checkpoint(p, b"[]"), "header is not a JSON object"),
+            (lambda p: write_checkpoint(p, tensor_entries([{"shape": [1]}])),
+             "tensor entry {'shape': [1]} needs a name and a shape"),
+            (lambda p: write_checkpoint(p, tensor_entries([{"name": "x"}])),
+             "tensor entry {'name': 'x'} needs a name and a shape"),
+            (lambda p: write_checkpoint(p, tensor_entries([{"name": 1, "shape": [1]}])),
+             "tensor name 1 is not a string"),
+        ],
+        ids=["prefix", "version", "header-length", "header-not-utf8", "header-not-json", "header-not-object",
+             "entry-without-name", "entry-without-shape", "name-not-string"],
+    )
+    def test_malformed_container(self, tmp_path, capsys, write, message):
+        ckpt = tmp_path / "model.ckpt"
+        write(ckpt)
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert err.startswith(f"error: {ckpt}: {message}")
+
+    def test_shape_that_does_not_match_the_parameter(self, trained, tmp_path, capsys):
+        with open(trained["ckpt"], "rb") as stream:
+            header, payload = header_of(stream.read())
+        entry = next(e for e in header["tensors"] if len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1])
+        rows, cols = entry["shape"]
+        entry["shape"] = [cols, rows]  # the same number of values, in the wrong shape
+        ckpt = tmp_path / "model.ckpt"
+        write_checkpoint(ckpt, json.dumps(header).encode("utf-8"), payload)
+        assert main(["embed", "--ckpt", str(ckpt), "--text", "하다"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error_text(err)
+        assert err == (
+            f"error: {ckpt}: shape ({cols}, {rows}) for {entry['name']!r} does not match parameter ({rows}, {cols})\n"
+        )
+
+    @pytest.mark.parametrize("key", ["mode", "entries"])
+    def test_subword_vocab_without_a_field(self, trained, tmp_path, capsys, key):
+        with open(trained["ckpt"], "rb") as stream:
+            header, payload = header_of(stream.read())
+        del header["config"]["subword_vocab"][key]
+        ckpt = tmp_path / "model.ckpt"
+        write_checkpoint(ckpt, json.dumps(header).encode("utf-8"), payload)
+        assert main(["probe-pca", "--ckpt", str(ckpt), "--words", "하다,했다"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: checkpoint subword_vocab needs a mode string and an entries object\n"
+
+
+class TestMoreRefusals:
+    def test_config_line_without_equals_names_the_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text("# widths\ndim = 4\nfusion summation\n", encoding="utf-8")
+        assert main(["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:3: expected key = value, got 'fusion summation'\n"
+
+    @pytest.mark.parametrize("yes, no", [("yes", "false"), ("True", "NO"), ("1", "0")])
+    def test_config_boolean_spellings(self, tmp_path, capsys, yes, no):
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(f"dim = 4\ncls_bypass = {yes}\nresidual_fusion = {no}\n", encoding="utf-8")
+        assert main(["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--config", str(cfg), "--verbose"]) == 0
+        echoed = json.loads(capsys.readouterr().err.removeprefix("config: "))
+        assert echoed["cls_bypass"] is True and echoed["residual_fusion"] is False
+
+    def test_probe_pca_needs_words(self, trained, capsys):
+        assert main(["probe-pca", "--ckpt", trained["ckpt"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need --words or --words-file\n"
+
+    def test_train_with_a_vocab_file(self, tmp_path, capsys):
+        corpus, vocab, ckpt = tmp_path / "corpus.txt", tmp_path / "v.vocab", tmp_path / "m.ckpt"
+        corpus.write_text("하다 했다\n가다 갔다\n", encoding="utf-8")
+        assert main(["vocab-train", "--in", str(corpus), "--size", "30", "--out", str(vocab)]) == 0
+        assert main([
+            "train", "--pairs", PAIRS, "--vocab", str(vocab), "--out", str(ckpt), "--epochs", "1", "--dim", "4",
+        ]) == 0
+        stored = checkpoint.load_checkpoint(str(ckpt)).config["subword_vocab"]
+        assert stored == {"mode": "bpe-lite", "entries": load_vocab(vocab).entries}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--pairs", PAIRS],
+        ["gradcheck", "--d", "4"],
+        ["embed", "--pairs-vocab", PAIRS, "--text", "하다"],
+        ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다"],
+    ],
+    ids=["train", "gradcheck", "embed", "probe-pca"],
+)
+def test_negative_seed_is_named(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def run_cli(argv: list, cwd) -> subprocess.CompletedProcess:
+    """The CLI in a new process, its argv given as bytes where they are not UTF-8."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "jamofuse.cli", *argv], capture_output=True, env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["decompose", b"\xff"], "text"),
+        (["tokenize", b"a\xffb", "--scheme", "bts"], "text"),
+        (["encode", b"\xff", "--vocab", "missing.vocab"], "text"),
+        (["oracle-align", b"\xff", "--units", "가"], "surface"),
+        (["oracle-align", "가", "--units", b"\xff"], "--units"),
+        (["oracle-align", "가", "--units", "가", "--delim", b"\xff"], "--delim"),
+        (["gradcheck", "--text", b"\xff", "--d", "4"], "--text"),
+        (["embed", "--text", b"\xff", "--pairs-vocab", PAIRS], "--text"),
+        (["probe-pca", "--words", b"\xff,\xed\x95\x98\xeb\x8b\xa4", "--pairs-vocab", PAIRS], "--words"),
+    ],
+    ids=["decompose", "tokenize", "encode", "oracle-align-surface", "oracle-align-units", "oracle-align-delim",
+         "gradcheck", "embed", "probe-pca"],
+)
+def test_text_argument_that_is_not_utf8_is_named(tmp_path, argv, name):
+    proc = run_cli(argv, tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"error: {name}: not UTF-8 text: byte 0xff (invalid start byte)\n".encode("utf-8")
+
+
+def test_path_argument_that_is_not_utf8_is_accepted(tmp_path):
+    proc = run_cli(["embed", "--text", "하다", "--pairs-vocab", PAIRS, "--out", b"\xff.csv"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert os.listdir(bytes(tmp_path)) == [b"\xff.csv"]
+
+
+# a run with every flag given at the library's default against one with the flags left out
+DEFAULT_FLAG_RUNS = {
+    "train": (
+        ["train", "--pairs", "pairs.tsv", "--dim", "4", "--out", "m.ckpt", "--log", "m.csv", "--verbose"],
+        [
+            *(f"--{key.replace('_', '-')}={value}" for key, value in TrainConfig().to_dict().items()
+              if key not in ("freeze_subword", "seed")),
+            "--seed", "0",
+        ],
+    ),
+    "oracle-stats": (
+        ["oracle-stats", "--in", CORPUS, "--json", "s.json", "--csv", "s.csv"],
+        [f"--{key.replace('_', '-')}={inspect.signature(corpus_stats).parameters[key].default}"
+         for key in ("top_k", "partitions")],
+    ),
+    "probe-pca": (
+        ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다,가다", "--dim", "4", "--out", "p.csv"],
+        [f"--{key}={inspect.signature(pca_project).parameters[key].default}" for key in ("k", "channel")],
+    ),
+    "vocab-train": (
+        ["vocab-train", "--in", "pairs.tsv", "--size", "30", "--out", "v.vocab"],
+        [f"--mode={inspect.signature(train_vocab).parameters['mode'].default}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", DEFAULT_FLAG_RUNS)
+def test_flags_left_out_take_the_library_defaults(tmp_path, monkeypatch, capsys, command):
+    argv, defaults = DEFAULT_FLAG_RUNS[command]
+    pairs = "하다\t했다\tverb-past\n가다\t갔다\tverb-past\n먹다\t먹었다\tverb-past\n"
+    outputs = []
+    for flags in ([], defaults):
+        run = tmp_path / ("given" if flags else "left-out")
+        run.mkdir()
+        (run / "pairs.tsv").write_text(pairs, encoding="utf-8")
+        monkeypatch.chdir(run)
+        assert main([*argv, *flags]) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out, captured.err, {p.name: p.read_bytes() for p in sorted(run.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2]) > 1
+
+
+def test_no_freeze_subword_trains_the_subword_table(tmp_path, capsys):
+    assert main([
+        "train", "--pairs", PAIRS, "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--dim", "4",
+        "--no-freeze-subword", "--verbose",
+    ]) == 0
+    echoed = json.loads(capsys.readouterr().err.removeprefix("config: "))
+    assert echoed["train"]["freeze_subword"] is False

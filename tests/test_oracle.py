@@ -214,6 +214,21 @@ class TestParseActionFile:
         with pytest.raises(ParseError, match="line 1"):
             parse_action_file(["다 B-KEEP"])
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("다\tB", "cannot parse action 'B'"),
+            ("다\tB-MOD", "MOD action 'B-MOD' is missing its target unit"),
+            ("다\tB-KEEP-다", "KEEP action 'B-KEEP-다' must not carry a target"),
+            ("다\tX-KEEP", "cannot parse action 'X-KEEP'"),
+            ("다\t ; ", "character '다' has no actions"),
+        ],
+        ids=["bio-only", "mod-without-target", "keep-with-target", "bad-bio", "no-actions"],
+    )
+    def test_bad_action_field_rejected(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            parse_action_file(["요\tB-KEEP", line])
+
 
 class TestAlign:
     def test_haessda_worked_example(self):

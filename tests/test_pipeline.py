@@ -254,6 +254,25 @@ class TestPipelineConfig:
 
 
 class TestParamLayout:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            PipelineParams(PipelineConfig(dim=4), 10, 10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "tokenizer, subchar_size, subword_size, message",
+        [
+            ("bts", None, None, "tokenizer scheme 'bts' does not match config 'jamo'"),
+            ("jamo", 3, None, "subchar vocab size .* does not match embedding table 3"),
+            ("jamo", None, 7, "subword vocab size .* does not match embedding table 7"),
+        ],
+        ids=["scheme", "subchar-size", "subword-size"],
+    )
+    def test_mismatched_parts_rejected(self, tokenizer, subchar_size, subword_size, message):
+        tok, vocab = SubcharTokenizer(tokenizer), small_vocab()
+        params = PipelineParams(PipelineConfig(dim=4), subchar_size or len(tok.vocab), subword_size or vocab.size, 0)
+        with pytest.raises(ConfigError, match=message):
+            Pipeline(tok, vocab, params)
+
     def test_principles_parameter_order(self):
         pipe = build()
         names = pipe.params.group.names()

@@ -232,6 +232,32 @@ def test_malformed_atom_content_rejected():
         tok.detokenize(seq)
 
 
+def test_window_the_tokenizer_cannot_write_rejected():
+    tok = TOKENIZERS["bts"]
+    seq = tok.tokenize("가")
+    assert tok.vocab.atom(seq.tokens[0]) == "ㄱ" and seq.tokens[1] == tok.vocab.pad_id
+    seq.tokens[:2] = [tok.vocab.pad_id, seq.tokens[0]]  # a pad before the atom in the initial slot
+    with pytest.raises(MalformedSequenceError, match="character 0: bts writes no window"):
+        tok.detokenize(seq)
+
+
+def test_token_count_must_be_width_times_characters():
+    tok = TOKENIZERS["jamo"]
+    seq = tok.tokenize("한국")
+    seq.text = "한"
+    with pytest.raises(MalformedSequenceError, match="6 tokens for 1 characters of width 3"):
+        tok.detokenize(seq)
+
+
+def test_windows_are_read_back_only_on_first_detokenize():
+    tok = SubcharTokenizer("stroke")
+    tok.tokenize("했다")
+    assert "_windows" not in vars(tok)
+    assert tok.detokenize(tok.tokenize("했다")) == "했다"
+    initial, vowel, final, letters = vars(tok)["_windows"]
+    assert (len(initial), len(vowel), len(final), len(letters)) == (19, 21, 28, 51)
+
+
 def test_decomp_table_parse_errors():
     with pytest.raises(ValueError):
         subchar.parse_decomp_table(["ㄱ ㄱ"], max_width=4)  # no tab

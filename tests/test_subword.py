@@ -177,6 +177,14 @@ def test_vocab_file_escapes_whitespace_tokens(tmp_path):
     assert " " in load_vocab(path).entries
 
 
+@pytest.mark.parametrize("text", ["", "a\t0\n"], ids=["empty", "entries-only"])
+def test_vocab_without_header_names_the_file(tmp_path, text):
+    path = tmp_path / "v.vocab"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: missing vocab header$"):
+        load_vocab(path)
+
+
 def test_vocab_header_field_without_equals_names_the_file(tmp_path):
     path = tmp_path / "v.vocab"
     path.write_text("mode=charlist\tsize\na\t0\n", encoding="utf-8")

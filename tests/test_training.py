@@ -48,6 +48,16 @@ def tiny_dataset():
     )
 
 
+def two_tag_dataset():
+    return PairDataset(
+        [
+            *tiny_dataset().records[:2],
+            PairRecord("춥다", "추움", "noun-derivation"),
+            PairRecord("걷다", "걸음", "noun-derivation"),
+        ]
+    )
+
+
 def tiny_pipeline(dim=8, seed=3, **overrides):
     corpus = ["하다 했다 가다 갔다", "먹다 먹었다 보다 봤다", "춥다 걷다 돕다 묻다"]
     vocab = train_vocab(corpus, 80)
@@ -275,7 +285,7 @@ class TestContrastiveBatch:
         negatives = [None if k % 5 == 0 else int(rng.integers(0, len(records))) for k in range(len(batch))]
         captured = []
         monkeypatch.setattr(training, "_backward_words", lambda pipe, cache, grads: captured.append(grads))
-        total = training._contrastive_batch(pipe, records, batch, negatives, margin, accumulate=True)
+        total = training._contrastive_batch(pipe, records, batch, negatives, margin)
         (grads,) = captured
 
         forms = training._distinct(
@@ -394,17 +404,30 @@ class TestTrain:
         train(pipe, tiny_dataset(), TrainConfig(epochs=3, lr=0.05, seed=2, freeze_subword=False))
         assert not np.array_equal(pipe.params.subword_emb.table.data, before)
 
-    def test_first_batch_loss_recomputes_from_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("objective", training.OBJECTIVES)
+    def test_first_batch_loss_recomputes_from_checkpoint(self, tmp_path, objective):
         pipe = tiny_pipeline()
         path = str(tmp_path / "initial.jfck")
         save_checkpoint(path, pipe.params.group, seed=3, config=pipe.config.to_dict())
-        config = TrainConfig(epochs=2, lr=0.05, seed=7)
-        log = train(pipe, tiny_dataset(), config)
+        config = TrainConfig(objective=objective, epochs=2, lr=0.05, batch_size=3, seed=7)
+        log = train(pipe, two_tag_dataset(), config)
 
         fresh = tiny_pipeline(seed=99)  # different init, then restored from the checkpoint
         load_into(fresh.params.group, path)
-        recomputed = first_batch_loss(fresh, tiny_dataset(), config)
-        assert recomputed == log.first_batch_loss
+        recomputed = first_batch_loss(fresh, two_tag_dataset(), config)
+        assert recomputed == log.first_batch_loss > 0.0
+
+    @pytest.mark.parametrize("objective", training.OBJECTIVES)
+    def test_first_batch_loss_leaves_params_bitwise_unchanged(self, objective):
+        pipe = tiny_pipeline()
+        before = {name: t.data.tobytes() for name, t in pipe.params.group.items()}
+        config = TrainConfig(objective=objective, epochs=3, lr=0.05, weight_decay=0.1, freeze_subword=False)
+        first_batch_loss(pipe, two_tag_dataset(), config)
+        assert {name: t.data.tobytes() for name, t in pipe.params.group.items()} == before
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1).validate()
 
     def test_metric_log_columns(self):
         pipe = tiny_pipeline()

@@ -17,8 +17,8 @@ import io
 import json
 import math
 import os
+import stat
 import struct
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
@@ -68,12 +68,17 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
 
     An interrupted or failed write leaves the old file as it was and no temp
     file behind. An OSError names path and its reason, never the temp file.
+    The file gets the mode a plain write gives: an existing file keeps its
+    mode, and a new one gets 0o666 less the umask.
     """
     directory, tmp_path = os.path.dirname(os.path.abspath(path)), None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".jamofuse-", suffix=".tmp")
+        tmp_path = os.path.join(directory, f".jamofuse-{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies here
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        if os.path.exists(path):
+            os.chmod(tmp_path, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp_path, path)
     except BaseException as e:
         if tmp_path is not None and os.path.exists(tmp_path):

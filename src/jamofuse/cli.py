@@ -1,8 +1,9 @@
 """Command line entry point exposing every capability of the package.
 
 Exit codes: 0 on success, 1 on domain errors (one diagnostic line on stderr),
-2 on usage errors. Outputs are UTF-8 text, CSV, or JSON per subcommand, and
-file outputs are written atomically so interrupted runs leave nothing behind.
+2 on usage errors. Outputs are UTF-8 text, CSV, or JSON per subcommand; an
+output path is checked before any work, and file outputs are written
+atomically so interrupted runs leave nothing behind.
 Configuration precedence is flags over config file over the library's defaults
 (a flag left out takes the default of the field or parameter it sets); pass
 --verbose to echo the effective configuration to stderr (gradcheck: each
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import sys
 from typing import Optional
 
@@ -33,6 +36,7 @@ from .pipeline import GRANULARITIES, Pipeline, PipelineConfig, ConfigError, embe
 from .subchar import SubcharTokenizer
 from .subword import SubwordVocab, encode, load_vocab, save_vocab, train_vocab
 from .training import (
+    PairDataset,
     TrainConfig,
     cohesion_report,
     load_pair_dataset,
@@ -58,6 +62,17 @@ class _Text(argparse.Action):
             (value or "").encode("utf-8", "surrogateescape").decode("utf-8")
         except UnicodeDecodeError as e:
             raise not_utf8(option_string or self.dest, e) from None
+        setattr(namespace, self.dest, value)
+
+
+class _Output(argparse.Action):
+    """An output path: one naming a directory, or whose directory is missing, is a ConfigError before any work."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if os.path.isdir(value):
+            raise ConfigError(f"{option_string} {value!r}: is a directory")
+        if not os.path.isdir(os.path.dirname(value) or "."):
+            raise ConfigError(f"{option_string} {value!r}: no such directory")
         setattr(namespace, self.dest, value)
 
 
@@ -139,10 +154,8 @@ def _add_model_source_flags(parser: argparse.ArgumentParser) -> None:
                         help="target size when deriving a vocab from pairs")
 
 
-def _vocab_from_pairs(path: str, size: int) -> SubwordVocab:
-    data = load_pair_dataset(path)
-    corpus = [f"{r.form_a} {r.form_b}" for r in data.records]
-    return train_vocab(corpus, size)
+def _vocab_from_pairs(data: PairDataset, size: int) -> SubwordVocab:
+    return train_vocab([f"{r.form_a} {r.form_b}" for r in data.records], size)
 
 
 # Flags a checkpoint would override: its own pipeline config and vocab win.
@@ -177,7 +190,7 @@ def _load_pipeline(args) -> Pipeline:
     if getattr(args, "vocab", None):
         vocab = load_vocab(args.vocab)
     elif getattr(args, "pairs_vocab", None):
-        vocab = _vocab_from_pairs(args.pairs_vocab, args.vocab_size)
+        vocab = _vocab_from_pairs(load_pair_dataset(args.pairs_vocab), args.vocab_size)
     else:
         raise ConfigError("need --ckpt, --vocab, or --pairs-vocab to build the model")
     if args.verbose:
@@ -309,10 +322,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     data = load_pair_dataset(args.pairs)
     config = _pipeline_config(args)
-    if args.vocab:
-        vocab = load_vocab(args.vocab)
-    else:
-        vocab = _vocab_from_pairs(args.pairs, args.vocab_size)
+    vocab = load_vocab(args.vocab) if args.vocab else _vocab_from_pairs(data, args.vocab_size)
     pipe = Pipeline.build(config, vocab, seed=args.seed)
     train_config = TrainConfig(**_given(args, TrainConfig().to_dict()))
     if args.verbose:
@@ -386,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="echo effective config to stderr (gradcheck: per-parameter errors)")
         p.add_argument("--seed", type=int, default=0, help="generator seed where randomness exists")
         if out_required:
-            p.add_argument("--out", required=True, help="output file path")
+            p.add_argument("--out", required=True, action=_Output, help="output file path")
         else:
-            p.add_argument("--out", help="write output to this file instead of stdout")
+            p.add_argument("--out", action=_Output, help="write output to this file instead of stdout")
         return p
 
     p = add("decompose", cmd_tokenize, "print subcharacter atoms with role labels")
@@ -420,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="jsonl corpus")
     p.add_argument("--top-k", type=int, help="size of the ranked MOD table")
     p.add_argument("--partitions", type=int, help="parallel-style partition count")
-    p.add_argument("--json", help="write the JSON report here instead of stdout")
-    p.add_argument("--csv", help="also write the ranked CSV table here")
+    p.add_argument("--json", action=_Output, help="write the JSON report here instead of stdout")
+    p.add_argument("--csv", action=_Output, help="also write the ranked CSV table here")
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of the whole pipeline")
     p.add_argument("--text", default="하다", action=_Text, help="input text for the check")
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", cmd_train, "contrastive or classification training on pair data",
             out_required=True)
     p.add_argument("--pairs", required=True, help="TSV of form_a, form_b, relation")
-    p.add_argument("--log", help="write the per-epoch metric CSV here")
+    p.add_argument("--log", action=_Output, help="write the per-epoch metric CSV here")
     p.add_argument("--vocab", help="subword vocab JSON; default derives from the pairs")
     p.add_argument("--vocab-size", type=int, default=200)
     p.add_argument("--objective")
@@ -471,10 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a byte that was not UTF-8, as the lone surrogate that surrogateescape made of it or as repr's escape of that
+_NOT_UTF8 = re.compile(r"\\udc([89a-f][0-9a-f])|[\udc80-\udcff]")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-        sys.stderr.reconfigure(encoding="utf-8")
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -482,7 +496,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        message = str(exc) or type(exc).__name__
+        message = _NOT_UTF8.sub(lambda m: "\\x" + (m[1] or f"{ord(m[0]) - 0xDC00:02x}"), message)
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -272,35 +272,20 @@ class ForwardCache:
 
 
 class Pipeline:
-    """Binds one configuration's parameters to its tokenizers."""
+    """One configuration's parameters and tokenizers, made together from the config, the
+    subword vocab and the seed, so the tables fit the tokenizer and the vocab."""
 
-    def __init__(self, tokenizer: SubcharTokenizer, subword_vocab: SubwordVocab, params: PipelineParams):
-        if tokenizer.scheme.name != params.config.scheme:
-            raise ConfigError(
-                f"tokenizer scheme {tokenizer.scheme.name!r} does not match config {params.config.scheme!r}"
-            )
-        if len(tokenizer.vocab) != params.subchar_emb.vocab_size:
-            raise ConfigError(
-                f"subchar vocab size {len(tokenizer.vocab)} does not match "
-                f"embedding table {params.subchar_emb.vocab_size}"
-            )
-        if subword_vocab.size != params.subword_emb.vocab_size:
-            raise ConfigError(
-                f"subword vocab size {subword_vocab.size} does not match "
-                f"embedding table {params.subword_emb.vocab_size}"
-            )
-        self.tokenizer = tokenizer
+    def __init__(self, config: PipelineConfig, subword_vocab: SubwordVocab, seed: int):
+        self.tokenizer = SubcharTokenizer(config.scheme)
         self.subword_vocab = subword_vocab
-        self.params = params
-        self.config = params.config
+        self.params = PipelineParams(config, len(self.tokenizer.vocab), subword_vocab.size, seed)
+        self.config = config
         # text -> (tokenized text, unit ids, unit ranges), with read-only arrays
         self._memo: dict[str, tuple[SubcharSequence, tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
 
     @staticmethod
     def build(config: PipelineConfig, subword_vocab: SubwordVocab, seed: int) -> "Pipeline":
-        tokenizer = SubcharTokenizer(config.scheme)
-        params = PipelineParams(config, len(tokenizer.vocab), subword_vocab.size, seed)
-        return Pipeline(tokenizer, subword_vocab, params)
+        return Pipeline(config, subword_vocab, seed)
 
     # unit boundaries --------------------------------------------------------
 

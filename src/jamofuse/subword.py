@@ -133,23 +133,22 @@ def train_vocab(corpus: Iterable[str], target_size: int, mode: str = "bpe-lite")
         raise ConfigError(f"target size {target_size} below base inventory {base}")
 
     tokens = list(chars)
-    if mode == "charlist":
-        pass
-    elif mode == "wordlist":
+    existing = set(tokens)
+    if mode == "wordlist":
         word_freq = Counter(w for t in texts for w in t.split())
         ranked = sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0]))
         for word, _ in ranked:
             if len(tokens) + len(SPECIALS) >= target_size:
                 break
-            if word not in set(tokens):
+            if word not in existing:
                 tokens.append(word)
-    else:  # bpe-lite
+                existing.add(word)
+    elif mode == "bpe-lite":
         words: dict[tuple[str, ...], int] = Counter()
         for t in texts:
             for w in t.split():
                 words[tuple(w)] += 1
         words = dict(words)
-        existing = set(tokens)
         while len(tokens) + len(SPECIALS) < target_size:
             counts = _pair_counts(words)
             if not counts:

@@ -21,7 +21,7 @@ from jamofuse import checkpoint, cli
 from jamofuse.cli import main
 from jamofuse.oracle import align, corpus_stats, parse_action_file, read_jsonl_records
 from jamofuse.subword import SPECIALS, load_vocab, train_vocab
-from jamofuse.training import TrainConfig, pca_project
+from jamofuse.training import TrainConfig, load_pair_dataset, pca_project
 
 
 def data_file(name: str) -> str:
@@ -673,6 +673,17 @@ class TestTrainCommand:
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
         assert not ckpt.exists() and not log.exists()
 
+    def test_pair_file_is_loaded_once(self, tmp_path, monkeypatch, capsys):
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_pair_dataset(path)
+
+        monkeypatch.setattr(cli, "load_pair_dataset", counting_load)
+        assert main(["train", "--pairs", PAIRS, "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--dim", "4"]) == 0
+        assert loads == [PAIRS]
+
 
 class TestCheckpointRoundTrip:
     def test_embed_from_checkpoint(self, trained, capsys):
@@ -1050,6 +1061,62 @@ def test_path_argument_that_is_not_utf8_is_accepted(tmp_path):
     proc = run_cli(["embed", "--text", "하다", "--pairs-vocab", PAIRS, "--out", b"\xff.csv"], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert os.listdir(bytes(tmp_path)) == [b"\xff.csv"]
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({b"bad\xffname.tsv": b"\xea\xb0\x80\t1\n"}, ["encode", "하", "--vocab", b"bad\xffname.tsv"]),
+        ({b"bad\xffcfg.cfg": b"dim\n"}, ["embed", "--pairs-vocab", PAIRS, "--text", "하", "--config", b"bad\xffcfg.cfg"]),
+        ({b"bin\xff.tsv": b"\xff\xfe\n"}, ["train", "--pairs", b"bin\xff.tsv", "--out", "m.ckpt"]),
+        ({}, ["embed", "--ckpt", b"/nonexistent/\xff", "--text", "하"]),
+    ],
+    ids=["vocab-without-header", "config-line-without-equals", "pairs-not-utf8", "missing-checkpoint"],
+)
+def test_error_line_shows_a_path_byte_that_is_not_utf8(tmp_path, files, argv):
+    for name, data in files.items():
+        with open(os.path.join(bytes(tmp_path), name), "wb") as f:
+            f.write(data)
+    proc = run_cli(argv, tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert_one_line_error_text(proc.stderr.decode("utf-8"))
+    assert b"\\xff" in proc.stderr and b"udcff" not in proc.stderr
+    assert sorted(os.listdir(bytes(tmp_path))) == sorted(files)
+
+
+def test_unrecognized_argument_that_is_not_utf8_is_usage_error(tmp_path):
+    proc = run_cli(["decompose", "한", b"\xff"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"unrecognized arguments" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag, target, work",
+    [
+        (["train", "--pairs", PAIRS, "--out", "DIR"], "--out", "DIR", "load_pair_dataset"),
+        (["train", "--pairs", PAIRS, "--out", "missing/m.ckpt"], "--out", "missing/m.ckpt", "load_pair_dataset"),
+        (["train", "--pairs", PAIRS, "--out", "m.ckpt", "--log", "DIR"], "--log", "DIR", "load_pair_dataset"),
+        (["oracle-stats", "--in", CORPUS, "--csv", "DIR"], "--csv", "DIR", "read_jsonl_corpus"),
+        (["oracle-stats", "--in", CORPUS, "--json", "missing/s.json"], "--json", "missing/s.json",
+         "read_jsonl_corpus"),
+    ],
+    ids=["train-out-directory", "train-out-missing-directory", "train-log-directory", "oracle-stats-csv-directory",
+         "oracle-stats-json-missing-directory"],
+)
+def test_output_path_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, flag, target, work):
+    (tmp_path / "DIR").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, no_work)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error_text(captured.err)
+    assert f"{flag} {target!r}" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["DIR"] and not any((tmp_path / "DIR").iterdir())
 
 
 # a run with every flag given at the library's default against one with the flags left out

@@ -166,12 +166,6 @@ class TestActionTag:
         for text in ["B-KEEP", "I-KEEP", "B-NOOP", "B-MOD-럽", "I-MOD-ㄴ", "B-MOD-하"]:
             assert str(ActionTag.parse(text)) == text
 
-    def test_mod_requires_target(self):
-        with pytest.raises(ValueError):
-            ActionTag("B", "MOD")
-        with pytest.raises(ValueError):
-            ActionTag("B", "KEEP", "다")
-
     def test_parse_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ActionTag.parse("B-FOO")

@@ -258,21 +258,6 @@ class TestParamLayout:
         with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
             PipelineParams(PipelineConfig(dim=4), 10, 10, seed=-1)
 
-    @pytest.mark.parametrize(
-        "tokenizer, subchar_size, subword_size, message",
-        [
-            ("bts", None, None, "tokenizer scheme 'bts' does not match config 'jamo'"),
-            ("jamo", 3, None, "subchar vocab size .* does not match embedding table 3"),
-            ("jamo", None, 7, "subword vocab size .* does not match embedding table 7"),
-        ],
-        ids=["scheme", "subchar-size", "subword-size"],
-    )
-    def test_mismatched_parts_rejected(self, tokenizer, subchar_size, subword_size, message):
-        tok, vocab = SubcharTokenizer(tokenizer), small_vocab()
-        params = PipelineParams(PipelineConfig(dim=4), subchar_size or len(tok.vocab), subword_size or vocab.size, 0)
-        with pytest.raises(ConfigError, match=message):
-            Pipeline(tok, vocab, params)
-
     def test_principles_parameter_order(self):
         pipe = build()
         names = pipe.params.group.names()
@@ -305,14 +290,6 @@ class TestParamLayout:
         a = build(compression="principles").params.subchar_emb.table.data
         b = build(compression="linear").params.subchar_emb.table.data
         assert np.array_equal(a, b)
-
-    def test_mismatched_tokenizer_rejected(self):
-        vocab = small_vocab()
-        params = PipelineParams(PipelineConfig(scheme="bts", dim=6), 151, vocab.size, seed=1)
-        from jamofuse.subchar import SubcharTokenizer
-
-        with pytest.raises(ConfigError, match="scheme"):
-            Pipeline(SubcharTokenizer("jamo"), vocab, params)
 
 
 class TestStage1:

@@ -398,6 +398,28 @@ class TestCheckpoint:
         assert target.read_bytes() == b"old\n"
         assert list(tmp_path.glob(".jamofuse-*.tmp")) == []
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["umask-022", "umask-002"])
+    def test_new_file_gets_the_mode_a_plain_write_gives(self, tmp_path, umask, mode):
+        old_umask = os.umask(umask)
+        try:
+            write_atomic(tmp_path / "new.csv", b"new\n")
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("mode", [0o644, 0o666], ids=["0644", "0666"])
+    def test_existing_file_keeps_its_mode(self, tmp_path, mode):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        target.chmod(mode)
+        old_umask = os.umask(0o077)
+        try:
+            write_atomic(target, b"new\n")
+        finally:
+            os.umask(old_umask)
+        assert target.read_bytes() == b"new\n" and target.stat().st_mode & 0o777 == mode
+        assert list(tmp_path.glob(".jamofuse-*.tmp")) == []
+
     def test_csv_text_writes_floats_as_repr_and_quotes_only_when_needed(self):
         values = [0.1, np.float64(1 / 3), np.float64(-0.0), 1e-300, np.float64(1e16)]
         text = csv_text(["a", "b"], [[7, *values], ['x,y', 'say "hi"', "two\nlines"]])

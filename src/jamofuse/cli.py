@@ -66,13 +66,19 @@ class _Text(argparse.Action):
 
 
 class _Output(argparse.Action):
-    """An output path: one naming a directory, or whose directory is missing, is a ConfigError before any work."""
+    """An output path: one naming a directory, whose directory is missing, or that names the file of
+    another output flag (one write would replace the other) is a ConfigError before any work."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         if os.path.isdir(value):
             raise ConfigError(f"{option_string} {value!r}: is a directory")
         if not os.path.isdir(os.path.dirname(value) or "."):
             raise ConfigError(f"{option_string} {value!r}: no such directory")
+        real, taken = os.path.realpath(value), vars(namespace).setdefault("output_files", {})
+        for flag, other in taken.items():
+            if flag != option_string and other == real:
+                raise ConfigError(f"{flag} and {option_string} name one file {value!r}")
+        taken[option_string] = real
         setattr(namespace, self.dest, value)
 
 
@@ -179,8 +185,9 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
     return pipe
 
 
-def _load_pipeline(args) -> Pipeline:
-    """Builds the model from a checkpoint, or fresh from flags and a vocab."""
+def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
+    """Builds the model from a checkpoint, or fresh from flags and a vocab; pairs, when given, is
+    the dataset at --pairs-vocab, already loaded."""
     if getattr(args, "ckpt", None):
         ignored = ["--" + key.replace("_", "-") for key in _given(args, _CKPT_FIXED)]
         if ignored:
@@ -190,7 +197,7 @@ def _load_pipeline(args) -> Pipeline:
     if getattr(args, "vocab", None):
         vocab = load_vocab(args.vocab)
     elif getattr(args, "pairs_vocab", None):
-        vocab = _vocab_from_pairs(load_pair_dataset(args.pairs_vocab), args.vocab_size)
+        vocab = _vocab_from_pairs(pairs or load_pair_dataset(args.pairs_vocab), args.vocab_size)
     else:
         raise ConfigError("need --ckpt, --vocab, or --pairs-vocab to build the model")
     if args.verbose:
@@ -352,8 +359,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_probe_pairs(args) -> int:
-    pipe = _load_pipeline(args)
-    report = pair_similarity(pipe, load_pair_dataset(args.pairs))
+    data = load_pair_dataset(args.pairs)
+    pipe = _load_pipeline(args, data if args.pairs_vocab == args.pairs else None)
+    report = pair_similarity(pipe, data)
     _emit(report.to_csv(), args.out)
     return 0
 

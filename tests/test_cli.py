@@ -1119,6 +1119,60 @@ def test_output_path_refused_before_any_work(tmp_path, monkeypatch, capsys, argv
     assert [p.name for p in tmp_path.iterdir()] == ["DIR"] and not any((tmp_path / "DIR").iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, flags, work",
+    [
+        (["train", "--pairs", PAIRS, "--out", "same.out", "--log", "same.out"], ("--out", "--log"),
+         "load_pair_dataset"),
+        (["train", "--pairs", PAIRS, "--log", "DIR/../same.out", "--out", "same.out"], ("--log", "--out"),
+         "load_pair_dataset"),
+        (["oracle-stats", "--in", CORPUS, "--json", "same.out", "--csv", "./same.out"], ("--json", "--csv"),
+         "read_jsonl_corpus"),
+    ],
+    ids=["train-out-log", "train-log-out-through-a-directory", "oracle-stats-json-csv"],
+)
+def test_two_outputs_naming_one_file_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, flags, work):
+    (tmp_path / "DIR").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, no_work)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_line_error_text(captured.err)
+    assert f"{flags[0]} and {flags[1]} name one file" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["DIR"] and not any((tmp_path / "DIR").iterdir())
+
+
+def test_two_outputs_naming_two_files_both_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["oracle-stats", "--in", CORPUS, "--json", "s.json", "--csv", "s.csv"]) == 0
+    assert json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
+    assert (tmp_path / "s.csv").read_text(encoding="utf-8").startswith("rank,")
+
+
+def test_probe_pairs_loads_a_pair_file_given_twice_once(tmp_path, monkeypatch, capsys):
+    copy = tmp_path / "copy.tsv"
+    copy.write_bytes(open(PAIRS, "rb").read())
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_pair_dataset(path)
+
+    monkeypatch.setattr(cli, "load_pair_dataset", counted)
+    csvs = []
+    for vocab_pairs in (str(copy), PAIRS):  # a second file with the same bytes, then the same file
+        loads.clear()
+        assert main(["probe-pairs", "--pairs", PAIRS, "--pairs-vocab", vocab_pairs, "--dim", "4"]) == 0
+        csvs.append(capsys.readouterr().out)
+    assert loads == [PAIRS]
+    assert csvs[0] == csvs[1] and csvs[0].startswith("form_a,")
+
+
 # a run with every flag given at the library's default against one with the flags left out
 DEFAULT_FLAG_RUNS = {
     "train": (

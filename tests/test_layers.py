@@ -258,16 +258,16 @@ class TestGRULayer:
             gru.forward(np.ones((4, 3)), np.array([2, 1]))
 
     def test_long_batches_project_in_blocks(self, monkeypatch):
-        # the same layer with whole-batch and with 5-row input projections
-        rng = np.random.default_rng(14)
-        gru = GRULayer(4, rng)
+        # two layers with the same weights, with whole-batch and with 5-row input projections
+        # (one layer would serve the second forward from its memo)
+        rng = np.random.default_rng(15)
         xs = [rng.standard_normal((n, 4)) for n in (9, 7, 7, 3, 1)]
         x, sizes, rows = pack_sequences(xs)
         grad = rng.standard_normal(x.shape)
         runs = []
         for block in (layers.PROJECTION_ROWS, 5):
             monkeypatch.setattr(layers, "PROJECTION_ROWS", block)
-            gru.params.zero_grads()
+            gru = GRULayer(4, np.random.default_rng(14))
             hs, cache = gru.forward(x, sizes)
             runs.append((hs, gru.backward(grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()))
         for a, b in zip(*runs):
@@ -422,6 +422,169 @@ class TestGRUBackwardAgainstStepwise:
             runs.append((backward(gru, grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()))
         for a, b in zip(*runs):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def count_computes(monkeypatch) -> list:
+    """Wraps GRULayer's compute method: the returned list grows by one for each call it computes."""
+    computed, compute = [], GRULayer._forward
+
+    def counted(self, *args):
+        computed.append(self)
+        return compute(self, *args)
+
+    monkeypatch.setattr(GRULayer, "_forward", counted)
+    return computed
+
+
+def copied_layer(gru):
+    """A fresh layer with gru's weights and an empty memo."""
+    fresh = GRULayer(gru.dim, np.random.default_rng(99))
+    for block in ("w", "u", "b"):
+        getattr(fresh, block).data[...] = getattr(gru, block).data
+    return fresh
+
+
+def forward_backward(gru, x, sizes, table, grad):
+    """(hs, input gradient, w, u and b gradients) of one forward and backward from zeroed gradients."""
+    gru.params.zero_grads()
+    hs, cache = gru.forward(x, sizes, table=table)
+    return hs.copy(), gru.backward(grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()
+
+
+def memo_case(table: bool):
+    """A layer and packed inputs (x, batch sizes, table) of three sequences of 4, 2 and 1 steps."""
+    rng = np.random.default_rng(21)
+    gru = GRULayer(3, rng)
+    sizes = np.array([3, 2, 1, 1])
+    rows = rng.standard_normal((5, 3))
+    ids = np.array([0, 3, 1, 4, 4, 2, 0])
+    x, table_arg = (ids, rows) if table else (rows[ids], None)
+    return gru, x, sizes, table_arg, rng.standard_normal((7, 3))
+
+
+def assert_same_bits(runs_a, runs_b):
+    for a, b in zip(runs_a, runs_b):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGRUMemo:
+    """GRULayer's memo of its last call: served only for the same input and weight bytes."""
+
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    def test_hit_matches_a_fresh_layer(self, monkeypatch, table):
+        gru, x, sizes, table_arg, grad = memo_case(table)
+        computed = count_computes(monkeypatch)
+        first = gru.forward(x, sizes, table=table_arg)
+        # equal copies of every input hit the memo
+        copies = (x.copy(), sizes.copy(), None if table_arg is None else table_arg.copy())
+        hit = forward_backward(gru, *copies, grad)
+        assert len(computed) == 1 and gru.forward(*copies[:2], table=copies[2])[0] is first[0]
+        assert_same_bits(hit, forward_backward(copied_layer(gru), x, sizes, table_arg, grad))
+        assert len(computed) == 2
+
+    def test_results_are_read_only_and_keep_no_caller_array(self):
+        gru, x, sizes, table, _ = memo_case(True)
+        hs, cache = gru.forward(x, sizes, table=table)
+        for a in (hs, *cache):
+            assert not a.flags.writeable
+        assert cache.x is not x and cache.batch_sizes is not sizes and cache.table is not table
+
+    @pytest.mark.parametrize("changed", ["x", "batch_sizes", "table", "w", "u", "b"])
+    def test_in_place_change_recomputes(self, monkeypatch, changed):
+        gru, x, sizes, table, grad = memo_case(True)
+        computed = count_computes(monkeypatch)
+        gru.forward(x, sizes, table=table)
+        if changed == "x":
+            x[2] = 2 if x[2] != 2 else 3
+        elif changed == "batch_sizes":
+            sizes[:] = [2, 2, 2, 1]  # two sequences of 4 and 3 steps: still 7 rows
+        elif changed == "table":
+            table[x[0], 1] += 0.5
+        else:
+            getattr(gru, changed).data.reshape(-1)[1] += 0.5
+        fresh = forward_backward(copied_layer(gru), x, sizes, table, grad)
+        assert_same_bits(forward_backward(gru, x, sizes, table, grad), fresh)
+        assert len(computed) == 3
+
+    def test_signed_zero_is_a_different_input(self, monkeypatch):
+        gru = GRULayer(2, np.random.default_rng(0))
+        computed = count_computes(monkeypatch)
+        for x in (np.zeros((3, 2)), np.full((3, 2), -0.0), np.full((3, 2), -0.0)):
+            gru.forward(x)
+        assert len(computed) == 2
+        gru.b.data[0] = -gru.b.data[0]
+        gru.b.data[0] = -gru.b.data[0]  # the same value again
+        gru.forward(np.full((3, 2), -0.0))
+        assert len(computed) == 2
+        gru.b.data[1] = 0.0
+        gru.forward(np.full((3, 2), -0.0))
+        gru.b.data[1] = -0.0
+        gru.forward(np.full((3, 2), -0.0))
+        assert len(computed) == 4
+
+    def test_nan_input_repeats(self, monkeypatch):
+        gru = GRULayer(2, np.random.default_rng(0))
+        computed = count_computes(monkeypatch)
+        x = np.ones((3, 2))
+        x[1, 0] = np.nan
+        first, _ = gru.forward(x)
+        again, _ = gru.forward(x.copy())
+        assert len(computed) == 1 and again is first and np.isnan(first[1:]).all()
+
+    def test_a_failed_call_is_not_kept(self, monkeypatch):
+        gru = GRULayer(4, np.random.default_rng(0))
+        computed = count_computes(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="out of range"):
+                gru.forward(np.array([0, 11, 3]), table=np.ones((11, 4)))
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="batch sizes"):
+                gru.forward(np.ones((4, 4)), np.array([2, 1]))
+        assert len(computed) == 4
+
+    def test_interleaved_forwards_match_fresh_layers(self, monkeypatch):
+        # forwards A, B, A on one layer, then both backwards, against a fresh layer for each forward
+        gru, x_a, sizes, _, grad_a = memo_case(False)
+        rng = np.random.default_rng(22)
+        x_b, grad_b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        computed = count_computes(monkeypatch)
+        fresh_a, fresh_b, reference = copied_layer(gru), copied_layer(gru), copied_layer(gru)
+        gru.params.zero_grads()
+        _, cache_a = gru.forward(x_a, sizes)
+        hs_b, cache_b = gru.forward(x_b)
+        hs_a, cache_a = gru.forward(x_a, sizes)
+        assert len(computed) == 3
+        grads = [gru.backward(grad_a, cache_a), gru.backward(grad_b, cache_b)]
+        ref_a, ref_b = fresh_a.forward(x_a, sizes), fresh_b.forward(x_b)
+        ref_grads = [reference.backward(grad_a, ref_a[1]), reference.backward(grad_b, ref_b[1])]
+        assert_same_bits([hs_a, hs_b, *grads], [ref_a[0], ref_b[0], *ref_grads])
+        assert_same_bits([gru.w.grad, gru.u.grad, gru.b.grad], [reference.w.grad, reference.u.grad, reference.b.grad])
+
+    def test_gradient_check_is_mostly_served_from_the_memo(self, monkeypatch):
+        from jamofuse.pipeline import Pipeline, PipelineConfig
+        from jamofuse.subword import train_vocab
+
+        text = "하다"
+        pipe = Pipeline.build(PipelineConfig(dim=4, fusion="summation"), train_vocab([text], 16, mode="charlist"), 0)
+        calls, forward = [], GRULayer.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(GRULayer, "forward", counted)
+        computed = count_computes(monkeypatch)
+        direction = np.random.default_rng(0).normal(size=pipe.forward(text)[0].shape)
+
+        def loss_fn(with_grad):
+            out, cache = pipe.forward(text)
+            if with_grad:
+                pipe.backward(direction, cache)
+            return float((direction * out).sum())
+
+        report = grad_check(loss_fn, pipe.params.group)
+        assert report.max_rel_error < TOL
+        assert len(calls) > 3000 and 1 - len(computed) / len(calls) >= 0.7, (len(computed), len(calls))
 
 
 class TestConv2x1:

@@ -216,6 +216,7 @@ class TestWordVectors:
             cfg = PipelineConfig(scheme="bts", dim=64, compression=compression, fusion="summation")
             pipe = Pipeline.build(cfg, vocab, seed=0)
             word_vectors(pipe, texts)  # fills the tokenization memo outside the traced call
+            word_vectors(pipe, texts[:1])  # and leaves the GRUs' memos on another call, so the traced one computes
             tracemalloc.start()
             try:
                 word_vectors(pipe, texts)

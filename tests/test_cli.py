@@ -1147,13 +1147,6 @@ def test_two_outputs_naming_one_file_refused_before_any_work(tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["DIR"] and not any((tmp_path / "DIR").iterdir())
 
 
-def test_two_outputs_naming_two_files_both_written(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["oracle-stats", "--in", CORPUS, "--json", "s.json", "--csv", "s.csv"]) == 0
-    assert json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
-    assert (tmp_path / "s.csv").read_text(encoding="utf-8").startswith("rank,")
-
-
 def test_probe_pairs_loads_a_pair_file_given_twice_once(tmp_path, monkeypatch, capsys):
     copy = tmp_path / "copy.tsv"
     copy.write_bytes(open(PAIRS, "rb").read())

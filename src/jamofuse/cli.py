@@ -397,15 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, out_required=False):
+    def add(name, func, help_text, out="optional"):
+        """A subcommand; out is "required", "optional" (stdout otherwise) or None where it writes no --out."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--verbose", action="store_true",
                        help="echo effective config to stderr (gradcheck: per-parameter errors)")
         p.add_argument("--seed", type=int, default=0, help="generator seed where randomness exists")
-        if out_required:
+        if out == "required":
             p.add_argument("--out", required=True, action=_Output, help="output file path")
-        else:
+        elif out == "optional":
             p.add_argument("--out", action=_Output, help="write output to this file instead of stdout")
         return p
 
@@ -417,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("text", action=_Text)
     p.add_argument("--scheme", help="jamo, stroke, cji, or bts")
 
-    p = add("vocab-train", cmd_vocab_train, "train a subword vocab from a text file",
-            out_required=True)
+    p = add("vocab-train", cmd_vocab_train, "train a subword vocab from a text file", out="required")
     p.add_argument("--in", dest="infile", required=True, help="one training text per line")
     p.add_argument("--size", type=int, required=True, help="target vocab size")
     p.add_argument("--mode", help="bpe-lite, wordlist, or charlist")
@@ -434,21 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="jsonl corpus of surface and lemma_units")
     p.add_argument("--delim", default="\t", action=_Text, help="output delimiter (default tab)")
 
-    p = add("oracle-stats", cmd_oracle_stats, "aggregate action statistics over a corpus")
+    p = add("oracle-stats", cmd_oracle_stats, "aggregate action statistics over a corpus", out=None)
     p.add_argument("--in", dest="infile", required=True, help="jsonl corpus")
     p.add_argument("--top-k", type=int, help="size of the ranked MOD table")
     p.add_argument("--partitions", type=int, help="parallel-style partition count")
     p.add_argument("--json", action=_Output, help="write the JSON report here instead of stdout")
     p.add_argument("--csv", action=_Output, help="also write the ranked CSV table here")
 
-    p = add("gradcheck", cmd_gradcheck, "finite-difference check of the whole pipeline")
+    p = add("gradcheck", cmd_gradcheck, "finite-difference check of the whole pipeline", out=None)
     p.add_argument("--text", default="하다", action=_Text, help="input text for the check")
     p.add_argument("--d", type=int, dest="dim", help="embedding width, the same as --dim")
     p.add_argument("--tol", type=float, default=1e-4, help="max relative error to accept")
     _add_pipeline_flags(p)
 
-    p = add("train", cmd_train, "contrastive or classification training on pair data",
-            out_required=True)
+    p = add("train", cmd_train, "contrastive or classification training on pair data", out="required")
     p.add_argument("--pairs", required=True, help="TSV of form_a, form_b, relation")
     p.add_argument("--log", action=_Output, help="write the per-epoch metric CSV here")
     p.add_argument("--vocab", help="subword vocab JSON; default derives from the pairs")

@@ -1014,16 +1014,16 @@ class TestMoreRefusals:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["train", "--pairs", PAIRS],
-        ["gradcheck", "--d", "4"],
-        ["embed", "--pairs-vocab", PAIRS, "--text", "하다"],
-        ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다"],
+        ["train", "--pairs", PAIRS, "--out", "OUT"],
+        ["gradcheck", "--d", "4"],  # gradcheck prints, and takes no --out
+        ["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--out", "OUT"],
+        ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다", "--out", "OUT"],
     ],
     ids=["train", "gradcheck", "embed", "probe-pca"],
 )
 def test_negative_seed_is_named(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out), "--seed", "-1"]) == 1
+    assert main([str(out) if a == "OUT" else a for a in argv] + ["--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
@@ -1145,6 +1145,21 @@ def test_two_outputs_naming_one_file_refused_before_any_work(tmp_path, monkeypat
     assert_one_line_error_text(captured.err)
     assert f"{flags[0]} and {flags[1]} name one file" in captured.err
     assert [p.name for p in tmp_path.iterdir()] == ["DIR"] and not any((tmp_path / "DIR").iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle-stats", "--in", CORPUS, "--out", "F"], ["gradcheck", "--d", "2", "--out", "F"]],
+    ids=["oracle-stats", "gradcheck"],
+)
+def test_out_refused_where_the_subcommand_writes_none(tmp_path, monkeypatch, capsys, argv):
+    # oracle-stats writes to --json and --csv, and gradcheck prints: an --out they never
+    # wrote would have left no file while exiting 0
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --out F" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 def test_probe_pairs_loads_a_pair_file_given_twice_once(tmp_path, monkeypatch, capsys):

@@ -561,22 +561,18 @@ class TestGRUMemo:
         assert_same_bits([gru.w.grad, gru.u.grad, gru.b.grad], [reference.w.grad, reference.u.grad, reference.b.grad])
 
     def test_gradient_check_is_mostly_served_from_the_memo(self, monkeypatch):
+        # each loss call runs the three principles GRUs once, unless the pipeline's own
+        # memo serves the whole forward; either way at most 30% of those runs compute
         from jamofuse.pipeline import Pipeline, PipelineConfig
         from jamofuse.subword import train_vocab
 
         text = "하다"
         pipe = Pipeline.build(PipelineConfig(dim=4, fusion="summation"), train_vocab([text], 16, mode="charlist"), 0)
-        calls, forward = [], GRULayer.forward
-
-        def counted(self, *args, **kwargs):
-            calls.append(self)
-            return forward(self, *args, **kwargs)
-
-        monkeypatch.setattr(GRULayer, "forward", counted)
-        computed = count_computes(monkeypatch)
+        computed, loss_calls = count_computes(monkeypatch), []
         direction = np.random.default_rng(0).normal(size=pipe.forward(text)[0].shape)
 
         def loss_fn(with_grad):
+            loss_calls.append(with_grad)
             out, cache = pipe.forward(text)
             if with_grad:
                 pipe.backward(direction, cache)
@@ -584,7 +580,7 @@ class TestGRUMemo:
 
         report = grad_check(loss_fn, pipe.params.group)
         assert report.max_rel_error < TOL
-        assert len(calls) > 3000 and 1 - len(computed) / len(calls) >= 0.7, (len(computed), len(calls))
+        assert len(loss_calls) > 1000 and len(computed) <= 0.3 * 3 * len(loss_calls), (len(computed), len(loss_calls))
 
 
 class TestConv2x1:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from importlib import resources
@@ -696,6 +697,186 @@ class TestMemo:
         assert calls["tokenize"] == calls["encode"] == 2
 
 
+def fresh_copy(pipe):
+    """A pipeline with pipe's configuration and parameter values, and empty memos."""
+    fresh = Pipeline(pipe.config, pipe.subword_vocab, pipe.params.seed)
+    fresh.params.group.data[...] = pipe.params.group.data
+    return fresh
+
+
+def out_and_grads(pipe, texts):
+    """The output bytes and flat gradient bytes of one forward and backward from zeroed gradients."""
+    out, cache = pipe.forward(texts)
+    pipe.params.group.zero_grads()
+    pipe.backward(np.random.default_rng(4).normal(size=out.shape), cache)
+    return out.tobytes(), pipe.params.group.grad.tobytes()
+
+
+def arrays_in(obj):
+    """Every array that obj holds: itself, in its tuples and lists, and in its dataclasses' fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in arrays_in(item)]
+    if dataclasses.is_dataclass(obj):
+        return [a for item in vars(obj).values() for a in arrays_in(item)]
+    return []
+
+
+class TestPipelineMemo:
+    """Pipeline.forward's memo of its last call: served only when the texts repeat and every
+    parameter byte the forward reads repeats."""
+
+    TEXT = "하다"
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Grows by one for each forward that computes."""
+        computed, compute = [], Pipeline._forward
+
+        def counted(self, *args):
+            computed.append(args[0])
+            return compute(self, *args)
+
+        monkeypatch.setattr(Pipeline, "_forward", counted)
+        return computed
+
+    @staticmethod
+    def kept(compression="principles", cls_bypass=True, fusion="cross-attention"):
+        """A pipeline whose memo holds the result of TEXT, and that result's cache."""
+        pipe = build(compression=compression, cls_bypass=cls_bypass, fusion=fusion)
+        pipe.forward(TestPipelineMemo.TEXT)
+        _, cache = pipe.forward(TestPipelineMemo.TEXT)
+        return pipe, cache
+
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    def test_an_unread_table_row_hits(self, computed, compression):
+        pipe, cache = self.kept(compression)
+        p = pipe.params
+        subchar_rows = set(cache.tokens.tolist()) | {pipe.tokenizer.vocab.cls_id}
+        subword_rows = set(cache.subword_ids.tolist())
+        unread = [
+            (p.subchar_emb.table, min(set(range(p.subchar_emb.vocab_size)) - subchar_rows)),
+            (p.subword_emb.table, min(set(range(p.subword_emb.vocab_size)) - subword_rows)),
+        ]
+        if compression == "linear":  # linear reads only the token rows of each unit's last character
+            first_char = set(cache.seqs[0].tokens.tolist()) - subchar_rows
+            unread.append((p.subchar_emb.table, min(first_char)))
+        assert len(computed) == 2
+        computed.clear()
+        first, _ = pipe.forward(self.TEXT)
+        for table, row in unread:
+            table.data[row, 0] += 1.0
+            assert pipe.forward(self.TEXT)[0] is first
+        assert computed == []
+
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    @pytest.mark.parametrize("table", ["subchar_emb", "subword_emb", "cls"])
+    def test_a_read_table_row_recomputes(self, computed, compression, table):
+        pipe, cache = self.kept(compression)
+        row = {"subchar_emb": cache.tokens[0], "subword_emb": cache.subword_ids[0],
+               "cls": pipe.tokenizer.vocab.cls_id}[table]
+        tensor = pipe.params.subword_emb.table if table == "subword_emb" else pipe.params.subchar_emb.table
+        tensor.data[row, 1] += 0.25
+        assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
+        assert len(computed) == 4
+
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    def test_any_other_tensor_recomputes(self, computed, compression):
+        pipe, _ = self.kept(compression)
+        names = [n for n in pipe.params.group.names() if not n.startswith(("subchar_emb", "subword_emb"))]
+        for name in names:
+            computed.clear()
+            data = pipe.params.group[name].data
+            data[(-1,) * data.ndim] += 0.125  # in place: a GRU gate's data is a column view of its block
+            assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT), name
+            assert len(computed) == 2, name  # the changed call, and fresh_copy's
+
+    def test_signed_zero_in_a_read_row_recomputes(self, computed):
+        pipe, cache = self.kept()
+        row = pipe.params.subchar_emb.table.data[cache.tokens[0]]
+        row[2] = 0.0
+        pipe.forward(self.TEXT)
+        pipe.forward(self.TEXT)
+        assert len(computed) == 3
+        row[2] = -0.0
+        assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
+        assert len(computed) == 5
+
+    @pytest.mark.parametrize("before, after", [
+        (["하다", "했다"], ["했다", "하다"]),
+        (["하다", "했다"], ["하다"]),
+        ("하다", ["하다"]),
+        (["하다"], "하다"),
+    ], ids=["order", "list", "str-then-list", "list-then-str"])
+    def test_other_texts_recompute(self, computed, before, after):
+        pipe = build(cls_bypass=True)
+        pipe.forward(before)
+        first, _ = pipe.forward(before)
+        again = out_and_grads(pipe, after)
+        assert len(computed) == 3 and again == out_and_grads(fresh_copy(pipe), after)
+        assert pipe.forward(before)[0] is not first  # the other texts let go of the kept result
+
+    def test_nan_in_a_read_row_repeats(self, computed):
+        pipe, cache = self.kept()
+        pipe.params.subchar_emb.table.data[cache.tokens[0], 0] = np.nan
+        first, _ = pipe.forward(self.TEXT)
+        again, _ = pipe.forward(self.TEXT)
+        assert len(computed) == 3 and again is first and np.isnan(first).any()
+
+    @pytest.mark.parametrize("cls_bypass", [False, True])
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    def test_results_are_read_only(self, compression, fusion, cls_bypass):
+        pipe = build(compression=compression, fusion=fusion, cls_bypass=cls_bypass)
+        texts = ["하다 했다", "", "대한 ab"]
+        pipe.forward(texts)
+        result = pipe.forward(texts)
+        assert result is pipe.forward(texts)
+        arrays = arrays_in(result)
+        assert len(arrays) > 5 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            result[0][0, 0] = 1.0
+
+    def test_a_boundary_map_bypasses_and_empties_the_memo(self, computed):
+        pipe, _ = self.kept()
+        boundary = BoundaryMap([(0, 1), (1, 2)])
+        mapped = [pipe.forward(self.TEXT, boundary)[0] for _ in range(2)]
+        assert len(computed) == 4 and mapped[0] is not mapped[1]
+        assert pipe._last is None
+        out, _ = pipe.forward(self.TEXT)
+        assert len(computed) == 5 and out.shape == (2, 6)  # the map's two units are not kept as the text's one
+
+    def test_a_call_that_raises_is_not_kept(self, computed, monkeypatch):
+        pipe, cache = self.kept()
+        pipe.params.subchar_emb.table.data[cache.tokens[0], 0] += 1.0
+        with monkeypatch.context() as patch:
+            patch.setattr(Pipeline, "fuse", lambda *args: 1 / 0)
+            for _ in range(2):
+                with pytest.raises(ZeroDivisionError):
+                    pipe.forward(self.TEXT)
+        assert len(computed) == 4 and pipe._last is None
+        assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
+        assert len(computed) == 6
+
+    def test_gradient_check_is_mostly_served_from_the_memo(self, computed):
+        text = "하다"
+        pipe = Pipeline.build(PipelineConfig(dim=4, fusion="summation"), train_vocab([text], 16, mode="charlist"), 0)
+        direction = np.random.default_rng(0).normal(size=pipe.forward(text)[0].shape)
+        loss_calls = []
+
+        def loss_fn(with_grad):
+            loss_calls.append(with_grad)
+            out, cache = pipe.forward(text)
+            if with_grad:
+                pipe.backward(direction, cache)
+            return float((direction * out).sum())
+
+        report = grad_check(loss_fn, pipe.params.group)
+        assert report.max_rel_error < 1e-4
+        assert len(loss_calls) > 1000 and len(computed) - 1 <= 0.5 * len(loss_calls), (len(computed), len(loss_calls))
+
+
 class TestBackward:
     @pytest.mark.parametrize(
         "scheme,fusion", list(itertools.product(SCHEME_NAMES, FUSIONS))
@@ -872,6 +1053,7 @@ class TestPaddedFusion:
 
     def assert_matches_per_text_loop(self, pipe, texts, monkeypatch):
         out, grads = forward_and_grads(pipe, texts)
+        pipe.forward("")  # other texts: the pipeline's memo lets go of the batch, so the patched fuse runs
         with monkeypatch.context() as patch:
             patch.setattr(Pipeline, "fuse", per_text_fuse)
             patch.setattr(Pipeline, "backward_fuse", per_text_backward_fuse)
@@ -934,7 +1116,7 @@ class TestPaddedFusion:
         pipe.backward(np.ones_like(out), cache)
         assert calls == {"forward": 1, "backward": 1}
 
-    def test_one_long_text_does_not_pad_the_others(self):
+    def test_one_long_text_does_not_pad_the_others(self, monkeypatch):
         # each text holds only its own U x U attention: a padded batch would hold
         # 24 x 400 x 400 weights in each of several arrays, over 100 MiB
         cfg = PipelineConfig(scheme="jamo", dim=16, fusion="cross-attention", granularity="character")
@@ -942,6 +1124,9 @@ class TestPaddedFusion:
         texts = ["대한민국하다했다" * 50, *[f"{a}{b}" for a in "가나다" for b in "라마바사아자차카"][:23]]
         out, cache = pipe.forward(texts)  # fills the tokenization memo outside the traced call
         assert len(texts[0]) == 400 and len(out) == 400 + 23 * 2
+        pipe.forward("하다")  # and leaves the pipeline's and the GRUs' memos on another call, so the traced one computes
+        attentions, attend = [], CrossAttention.forward
+        monkeypatch.setattr(CrossAttention, "forward", lambda self, *args: attentions.append(1) or attend(self, *args))
         tracemalloc.start()
         try:
             out, cache = pipe.forward(texts)
@@ -949,6 +1134,7 @@ class TestPaddedFusion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(attentions) == 1
         assert peak <= 16 << 20, peak
 
 

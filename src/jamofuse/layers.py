@@ -6,7 +6,13 @@ accumulating parameter gradients as a side effect. Backward reads a cache and
 never changes it, so interleaved forwards (e.g. both words of a training
 pair) stay independent. The one cache a layer keeps itself is the GRU's memo
 of its last call, which it hands out again only for a call with the same
-input and weight bits; its arrays are read-only.
+input and weight bits; its arrays are read-only. Pipeline.forward keeps a
+memo of its last whole forward on the same contract. Its key is the texts,
+then the bytes of the table rows they read and of every other tensor, and
+it keeps parameter bytes and a result only once a call repeats the last
+texts. In a gradient check it serves the loss calls whose perturbed
+coordinate the forward never reads, 55-61% of them at d=4 on `하다`, and
+these layers run only for the rest.
 """
 
 from __future__ import annotations
@@ -174,9 +180,11 @@ class GRULayer:
     A call whose inputs and weights hold the same bytes gets that pair back;
     bytes, not values, since -0.0 == 0.0 and NaN != NaN. Any other call
     computes and replaces the entry, and only a call that succeeds is kept.
-    A gradient check perturbs one coordinate at a time, so most of its calls
-    repeat the last one: the unused table rows and every coordinate of the
-    layers after this one. The cache holds read-only arrays over the copies,
+    A gradient check perturbs one coordinate at a time, so many of its calls
+    repeat the last one: every coordinate of the layers after this one and
+    of the inputs it does not read, such as the subword table (the
+    Pipeline's memo serves the table rows no layer reads before they get
+    here). The cache holds read-only arrays over the copies,
     and hs is read-only, so neither the caller nor backward can change what
     a later call gets.
     """

@@ -742,9 +742,9 @@ class TestPipelineMemo:
         return computed
 
     @staticmethod
-    def kept(compression="principles", cls_bypass=True, fusion="cross-attention"):
-        """A pipeline whose memo holds the result of TEXT, and that result's cache."""
-        pipe = build(compression=compression, cls_bypass=cls_bypass, fusion=fusion)
+    def kept(compression="principles"):
+        """A pipeline (cls_bypass, cross-attention) whose memo holds the result of TEXT, and that result's cache."""
+        pipe = build(compression=compression, cls_bypass=True, fusion="cross-attention")
         pipe.forward(TestPipelineMemo.TEXT)
         _, cache = pipe.forward(TestPipelineMemo.TEXT)
         return pipe, cache

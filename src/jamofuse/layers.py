@@ -7,12 +7,8 @@ never changes it, so interleaved forwards (e.g. both words of a training
 pair) stay independent. The one cache a layer keeps itself is the GRU's memo
 of its last call, which it hands out again only for a call with the same
 input and weight bits; its arrays are read-only. Pipeline.forward keeps a
-memo of its last whole forward on the same contract. Its key is the texts,
-then the bytes of the table rows they read and of every other tensor, and
-it keeps parameter bytes and a result only once a call repeats the last
-texts. In a gradient check it serves the loss calls whose perturbed
-coordinate the forward never reads, 55-61% of them at d=4 on `하다`, and
-these layers run only for the rest.
+memo of a whole forward on the same contract (see there), and these layers
+run only for the calls it does not serve.
 """
 
 from __future__ import annotations
@@ -182,11 +178,11 @@ class GRULayer:
     computes and replaces the entry, and only a call that succeeds is kept.
     A gradient check perturbs one coordinate at a time, so many of its calls
     repeat the last one: every coordinate of the layers after this one and
-    of the inputs it does not read, such as the subword table (the
-    Pipeline's memo serves the table rows no layer reads before they get
-    here). The cache holds read-only arrays over the copies,
-    and hs is read-only, so neither the caller nor backward can change what
-    a later call gets.
+    of the inputs it does not read, such as the subword table
+    (Pipeline.forward's memo serves the table rows no layer reads before
+    they get here). The cache holds read-only arrays over the copies, and
+    hs is read-only, so neither the caller nor backward can change what a
+    later call gets.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):

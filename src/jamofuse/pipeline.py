@@ -21,7 +21,7 @@ pool first and project once per unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence, Union
 
 import re
@@ -282,8 +282,8 @@ class Pipeline:
         self.config = config
         # text -> (tokenized text, unit ids, unit ranges), with read-only arrays
         self._memo: dict[str, tuple[SubcharSequence, tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
-        # the last forward (Pipeline.forward): (texts, the table places it reads, their bytes and
-        # the other tensors', result); the last three are None until the texts repeat
+        # Pipeline.forward's memo: (texts, the table places they read, those bytes and the other
+        # tensors', result); the last three are None until a call repeats the texts
         self._last: Optional[tuple] = None
 
     @staticmethod
@@ -470,45 +470,38 @@ class Pipeline:
         single text is the batch of one. Cross-attention fusion holds heads x
         U x U attention weights for each text of U units, and no more.
 
-        The pipeline keeps one memo of its last call, on the GRU memo's
-        contract: bytes, not values, and read-only results. Its key is the
-        texts (with whether one str was passed), then private byte copies of
-        what the forward reads: the subchar_emb rows of the texts' tokens
-        (and the <cls> row under cls_bypass), the subword_emb rows of their
-        units, and every other tensor of the group, whole. Texts come first:
-        a call whose texts differ from the last call's keeps only its texts,
-        and the parameter bytes and the result are kept once a call repeats
-        them, so a stream of new texts pays one tuple comparison a call. The
-        places the key reads depend on the texts alone and are found once.
-        A repeat whose bytes equal the kept ones gets the kept result: a
-        gradient check perturbs one coordinate at a time, and most of them
-        sit in table rows the text never reads. A call given boundary maps
-        bypasses the memo and empties it, and a call that raises is not
-        kept.
+        The pipeline keeps one memo, on the GRU memo's contract: bytes, not
+        values, and read-only results. It holds the texts of the last call, a
+        str as the batch of one, so a call with other texts pays one tuple
+        comparison. The first call that repeats them keeps its result, with
+        byte copies of what the forward reads: the subchar_emb rows of the
+        texts' tokens (and the <cls> row under cls_bypass), the subword_emb
+        rows of their units, and every other tensor of the group, whole. A
+        later repeat whose bytes equal the kept ones gets the kept result, and
+        any other repeat computes and returns its result unkept. In a gradient
+        check the first repeat is the unperturbed forward, and most perturbed
+        coordinates sit in table rows the text never reads. A call given
+        boundary maps bypasses the memo and empties it, and a call that raises
+        leaves it as it was.
         """
         if external_boundary is not None:
             self._last = None
             return self._forward(texts, external_boundary)
-        single = isinstance(texts, str)
-        key = (single, texts if single else tuple(texts))
-        last, self._last = self._last, None
-        if last is None or last[0] != key:
-            result = self._forward(key[1], None)
+        key = (texts,) if isinstance(texts, str) else tuple(texts)
+        if self._last is None or self._last[0] != key:
+            result = self._forward(key, None)
             self._last = key, None, None, None
             return result
-        _, reads, kept_bits, kept = last
-        if reads is not None:
-            bits = self._read_bits(reads)
-            if bits == kept_bits:
-                self._last = last
-                return kept
-        result = self._forward(key[1], None)
-        if reads is None:
+        _, reads, kept_bits, kept = self._last
+        if kept is None:
+            result = self._forward(key, None)
+            _read_only(result)
             reads = self._reads(result[1])
-            bits = self._read_bits(reads)
-        _read_only(result)
-        self._last = key, reads, bits, result
-        return result
+            self._last = key, reads, self._read_bits(reads), result
+            return result
+        if self._read_bits(reads) == kept_bits:
+            return kept
+        return self._forward(key, None)
 
     def _reads(self, cache: ForwardCache) -> np.ndarray:
         """The places in the flat parameter buffer of the table rows that a forward of cache's texts reads.
@@ -631,29 +624,17 @@ class Pipeline:
         return labels
 
 
-def _read_only(result: tuple[np.ndarray, ForwardCache]) -> None:
-    """Marks a forward's output and every array of its cache read-only.
-
-    The GRUs' caches and the tokenized texts' arrays are read-only already.
-    The arrays are named here, not found by walking the cache: a walk cost
-    about 20 us a call against 5 us for the list (bts d=4).
-    """
-    out, cache = result
-    arrays = [out, cache.unit_offsets, cache.e_S, cache.h_S, cache.subword_ids, cache.last_indices, cache.tokens,
-              cache.linear_cache]
-    if cache.stage1 is not None:
-        batch = cache.stage1.batch
-        arrays += [cache.stage1.conv_cache, batch.slots, batch.passthrough, batch.tokens, batch.rows, batch.char_sizes]
-    if cache.attn_pool is not None:
-        arrays += vars(cache.attn_pool).values()
-    if isinstance(cache.fuse_cache, tuple):  # cross-attention's AttnCache holds a list of attentions
-        for item in cache.fuse_cache:
-            arrays += item if isinstance(item, list) else [item]
-    else:  # concatenation's projection input, or None
-        arrays.append(cache.fuse_cache)
-    for a in arrays:
-        if a is not None:
-            a.setflags(write=False)
+def _read_only(obj: object) -> None:
+    """Marks every array that obj holds read-only: obj itself, and the arrays in its tuples, lists
+    and dataclass fields, at any depth."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _read_only(item)
+    elif is_dataclass(obj):
+        for item in vars(obj).values():
+            _read_only(item)
 
 
 def _whitespace_runs(text: str) -> list[tuple[int, int]]:

@@ -252,16 +252,6 @@ class SubcharTokenizer:
         passthrough = np.array([pt for _, pt in rows], dtype=bool)
         return SubcharSequence(self.scheme, text, tokens, passthrough)
 
-    def group_roles(self, seq: SubcharSequence, k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        """Token index spans of the (I, V, F) slots of character k."""
-        if not 0 <= k < seq.char_count:
-            raise IndexError(f"character index {k} out of range for {seq.char_count} characters")
-        if seq.passthrough[k]:
-            raise ValueError(f"character {k} is a passthrough span with no role structure")
-        wi, wv, _ = self.scheme.widths
-        start, stop = k * self.scheme.width, (k + 1) * self.scheme.width
-        return (start, start + wi), (start + wi, start + wi + wv), (start + wi + wv, stop)
-
     @cached_property
     def _windows(self) -> tuple[dict, dict, dict, dict]:
         """Initial, vowel and final slot window -> letter index, and bare letter window

@@ -9,14 +9,17 @@ single text is a packed batch of one, whose GRU steps and recomputed gates
 are the reference's products.
 """
 
+import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
+import jamofuse
 from jamofuse.checkpoint import load_into, save_checkpoint
 from jamofuse.layers import Embedding, GRULayer, _sigmoid
 from jamofuse.optim import AdamW, cosine_lr
@@ -415,6 +418,7 @@ def test_imports_need_only_numpy():
         "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'jamofuse', 'numpy'})))\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(jamofuse.__file__).parents[1])}  # the package this suite imports
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert result.stdout.split() == []
 

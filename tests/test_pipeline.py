@@ -793,36 +793,51 @@ class TestPipelineMemo:
             assert len(computed) == 2, name  # the changed call, and fresh_copy's
 
     def test_signed_zero_in_a_read_row_recomputes(self, computed):
-        pipe, cache = self.kept()
+        pipe = build(cls_bypass=True, fusion="cross-attention")
+        _, cache = pipe.forward(self.TEXT)
         row = pipe.params.subchar_emb.table.data[cache.tokens[0]]
         row[2] = 0.0
-        pipe.forward(self.TEXT)
-        pipe.forward(self.TEXT)
-        assert len(computed) == 3
+        kept, _ = pipe.forward(self.TEXT)
+        assert pipe.forward(self.TEXT)[0] is kept and len(computed) == 2
         row[2] = -0.0
         assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
-        assert len(computed) == 5
+        assert len(computed) == 4
 
-    @pytest.mark.parametrize("before, after", [
-        (["하다", "했다"], ["했다", "하다"]),
-        (["하다", "했다"], ["하다"]),
-        ("하다", ["하다"]),
-        (["하다"], "하다"),
+    @pytest.mark.parametrize("before, after, served", [
+        (["하다", "했다"], ["했다", "하다"], False),
+        (["하다", "했다"], ["하다"], False),
+        ("하다", ["하다"], True),  # a str is the batch of one: one key
+        (["하다"], "하다", True),
     ], ids=["order", "list", "str-then-list", "list-then-str"])
-    def test_other_texts_recompute(self, computed, before, after):
+    def test_other_texts_recompute(self, computed, before, after, served):
         pipe = build(cls_bypass=True)
         pipe.forward(before)
         first, _ = pipe.forward(before)
         again = out_and_grads(pipe, after)
-        assert len(computed) == 3 and again == out_and_grads(fresh_copy(pipe), after)
-        assert pipe.forward(before)[0] is not first  # the other texts let go of the kept result
+        assert len(computed) == (2 if served else 3) and again == out_and_grads(fresh_copy(pipe), after)
+        # other texts let go of the kept result
+        assert (pipe.forward(before)[0] is first) == served
 
     def test_nan_in_a_read_row_repeats(self, computed):
-        pipe, cache = self.kept()
+        pipe = build(cls_bypass=True, fusion="cross-attention")
+        _, cache = pipe.forward(self.TEXT)
         pipe.params.subchar_emb.table.data[cache.tokens[0], 0] = np.nan
         first, _ = pipe.forward(self.TEXT)
         again, _ = pipe.forward(self.TEXT)
-        assert len(computed) == 3 and again is first and np.isnan(first).any()
+        assert len(computed) == 2 and again is first and np.isnan(first).any()
+
+    def test_a_miss_keeps_the_first_repeat(self, computed):
+        pipe, _ = self.kept()
+        computed.clear()
+        kept, cache = pipe.forward(self.TEXT)
+        row = pipe.params.subchar_emb.table.data[cache.tokens[0]]
+        original = row[0]
+        row[0] = original + 1.0
+        missed, _ = pipe.forward(self.TEXT)
+        row[0] = original
+        again, again_cache = pipe.forward(self.TEXT)
+        assert again is kept and again_cache is cache and len(computed) == 1
+        assert missed.flags.writeable and not kept.flags.writeable
 
     @pytest.mark.parametrize("cls_bypass", [False, True])
     @pytest.mark.parametrize("fusion", FUSIONS)
@@ -855,7 +870,7 @@ class TestPipelineMemo:
             for _ in range(2):
                 with pytest.raises(ZeroDivisionError):
                     pipe.forward(self.TEXT)
-        assert len(computed) == 4 and pipe._last is None
+        assert len(computed) == 4 and pipe._last[3][1] is cache  # still the earlier result
         assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
         assert len(computed) == 6
 

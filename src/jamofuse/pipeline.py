@@ -478,11 +478,12 @@ class Pipeline:
         texts' tokens (and the <cls> row under cls_bypass), the subword_emb
         rows of their units, and every other tensor of the group, whole. A
         later repeat whose bytes equal the kept ones gets the kept result, and
-        any other repeat computes and returns its result unkept. In a gradient
-        check the first repeat is the unperturbed forward, and most perturbed
-        coordinates sit in table rows the text never reads. A call given
-        boundary maps bypasses the memo and empties it, and a call that raises
-        leaves it as it was.
+        any other repeat computes and returns its result unkept. When a
+        forward runs before a gradient check, as `jamofuse gradcheck` runs one
+        to size its direction, the check's unperturbed call is the first
+        repeat, and most perturbed coordinates sit in table rows the text
+        never reads. A call given boundary maps bypasses the memo and empties
+        it, and a call that raises leaves it as it was.
         """
         if external_boundary is not None:
             self._last = None

@@ -724,8 +724,8 @@ def arrays_in(obj):
 
 
 class TestPipelineMemo:
-    """Pipeline.forward's memo of its last call: served only when the texts repeat and every
-    parameter byte the forward reads repeats."""
+    """Pipeline.forward's memo of the first call that repeats the last texts: served only when the
+    texts repeat and every parameter byte the forward reads repeats."""
 
     TEXT = "하다"
 

@@ -8,6 +8,10 @@ Configuration precedence is flags over config file over the library's defaults
 (a flag left out takes the default of the field or parameter it sets); pass
 --verbose to echo the effective configuration to stderr (gradcheck: each
 parameter's worst relative error).
+
+Each subcommand imports the modules it runs inside its cmd_* function, and the
+parser needs only `common`, so `--help`, `oracle-align`, `oracle-stats`,
+`vocab-train` and `encode` start without numpy.
 """
 
 from __future__ import annotations
@@ -18,33 +22,17 @@ import math
 import os
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from .common import GRANULARITIES, ConfigError, not_utf8, open_text, write_atomic
 
-from .checkpoint import load_checkpoint, not_utf8, open_text, restore, save_checkpoint, write_atomic
-from .gradcheck import grad_check
-from .oracle import (
-    align,
-    corpus_stats,
-    read_jsonl_corpus,
-    read_jsonl_records,
-    stats_report_csv,
-    stats_report_json,
-)
-from .pipeline import GRANULARITIES, Pipeline, PipelineConfig, ConfigError, embeddings_csv
-from .subchar import SubcharTokenizer
-from .subword import SubwordVocab, encode, load_vocab, save_vocab, train_vocab
-from .training import (
-    PairDataset,
-    TrainConfig,
-    cohesion_report,
-    load_pair_dataset,
-    load_word_sets,
-    pair_similarity,
-    pca_project,
-    train,
-)
+if TYPE_CHECKING:
+    from .pipeline import Pipeline, PipelineConfig
+    from .subword import SubwordVocab
+    from .training import PairDataset
+
+# target size of a vocab derived from pair data
+PAIRS_VOCAB_SIZE = 200
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -97,12 +85,16 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_DEFAULTS = PipelineConfig().to_dict()
+def _defaults() -> dict:
+    """PipelineConfig's defaults, by field name."""
+    from .pipeline import PipelineConfig
+
+    return PipelineConfig().to_dict()
 
 
 def _coerce_config_value(key: str, value: str):
     """Parse a config file value as the type of the key's PipelineConfig default."""
-    kind = type(_DEFAULTS[key])
+    kind = type(_defaults()[key])
     if kind is bool:
         if value.lower() in ("true", "1", "yes"):
             return True
@@ -124,16 +116,18 @@ def _given(args, keys) -> dict:
 
 def _pipeline_config(args) -> PipelineConfig:
     """Flags beat the config file, which beats the defaults; an error the flags alone do not make names the file."""
-    path, from_file = getattr(args, "config", None), {}
+    from .pipeline import PipelineConfig
+
+    path, from_file, defaults = getattr(args, "config", None), {}, _defaults()
     for key, raw in (_read_config_file(path) if path else {}).items():
-        if key not in _DEFAULTS:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         from_file[key] = _coerce_config_value(key, raw)
-    flags = _given(args, _DEFAULTS)
+    flags = _given(args, defaults)
     try:
-        return PipelineConfig.from_dict({**_DEFAULTS, **from_file, **flags})
+        return PipelineConfig.from_dict({**defaults, **from_file, **flags})
     except ConfigError as e:
-        PipelineConfig.from_dict({**_DEFAULTS, **flags})  # raises when the flags alone are at fault
+        PipelineConfig.from_dict({**defaults, **flags})  # raises when the flags alone are at fault
         raise ConfigError(f"{path}: {e}") from e
 
 
@@ -156,19 +150,21 @@ def _add_model_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ckpt", help="checkpoint file; its config and vocab are used")
     parser.add_argument("--vocab", help="subword vocab JSON (when no checkpoint)")
     parser.add_argument("--pairs-vocab", help="derive the vocab from this pair TSV")
-    parser.add_argument("--vocab-size", type=int, default=200,
+    parser.add_argument("--vocab-size", type=int, default=PAIRS_VOCAB_SIZE,
                         help="target size when deriving a vocab from pairs")
 
 
 def _vocab_from_pairs(data: PairDataset, size: int) -> SubwordVocab:
+    from .subword import train_vocab
+
     return train_vocab([f"{r.form_a} {r.form_b}" for r in data.records], size)
 
 
-# Flags a checkpoint would override: its own pipeline config and vocab win.
-_CKPT_FIXED = [*_DEFAULTS, "config", "vocab", "pairs_vocab"]
-
-
 def _pipeline_from_checkpoint(path: str) -> Pipeline:
+    from .checkpoint import load_checkpoint, restore
+    from .pipeline import Pipeline, PipelineConfig
+    from .subword import SubwordVocab
+
     ckpt = load_checkpoint(path)
     stored = ckpt.config if isinstance(ckpt.config, dict) else {}
     pipeline, vocab = stored.get("pipeline"), stored.get("subword_vocab")
@@ -188,8 +184,13 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
 def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
     """Builds the model from a checkpoint, or fresh from flags and a vocab; pairs, when given, is
     the dataset at --pairs-vocab, already loaded."""
+    from .pipeline import Pipeline
+    from .subword import load_vocab
+
     if getattr(args, "ckpt", None):
-        ignored = ["--" + key.replace("_", "-") for key in _given(args, _CKPT_FIXED)]
+        # flags a checkpoint would override: its own pipeline config and vocab win
+        fixed = [*_defaults(), "config", "vocab", "pairs_vocab"]
+        ignored = ["--" + key.replace("_", "-") for key in _given(args, fixed)]
         if ignored:
             raise ConfigError(f"--ckpt fixes the model and its vocab; drop {', '.join(ignored)}")
         return _pipeline_from_checkpoint(args.ckpt)
@@ -197,6 +198,8 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
     if getattr(args, "vocab", None):
         vocab = load_vocab(args.vocab)
     elif getattr(args, "pairs_vocab", None):
+        from .training import load_pair_dataset
+
         vocab = _vocab_from_pairs(pairs or load_pair_dataset(args.pairs_vocab), args.vocab_size)
     else:
         raise ConfigError("need --ckpt, --vocab, or --pairs-vocab to build the model")
@@ -210,7 +213,9 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
 
 def cmd_tokenize(args) -> int:
     """Atom and role of each token; `tokenize` puts the vocab id first, `decompose` leaves it out."""
-    tokenizer = SubcharTokenizer(args.scheme or "jamo")
+    from .subchar import SubcharTokenizer
+
+    tokenizer = SubcharTokenizer(**_given(args, ["scheme"]))
     seq = tokenizer.tokenize(args.text)
     with_ids = args.command == "tokenize"
     lines = [
@@ -222,6 +227,8 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_vocab_train(args) -> int:
+    from .subword import save_vocab, train_vocab
+
     with open_text(args.infile) as stream:
         corpus = [line.rstrip("\n") for line in stream if line.strip()]
     vocab = train_vocab(corpus, args.size, **_given(args, ["mode"]))
@@ -232,6 +239,8 @@ def cmd_vocab_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .subword import encode, load_vocab
+
     vocab = load_vocab(args.vocab)
     ids, boundary = encode(args.text, vocab, add_cls=args.cls)
     lines = [
@@ -251,6 +260,8 @@ def _aligned_lines(surface: str, units: list[str], delim: str) -> str:
     the character itself (a delimiter made of that character alone). The
     delimiter must not occur in a line's action string either.
     """
+    from .oracle import align
+
     for unit in units:
         if ";" in unit or delim in unit or "\n" in unit or "\r" in unit or unit[-1:].isspace():
             raise ConfigError(
@@ -272,6 +283,8 @@ def _aligned_lines(surface: str, units: list[str], delim: str) -> str:
 
 
 def cmd_oracle_align(args) -> int:
+    from .oracle import read_jsonl_records
+
     if (args.surface is None) == (args.infile is None):
         raise ConfigError("give either a surface with --units, or --in for a jsonl corpus")
     if not args.delim:
@@ -291,6 +304,8 @@ def cmd_oracle_align(args) -> int:
 
 
 def cmd_oracle_stats(args) -> int:
+    from .oracle import corpus_stats, read_jsonl_corpus, stats_report_csv, stats_report_json
+
     with open_text(args.infile) as stream:
         aligned = list(read_jsonl_corpus(stream))
     stats = corpus_stats(aligned, **_given(args, ["top_k", "partitions"]))
@@ -301,6 +316,12 @@ def cmd_oracle_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    import numpy as np
+
+    from .gradcheck import grad_check
+    from .pipeline import Pipeline
+    from .subword import train_vocab
+
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     if not args.text:
@@ -327,6 +348,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .checkpoint import save_checkpoint
+    from .pipeline import Pipeline
+    from .subword import load_vocab
+    from .training import TrainConfig, load_pair_dataset, train
+
     data = load_pair_dataset(args.pairs)
     config = _pipeline_config(args)
     vocab = load_vocab(args.vocab) if args.vocab else _vocab_from_pairs(data, args.vocab_size)
@@ -351,6 +377,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .pipeline import embeddings_csv
+
     pipe = _load_pipeline(args)
     out, cache = pipe.forward(args.text)
     rows = list(zip(pipe.unit_labels(cache), out))
@@ -359,6 +387,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_probe_pairs(args) -> int:
+    from .training import load_pair_dataset, pair_similarity
+
     data = load_pair_dataset(args.pairs)
     pipe = _load_pipeline(args, data if args.pairs_vocab == args.pairs else None)
     report = pair_similarity(pipe, data)
@@ -367,6 +397,8 @@ def cmd_probe_pairs(args) -> int:
 
 
 def cmd_probe_pca(args) -> int:
+    from .training import pca_project
+
     pipe = _load_pipeline(args)
     if args.words:
         words = [w.strip() for w in args.words.split(",") if w.strip()]
@@ -381,6 +413,8 @@ def cmd_probe_pca(args) -> int:
 
 
 def cmd_probe_cohesion(args) -> int:
+    from .training import cohesion_report, load_word_sets
+
     pipe = _load_pipeline(args)
     report = cohesion_report(load_word_sets(args.sets), pipe)
     _emit(report.to_csv(), args.out)
@@ -451,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="TSV of form_a, form_b, relation")
     p.add_argument("--log", action=_Output, help="write the per-epoch metric CSV here")
     p.add_argument("--vocab", help="subword vocab JSON; default derives from the pairs")
-    p.add_argument("--vocab-size", type=int, default=200)
+    p.add_argument("--vocab-size", type=int, default=PAIRS_VOCAB_SIZE)
     p.add_argument("--objective")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)

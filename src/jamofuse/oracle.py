@@ -41,8 +41,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Optional
 
 from . import hangul
-from .checkpoint import csv_text
-from .tensor import ConfigError
+from .common import ConfigError, csv_text
 
 KEEP = "KEEP"
 MOD = "MOD"

@@ -28,16 +28,13 @@ import re
 
 import numpy as np
 
-from .checkpoint import csv_text
+from .common import COMPRESSIONS, FUSIONS, GRANULARITIES, ConfigError, csv_text
 from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear, distinct_ids
 from .subchar import SCHEME_NAMES, SubcharScheme, SubcharSequence, SubcharTokenizer
 from .subword import AlignmentError, BoundaryMap, SubwordVocab
 from .subword import encode as subword_encode
-from .tensor import ConfigError, ParamGroup, ShapeError, Tensor, uniform_init
+from .tensor import ParamGroup, ShapeError, Tensor, uniform_init
 
-COMPRESSIONS = ("principles", "linear", "attention")
-FUSIONS = ("cross-attention", "summation", "concatenation")
-GRANULARITIES = ("subword", "character", "word")
 # texts a Pipeline keeps tokenized; the memo is emptied when it is full
 MEMO_TEXTS = 1024
 

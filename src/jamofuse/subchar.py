@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hangul
-from .tensor import ConfigError
+from .common import ConfigError
 
 PAD = "<pad>"
 EMPTY_FINAL = "▃"  # ▃, stands in for a missing final consonant

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .checkpoint import open_text, write_atomic
-from .tensor import ConfigError
+from .common import ConfigError, open_text, write_atomic
 
 UNK = "<unk>"
 PAD = "<pad>"

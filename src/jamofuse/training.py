@@ -27,11 +27,11 @@ from functools import reduce
 
 import numpy as np
 
-from .checkpoint import csv_text, open_text
+from .common import ConfigError, csv_text, open_text
 from .hangul import is_syllable
 from .layers import Linear
 from .optim import AdamW, cosine_lr
-from .pipeline import ConfigError, ForwardCache, Pipeline
+from .pipeline import ForwardCache, Pipeline
 from .tensor import ParamGroup
 
 OBJECTIVES = ("contrastive-pairs", "tag-classification")

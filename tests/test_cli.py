@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from importlib import resources
 
-from jamofuse import checkpoint, cli
+from jamofuse import checkpoint, cli, gradcheck, subword, training
 from jamofuse.cli import main
 from jamofuse.oracle import align, corpus_stats, parse_action_file, read_jsonl_records
 from jamofuse.subword import SPECIALS, load_vocab, train_vocab
@@ -453,7 +453,7 @@ class TestGradcheck:
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_bad_tolerance_rejected_before_the_check(self, monkeypatch, capsys, tol):
         calls = []
-        monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(gradcheck, "grad_check", lambda *args, **kwargs: calls.append(args))
         assert main(["gradcheck", "--d", "4", "--tol", tol]) == 1
         assert calls == []
         captured = capsys.readouterr()
@@ -462,7 +462,7 @@ class TestGradcheck:
 
     def test_empty_text_rejected_before_the_check(self, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(gradcheck, "grad_check", lambda *args, **kwargs: calls.append(args))
         assert main(["gradcheck", "--d", "4", "--text", ""]) == 1
         assert calls == []
         captured = capsys.readouterr()
@@ -482,14 +482,14 @@ class TestGradcheck:
         quiet = capsys.readouterr()
         assert quiet.err == ""
         reports, names = [], []
-        check = cli.grad_check
+        check = gradcheck.grad_check
 
         def recorded(loss_fn, params):
             names.append([name for name, _ in params.items()])
             reports.append(check(loss_fn, params))
             return reports[-1]
 
-        monkeypatch.setattr(cli, "grad_check", recorded)
+        monkeypatch.setattr(gradcheck, "grad_check", recorded)
         assert main([*argv, "--verbose"]) == 0
         verbose = capsys.readouterr()
         assert verbose.out == quiet.out
@@ -562,7 +562,7 @@ class TestConfigPrecedence:
         cfg, out, log = tmp_path / "pipe.cfg", tmp_path / "out", tmp_path / "m.csv"
         cfg.write_text(f"dim = 4\ngranularity = {granularity}\n", encoding="utf-8")
         trained = []
-        monkeypatch.setattr(cli, "train_vocab", lambda *args, **kwargs: trained.append(args))
+        monkeypatch.setattr(subword, "train_vocab", lambda *args, **kwargs: trained.append(args))
         argv = {
             "train": ["train", "--pairs", PAIRS, "--log", str(log)],
             "embed": ["embed", "--pairs-vocab", PAIRS, "--text", "하다"],
@@ -589,7 +589,7 @@ class TestConfigPrecedence:
         cfg, out, log = tmp_path / "pipe.cfg", tmp_path / "out", tmp_path / "m.csv"
         cfg.write_text(lines + "\n", encoding="utf-8")
         trained = []
-        monkeypatch.setattr(cli, "train_vocab", lambda *args, **kwargs: trained.append(args))
+        monkeypatch.setattr(subword, "train_vocab", lambda *args, **kwargs: trained.append(args))
         argv = {
             "train": ["train", "--pairs", PAIRS, "--log", str(log)],
             "embed": ["embed", "--pairs-vocab", PAIRS, "--text", "하다"],
@@ -677,10 +677,11 @@ class TestTrainCommand:
         loads = []
 
         def counting_load(path):
-            loads.append(path)
+            if isinstance(path, str):  # a load opens the file and reads its stream through this name again
+                loads.append(path)
             return load_pair_dataset(path)
 
-        monkeypatch.setattr(cli, "load_pair_dataset", counting_load)
+        monkeypatch.setattr(training, "load_pair_dataset", counting_load)
         assert main(["train", "--pairs", PAIRS, "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", "--dim", "4"]) == 0
         assert loads == [PAIRS]
 
@@ -701,7 +702,6 @@ class TestCheckpointRoundTrip:
             return load(path)
 
         monkeypatch.setattr(checkpoint, "load_checkpoint", counted)
-        monkeypatch.setattr(cli, "load_checkpoint", counted)
         assert main(["embed", "--ckpt", trained["ckpt"], "--text", "하다"]) == 0
         assert calls == [trained["ckpt"]]
 
@@ -1093,12 +1093,14 @@ def test_unrecognized_argument_that_is_not_utf8_is_usage_error(tmp_path):
 @pytest.mark.parametrize(
     "argv, flag, target, work",
     [
-        (["train", "--pairs", PAIRS, "--out", "DIR"], "--out", "DIR", "load_pair_dataset"),
-        (["train", "--pairs", PAIRS, "--out", "missing/m.ckpt"], "--out", "missing/m.ckpt", "load_pair_dataset"),
-        (["train", "--pairs", PAIRS, "--out", "m.ckpt", "--log", "DIR"], "--log", "DIR", "load_pair_dataset"),
-        (["oracle-stats", "--in", CORPUS, "--csv", "DIR"], "--csv", "DIR", "read_jsonl_corpus"),
+        (["train", "--pairs", PAIRS, "--out", "DIR"], "--out", "DIR", "training.load_pair_dataset"),
+        (["train", "--pairs", PAIRS, "--out", "missing/m.ckpt"], "--out", "missing/m.ckpt",
+         "training.load_pair_dataset"),
+        (["train", "--pairs", PAIRS, "--out", "m.ckpt", "--log", "DIR"], "--log", "DIR",
+         "training.load_pair_dataset"),
+        (["oracle-stats", "--in", CORPUS, "--csv", "DIR"], "--csv", "DIR", "oracle.read_jsonl_corpus"),
         (["oracle-stats", "--in", CORPUS, "--json", "missing/s.json"], "--json", "missing/s.json",
-         "read_jsonl_corpus"),
+         "oracle.read_jsonl_corpus"),
     ],
     ids=["train-out-directory", "train-out-missing-directory", "train-log-directory", "oracle-stats-csv-directory",
          "oracle-stats-json-missing-directory"],
@@ -1110,7 +1112,7 @@ def test_output_path_refused_before_any_work(tmp_path, monkeypatch, capsys, argv
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.setattr(f"jamofuse.{work}", no_work)  # where the subcommand imports it from
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1123,11 +1125,11 @@ def test_output_path_refused_before_any_work(tmp_path, monkeypatch, capsys, argv
     "argv, flags, work",
     [
         (["train", "--pairs", PAIRS, "--out", "same.out", "--log", "same.out"], ("--out", "--log"),
-         "load_pair_dataset"),
+         "training.load_pair_dataset"),
         (["train", "--pairs", PAIRS, "--log", "DIR/../same.out", "--out", "same.out"], ("--log", "--out"),
-         "load_pair_dataset"),
+         "training.load_pair_dataset"),
         (["oracle-stats", "--in", CORPUS, "--json", "same.out", "--csv", "./same.out"], ("--json", "--csv"),
-         "read_jsonl_corpus"),
+         "oracle.read_jsonl_corpus"),
     ],
     ids=["train-out-log", "train-log-out-through-a-directory", "oracle-stats-json-csv"],
 )
@@ -1138,7 +1140,7 @@ def test_two_outputs_naming_one_file_refused_before_any_work(tmp_path, monkeypat
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.setattr(f"jamofuse.{work}", no_work)  # where the subcommand imports it from
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1168,10 +1170,11 @@ def test_probe_pairs_loads_a_pair_file_given_twice_once(tmp_path, monkeypatch, c
     loads = []
 
     def counted(path):
-        loads.append(path)
+        if isinstance(path, str):  # a load opens the file and reads its stream through this name again
+            loads.append(path)
         return load_pair_dataset(path)
 
-    monkeypatch.setattr(cli, "load_pair_dataset", counted)
+    monkeypatch.setattr(training, "load_pair_dataset", counted)
     csvs = []
     for vocab_pairs in (str(copy), PAIRS):  # a second file with the same bytes, then the same file
         loads.clear()

@@ -174,7 +174,7 @@ def _pipeline_from_checkpoint(path: str) -> Pipeline:
         raise ConfigError(f"{path}: checkpoint subword_vocab needs a mode string and an entries object")
     try:
         subword_vocab = SubwordVocab(vocab["mode"], dict(vocab["entries"]))
-        pipe = Pipeline.build(PipelineConfig.from_dict(pipeline), subword_vocab, seed=ckpt.seed)
+        pipe = Pipeline(PipelineConfig.from_dict(pipeline), subword_vocab, seed=ckpt.seed)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
     restore(pipe.params.group, ckpt, path)
@@ -205,7 +205,7 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
         raise ConfigError("need --ckpt, --vocab, or --pairs-vocab to build the model")
     if args.verbose:
         print(f"config: {json.dumps(config.to_dict(), sort_keys=True)}", file=sys.stderr)
-    return Pipeline.build(config, vocab, seed=args.seed)
+    return Pipeline(config, vocab, seed=args.seed)
 
 
 # subcommands ------------------------------------------------------------------
@@ -316,9 +316,7 @@ def cmd_oracle_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    import numpy as np
-
-    from .gradcheck import grad_check
+    from .gradcheck import check_pipeline
     from .pipeline import Pipeline
     from .subword import train_vocab
 
@@ -328,17 +326,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("--text must not be empty: an empty text has no output rows to check")
     config = _pipeline_config(args)
     vocab = train_vocab([args.text], max(16, len(set(args.text)) + 8), mode="charlist")
-    pipe = Pipeline.build(config, vocab, seed=args.seed)
-    out0, _ = pipe.forward(args.text)
-    direction = np.random.default_rng(args.seed).normal(size=out0.shape)
-
-    def loss_fn(with_grad: bool) -> float:
-        out, cache = pipe.forward(args.text)
-        if with_grad:
-            pipe.backward(direction, cache)
-        return float((direction * out).sum())
-
-    report = grad_check(loss_fn, pipe.params.group)
+    report = check_pipeline(Pipeline(config, vocab, seed=args.seed), args.text, args.seed)
     print(f"max_rel_error={report.max_rel_error:.3e} worst={report.worst_param} "
           f"coords={report.coords_checked} tol={args.tol:.1e}")
     if args.verbose:
@@ -356,7 +344,7 @@ def cmd_train(args) -> int:
     data = load_pair_dataset(args.pairs)
     config = _pipeline_config(args)
     vocab = load_vocab(args.vocab) if args.vocab else _vocab_from_pairs(data, args.vocab_size)
-    pipe = Pipeline.build(config, vocab, seed=args.seed)
+    pipe = Pipeline(config, vocab, seed=args.seed)
     train_config = TrainConfig(**_given(args, TrainConfig().to_dict()))
     if args.verbose:
         effective = {"pipeline": config.to_dict(), "train": train_config.to_dict()}

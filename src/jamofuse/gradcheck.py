@@ -9,11 +9,14 @@ compared on an absolute scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 import numpy as np
 
 from .tensor import ParamGroup, Tensor
+
+if TYPE_CHECKING:
+    from .pipeline import Pipeline
 
 LossFn = Callable[[bool], float]
 Params = Union[ParamGroup, Iterable[tuple[str, Tensor]]]
@@ -72,3 +75,24 @@ def grad_check(loss_fn: LossFn, params: Params) -> GradCheckReport:
                 report.worst_index = idx
         report.per_param[name] = worst
     return report
+
+
+def check_pipeline(pipe: Pipeline, text: str, seed: int) -> GradCheckReport:
+    """grad_check of every parameter of pipe on the loss <direction, forward(text)>, where
+    direction is a normal draw from seed the shape of text's output rows.
+
+    The forward that sizes the direction runs before the check, so the check's
+    unperturbed call is the first repeat of text, which Pipeline.forward's memo
+    keeps and then serves for every coordinate in a table row text never
+    reads. Without it the memo would keep the first perturbed call instead.
+    """
+    out, _ = pipe.forward(text)
+    direction = np.random.default_rng(seed).normal(size=out.shape)
+
+    def loss_fn(with_grad: bool) -> float:
+        out, cache = pipe.forward(text)
+        if with_grad:
+            pipe.backward(direction, cache)
+        return float((direction * out).sum())
+
+    return grad_check(loss_fn, pipe.params.group)

@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from jamofuse.cli import main
-from jamofuse.gradcheck import grad_check
+from jamofuse.gradcheck import check_pipeline, grad_check
 from jamofuse.hangul import NUM_SYLLABLES, SYLLABLE_BASE, compose, decompose
 from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.oracle import KEEP, MOD, NOOP, SUBCHARACTER, align, classify_mod, corpus_stats
@@ -195,17 +195,8 @@ def test_criterion_5_gradient_fidelity():
             for seed in (0, 1, 2):
                 cfg = PipelineConfig(scheme=scheme, dim=4, fusion=fusion)
                 pipe = Pipeline.build(cfg, vocab, seed=seed)
-                out0, _ = pipe.forward("하다")
-                direction = np.random.default_rng(seed).normal(size=out0.shape)
-
-                def loss_fn(with_grad):
-                    out, cache = pipe.forward("하다")
-                    if with_grad:
-                        pipe.backward(direction, cache)
-                    return float((direction * out).sum())
-
                 # every coordinate: those in table rows 하다 never reads are served from the Pipeline memo
-                report = grad_check(loss_fn, pipe.params.group)
+                report = check_pipeline(pipe, "하다", seed)
                 worst = max(worst, report.max_rel_error)
                 assert report.max_rel_error < 1e-4, f"{scheme}/{fusion}/{seed}: {report}"
                 assert report.coords_checked == pipe.params.group.data.size

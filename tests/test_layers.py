@@ -560,28 +560,6 @@ class TestGRUMemo:
         assert_same_bits([hs_a, hs_b, *grads], [ref_a[0], ref_b[0], *ref_grads])
         assert_same_bits([gru.w.grad, gru.u.grad, gru.b.grad], [reference.w.grad, reference.u.grad, reference.b.grad])
 
-    def test_gradient_check_is_mostly_served_from_the_memo(self, monkeypatch):
-        # each loss call runs the three principles GRUs once, unless the pipeline's own
-        # memo serves the whole forward; either way at most 30% of those runs compute
-        from jamofuse.pipeline import Pipeline, PipelineConfig
-        from jamofuse.subword import train_vocab
-
-        text = "하다"
-        pipe = Pipeline.build(PipelineConfig(dim=4, fusion="summation"), train_vocab([text], 16, mode="charlist"), 0)
-        computed, loss_calls = count_computes(monkeypatch), []
-        direction = np.random.default_rng(0).normal(size=pipe.forward(text)[0].shape)
-
-        def loss_fn(with_grad):
-            loss_calls.append(with_grad)
-            out, cache = pipe.forward(text)
-            if with_grad:
-                pipe.backward(direction, cache)
-            return float((direction * out).sum())
-
-        report = grad_check(loss_fn, pipe.params.group)
-        assert report.max_rel_error < TOL
-        assert len(loss_calls) > 1000 and len(computed) <= 0.3 * 3 * len(loss_calls), (len(computed), len(loss_calls))
-
 
 class TestConv2x1:
     def test_selector_kernel_returns_top_row(self):

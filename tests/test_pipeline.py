@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamofuse import pipeline
-from jamofuse.gradcheck import grad_check
-from jamofuse.layers import CrossAttention
+from jamofuse.gradcheck import check_pipeline
+from jamofuse.layers import CrossAttention, GRULayer
 from jamofuse.pipeline import (
     COMPRESSIONS,
     FUSIONS,
@@ -874,22 +874,20 @@ class TestPipelineMemo:
         assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
         assert len(computed) == 6
 
-    def test_gradient_check_is_mostly_served_from_the_memo(self, computed):
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_gradient_check_is_mostly_served_from_the_memo(self, computed, monkeypatch, scheme):
+        # check_pipeline's leading forward makes its unperturbed call the one the Pipeline memo keeps;
+        # each loss call the memo does not serve runs the three principles GRUs once, and each GRU
+        # serves the calls that repeat its last one, so at most 30% of those runs compute
+        gru_computed, gru_compute = [], GRULayer._forward
+        monkeypatch.setattr(GRULayer, "_forward", lambda gru, *a: gru_computed.append(gru) or gru_compute(gru, *a))
         text = "하다"
-        pipe = Pipeline.build(PipelineConfig(dim=4, fusion="summation"), train_vocab([text], 16, mode="charlist"), 0)
-        direction = np.random.default_rng(0).normal(size=pipe.forward(text)[0].shape)
-        loss_calls = []
-
-        def loss_fn(with_grad):
-            loss_calls.append(with_grad)
-            out, cache = pipe.forward(text)
-            if with_grad:
-                pipe.backward(direction, cache)
-            return float((direction * out).sum())
-
-        report = grad_check(loss_fn, pipe.params.group)
-        assert report.max_rel_error < 1e-4
-        assert len(loss_calls) > 1000 and len(computed) - 1 <= 0.5 * len(loss_calls), (len(computed), len(loss_calls))
+        config = PipelineConfig(scheme=scheme, dim=4, fusion="summation")
+        report = check_pipeline(Pipeline(config, train_vocab([text], 16, mode="charlist"), 0), text, 0)
+        loss_calls = 2 * report.coords_checked + 1
+        assert report.max_rel_error < 1e-6 and loss_calls > 1000
+        assert len(computed) - 1 <= 0.5 * loss_calls, (len(computed), loss_calls)
+        assert len(gru_computed) <= 0.3 * 3 * loss_calls, (len(gru_computed), loss_calls)
 
 
 class TestBackward:
@@ -908,17 +906,7 @@ class TestBackward:
         self.check_config(PipelineConfig(dim=4, cls_bypass=True), text="a했 b")
 
     def check_config(self, cfg, text="했다"):
-        pipe = Pipeline.build(cfg, small_vocab(), seed=11)
-        out0, _ = pipe.forward(text)
-        direction = np.random.default_rng(3).normal(size=out0.shape)
-
-        def loss_fn(with_grad):
-            out, cache = pipe.forward(text)
-            if with_grad:
-                pipe.backward(direction, cache)
-            return float((direction * out).sum())
-
-        report = grad_check(loss_fn, pipe.params.group)
+        report = check_pipeline(Pipeline.build(cfg, small_vocab(), seed=11), text, 3)
         assert report.max_rel_error < 1e-4, str(report)
 
     def test_grad_shape_checked(self):

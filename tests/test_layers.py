@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jamofuse.gradcheck import grad_check
+from jamofuse.gradcheck import check_pipeline, grad_check
 from jamofuse import layers
 from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.tensor import ShapeError, Tensor
@@ -559,6 +559,23 @@ class TestGRUMemo:
         ref_grads = [reference.backward(grad_a, ref_a[1]), reference.backward(grad_b, ref_b[1])]
         assert_same_bits([hs_a, hs_b, *grads], [ref_a[0], ref_b[0], *ref_grads])
         assert_same_bits([gru.w.grad, gru.u.grad, gru.b.grad], [reference.w.grad, reference.u.grad, reference.b.grad])
+
+    def test_gradient_check_is_mostly_served_from_the_memo(self, monkeypatch):
+        # each loss call runs the three principles GRUs once, unless the pipeline's own
+        # memo serves the whole forward; either way at most 30% of those runs compute
+        from jamofuse.pipeline import Pipeline, PipelineConfig
+        from jamofuse.subchar import SCHEME_NAMES
+        from jamofuse.subword import train_vocab
+
+        text = "하다"
+        vocab, computed = train_vocab([text], 16, mode="charlist"), count_computes(monkeypatch)
+        for scheme in SCHEME_NAMES:
+            pipe = Pipeline(PipelineConfig(scheme=scheme, dim=4, fusion="summation"), vocab, 0)
+            computed.clear()
+            report = check_pipeline(pipe, text, 0)
+            loss_calls = 2 * report.coords_checked + 1
+            assert report.max_rel_error < TOL and loss_calls > 1000, scheme
+            assert len(computed) <= 0.3 * 3 * loss_calls, (scheme, len(computed), loss_calls)
 
 
 class TestConv2x1:

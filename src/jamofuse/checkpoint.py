@@ -5,8 +5,7 @@ u64 header length, UTF-8 JSON header, then each tensor's raw little-endian
 float64 bytes in the header's declared order. The header carries the seed and
 a config echo so checkpoints from different configurations are
 distinguishable by content, not just by filename. The file is written
-through `common.write_atomic`; the other file helpers of `common` are exposed
-here under their names too.
+through `common.write_atomic`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import ConfigError, csv_text, not_utf8, open_text, write_atomic  # noqa: F401 (exposed here too)
+from .common import write_atomic
 from .tensor import ParamGroup
 
 MAGIC = b"JFCK"

@@ -5,9 +5,10 @@ Exit codes: 0 on success, 1 on domain errors (one diagnostic line on stderr),
 output path is checked before any work, and file outputs are written
 atomically so interrupted runs leave nothing behind.
 Configuration precedence is flags over config file over the library's defaults
-(a flag left out takes the default of the field or parameter it sets); pass
---verbose to echo the effective configuration to stderr (gradcheck: each
-parameter's worst relative error).
+(a flag left out takes the default of the field or parameter it sets). Only the
+six subcommands that build a model (gradcheck, train, embed, probe-*) take --seed;
+they and vocab-train take --verbose, which echoes the effective configuration to
+stderr (vocab-train: the vocab's mode and size; gradcheck: per-parameter errors).
 
 Each subcommand imports the modules it runs inside its cmd_* function, and the
 parser needs only `common`, so `--help`, `oracle-align`, `oracle-stats`,
@@ -138,12 +139,15 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fusion", help="cross-attention, summation, or concatenation")
     parser.add_argument("--granularity", choices=GRANULARITIES,
                         help="unit boundaries: subword, character, or word")
-    parser.add_argument("--heads", type=int, help="attention heads for cross-attention fusion")
+    parser.add_argument("--heads", type=int, help="attention heads (cross-attention fusion only)")
     parser.add_argument("--residual-fusion", action="store_true", default=None,
-                        dest="residual_fusion", help="add the raw channel back after fusion")
+                        dest="residual_fusion", help="add the raw channel back after cross-attention fusion")
     parser.add_argument("--cls-bypass", action="store_true", default=None,
                         dest="cls_bypass", help="prepend the CLS embedding untouched")
     parser.add_argument("--config", help="key = value file with pipeline settings")
+    parser.add_argument("--seed", type=int, default=0, help="seeds a fresh model's weights and every random draw")
+    parser.add_argument("--verbose", action="store_true",
+                        help="echo the effective config to stderr (gradcheck: each parameter's worst relative error)")
 
 
 def _add_model_source_flags(parser: argparse.ArgumentParser) -> None:
@@ -193,7 +197,10 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
         ignored = ["--" + key.replace("_", "-") for key in _given(args, fixed)]
         if ignored:
             raise ConfigError(f"--ckpt fixes the model and its vocab; drop {', '.join(ignored)}")
-        return _pipeline_from_checkpoint(args.ckpt)
+        pipe = _pipeline_from_checkpoint(args.ckpt)
+        if args.verbose:
+            print(f"config: {json.dumps(pipe.config.to_dict(), sort_keys=True)}", file=sys.stderr)
+        return pipe
     config = _pipeline_config(args)
     if getattr(args, "vocab", None):
         vocab = load_vocab(args.vocab)
@@ -346,15 +353,11 @@ def cmd_train(args) -> int:
     vocab = load_vocab(args.vocab) if args.vocab else _vocab_from_pairs(data, args.vocab_size)
     pipe = Pipeline(config, vocab, seed=args.seed)
     train_config = TrainConfig(**_given(args, TrainConfig().to_dict()))
+    effective = {"pipeline": config.to_dict(), "train": train_config.to_dict()}
     if args.verbose:
-        effective = {"pipeline": config.to_dict(), "train": train_config.to_dict()}
         print(f"config: {json.dumps(effective, sort_keys=True)}", file=sys.stderr)
     log = train(pipe, data, train_config)
-    echo = {
-        "pipeline": config.to_dict(),
-        "train": train_config.to_dict(),
-        "subword_vocab": {"mode": vocab.mode, "entries": vocab.entries},
-    }
+    echo = {**effective, "subword_vocab": {"mode": vocab.mode, "entries": vocab.entries}}
     save_checkpoint(args.out, pipe.params.group, seed=args.seed, config=echo)
     if args.log:
         write_atomic(args.log, log.to_csv().encode("utf-8"))
@@ -423,9 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand; out is "required", "optional" (stdout otherwise) or None where it writes no --out."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--verbose", action="store_true",
-                       help="echo effective config to stderr (gradcheck: per-parameter errors)")
-        p.add_argument("--seed", type=int, default=0, help="generator seed where randomness exists")
         if out == "required":
             p.add_argument("--out", required=True, action=_Output, help="output file path")
         elif out == "optional":
@@ -444,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="one training text per line")
     p.add_argument("--size", type=int, required=True, help="target vocab size")
     p.add_argument("--mode", help="bpe-lite, wordlist, or charlist")
+    p.add_argument("--verbose", action="store_true", help="print the trained vocab's mode and size to stderr")
 
     p = add("encode", cmd_encode, "encode text with a trained subword vocab")
     p.add_argument("text", action=_Text)

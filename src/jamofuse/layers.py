@@ -363,7 +363,7 @@ class GRULayer:
 
 
 class Conv2x1:
-    """Height-2, width-1 convolution collapsing (2, L, D) to (1, L, D)."""
+    """Height-2, width-1 convolution collapsing two (L, D) rows, stacked top over bottom, to one (L, D)."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
@@ -371,19 +371,18 @@ class Conv2x1:
         self.kernel = self.params.add("kernel", Tensor(uniform_init(rng, (2, dim, dim), 2 * dim)))
         self.bias = self.params.add("bias", Tensor(uniform_init(rng, (dim,), 2 * dim)))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if x.ndim != 3 or x.shape[0] != 2 or x.shape[2] != self.dim:
-            raise ShapeError(f"conv_2x1 needs (2, L, {self.dim}), got {x.shape}")
+    def forward(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        if a.ndim != 2 or a.shape != b.shape or a.shape[1] != self.dim:
+            raise ShapeError(f"conv_2x1 needs two (L, {self.dim}) rows, got {a.shape} and {b.shape}")
         k = self.kernel.data
-        out = x[0] @ k[0] + x[1] @ k[1] + self.bias.data
-        return out[None, :, :], x
+        return a @ k[0] + b @ k[1] + self.bias.data, (a, b)
 
-    def backward(self, grad_out: np.ndarray, cache: np.ndarray) -> np.ndarray:
-        x, g = cache, grad_out[0]
+    def backward(self, g: np.ndarray, cache: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        a, b = cache
         k = self.kernel.data
-        self.kernel.accumulate(np.stack([x[0].T @ g, x[1].T @ g]))
+        self.kernel.accumulate(np.stack([a.T @ g, b.T @ g]))
         self.bias.accumulate(g.sum(axis=0))
-        return np.stack([g @ k[0].T, g @ k[1].T])
+        return g @ k[0].T, g @ k[1].T
 
 
 class AttnCache(NamedTuple):

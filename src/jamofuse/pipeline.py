@@ -65,6 +65,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown granularity {self.granularity!r}, expected one of {GRANULARITIES}")
         if self.dim < 1:
             raise ConfigError(f"dim must be positive, got {self.dim}")
+        if self.fusion != "cross-attention" and (self.heads != 1 or self.residual_fusion):
+            raise ConfigError(f"heads and residual_fusion apply only to cross-attention fusion, not {self.fusion}")
         if self.heads < 1 or self.dim % self.heads != 0:
             raise ConfigError(f"heads must divide dim, got {self.heads} heads for dim {self.dim}")
         return self
@@ -214,7 +216,7 @@ def pack(seqs: list[SubcharSequence], width: int) -> PackedBatch:
 class Stage1Cache:
     seq_cache: GRUCache
     iv_cache: GRUCache
-    conv_cache: np.ndarray
+    conv_cache: tuple[np.ndarray, np.ndarray]  # the convolution's two input rows
     batch: PackedBatch
 
 
@@ -349,8 +351,8 @@ class Pipeline:
         h_f = np.where(pt, 0.0, batch.slot_sum(h, wi + wv, w))
 
         h_iv, iv_cache = p.gru_iv.forward(x_iv, batch.char_sizes)
-        conv_out, conv_cache = p.conv.forward(np.stack([h_iv, h_f]))
-        h_c = np.where(pt, first, conv_out[0])
+        conv_out, conv_cache = p.conv.forward(h_iv, h_f)
+        h_c = np.where(pt, first, conv_out)
         return h_c, Stage1Cache(seq_cache, iv_cache, conv_cache, batch)
 
     def backward_stage1(self, grad_hc: np.ndarray, cache: Stage1Cache) -> np.ndarray:
@@ -358,12 +360,12 @@ class Pipeline:
         wi, wv, _ = self.tokenizer.scheme.widths
         slots, pt = cache.batch.slots, cache.batch.passthrough[:, None]
 
-        grad_stacked = p.conv.backward(np.where(pt, 0.0, grad_hc)[None, :, :], cache.conv_cache)
-        grad_xiv = p.gru_iv.backward(grad_stacked[0], cache.iv_cache)
+        grad_iv, grad_f = p.conv.backward(np.where(pt, 0.0, grad_hc), cache.conv_cache)
+        grad_xiv = p.gru_iv.backward(grad_iv, cache.iv_cache)
         # A passthrough character's whole gradient goes to slot 0, the state that stood in for it.
         grad_h = np.empty((slots.size, grad_hc.shape[1]))
         grad_h[slots[:, : wi + wv]] = np.where(pt, 0.0, grad_xiv)[:, None]
-        grad_h[slots[:, wi + wv :]] = np.where(pt, 0.0, grad_stacked[1])[:, None]
+        grad_h[slots[:, wi + wv :]] = np.where(pt, 0.0, grad_f)[:, None]
         grad_h[slots[:, 0]] += np.where(pt, grad_hc + grad_xiv, 0.0)
         return p.gru_seq.backward(grad_h, cache.seq_cache)
 

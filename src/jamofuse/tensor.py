@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .common import ConfigError  # noqa: F401 (exposed here too)
-
 
 class ShapeError(ValueError):
     pass

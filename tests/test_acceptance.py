@@ -162,8 +162,8 @@ def test_criterion_4_shape_laws():
     vocab = train_vocab(texts, 200, mode="charlist")
     for scheme in SCHEME_NAMES:
         width = SubcharTokenizer(scheme).scheme.width
-        pipe = Pipeline.build(PipelineConfig(scheme=scheme, dim=4), vocab, seed=1)
-        cls_pipe = Pipeline.build(
+        pipe = Pipeline(PipelineConfig(scheme=scheme, dim=4), vocab, seed=1)
+        cls_pipe = Pipeline(
             PipelineConfig(scheme=scheme, dim=4, cls_bypass=True), vocab, seed=1
         )
         for text in texts:
@@ -194,7 +194,7 @@ def test_criterion_5_gradient_fidelity():
         for fusion in FUSIONS:
             for seed in (0, 1, 2):
                 cfg = PipelineConfig(scheme=scheme, dim=4, fusion=fusion)
-                pipe = Pipeline.build(cfg, vocab, seed=seed)
+                pipe = Pipeline(cfg, vocab, seed=seed)
                 # every coordinate: those in table rows 하다 never reads are served from the Pipeline memo
                 report = check_pipeline(pipe, "하다", seed)
                 worst = max(worst, report.max_rel_error)
@@ -230,7 +230,7 @@ def test_criterion_5_gradient_fidelity():
     check(gru, lambda: gru.forward(x_gru))
     conv = Conv2x1(3, rng)
     x_conv = rng.standard_normal((2, 4, 3))
-    check(conv, lambda: conv.forward(x_conv))
+    check(conv, lambda: conv.forward(x_conv[0], x_conv[1]))
     attn = CrossAttention(4, rng)
     q = rng.standard_normal((3, 4))
     kv = rng.standard_normal((3, 4))
@@ -250,7 +250,7 @@ def test_criterion_6_probe_direction():
     corpus = [f"{r.form_a} {r.form_b}" for r in data.records]
     vocab = train_vocab(corpus, 200)
     config = PipelineConfig(scheme="jamo", dim=16, compression="principles", fusion="summation")
-    pipe = Pipeline.build(config, vocab, seed=7)
+    pipe = Pipeline(config, vocab, seed=7)
 
     untrained = pair_similarity(pipe, data).mean_fused
     log = train(pipe, data, TrainConfig(epochs=20, lr=0.05, batch_size=8, seed=7))
@@ -280,7 +280,7 @@ def test_criterion_7_ablation_plumbing(tmp_path):
         for compression in COMPRESSIONS:
             for fusion in FUSIONS:
                 cfg = PipelineConfig(scheme=scheme, dim=4, compression=compression, fusion=fusion)
-                pipe = Pipeline.build(cfg, vocab, seed=5)
+                pipe = Pipeline(cfg, vocab, seed=5)
                 out, cache = pipe.forward("하다 ab")
                 pipe.params.group.zero_grads()
                 pipe.backward(np.ones_like(out), cache)
@@ -292,7 +292,7 @@ def test_criterion_7_ablation_plumbing(tmp_path):
     assert len(set(blobs.values())) == 36, "checkpoints must be pairwise distinct"
 
     # fusion neutrality: summation with zeroed structural parameters is e_S
-    pipe = Pipeline.build(PipelineConfig(dim=4, fusion="summation"), vocab, seed=5)
+    pipe = Pipeline(PipelineConfig(dim=4, fusion="summation"), vocab, seed=5)
     for name, tensor in pipe.params.group.items():
         if not name.startswith("subword_emb"):
             tensor.data[...] = 0.0

@@ -5,6 +5,7 @@ emitted text, so the whole dispatch path runs without spawning subprocesses;
 the tests of argv bytes that are not UTF-8 run the CLI in a new process.
 """
 
+import argparse
 import inspect
 import json
 import math
@@ -20,7 +21,7 @@ from importlib import resources
 from jamofuse import checkpoint, cli, gradcheck, subword, training
 from jamofuse.cli import main
 from jamofuse.oracle import align, corpus_stats, parse_action_file, read_jsonl_records
-from jamofuse.subword import SPECIALS, load_vocab, train_vocab
+from jamofuse.subword import SPECIALS, load_vocab, save_vocab, train_vocab
 from jamofuse.training import TrainConfig, load_pair_dataset, pca_project
 
 
@@ -603,6 +604,17 @@ class TestConfigPrecedence:
         assert trained == []
         assert not out.exists() and not log.exists()
 
+    def test_residual_flag_under_a_config_file_fusion_that_reads_none_names_the_file(self, tmp_path, capsys):
+        cfg, out = tmp_path / "pipe.cfg", tmp_path / "out"
+        cfg.write_text("fusion = summation\n", encoding="utf-8")
+        argv = ["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--config", str(cfg), "--out", str(out)]
+        assert main([*argv, "--residual-fusion"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error_text(captured.err)
+        assert captured.err == f"error: {cfg}: heads and residual_fusion apply only to cross-attention fusion, not summation\n"
+        assert not out.exists()
+
     def test_flag_overrides_an_invalid_config_file_value(self, tmp_path, capsys):
         cfg = tmp_path / "pipe.cfg"
         cfg.write_text("dim = 4\nheads = 3\n", encoding="utf-8")
@@ -817,8 +829,12 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("command", ["embed", "probe-pca"])
     @pytest.mark.parametrize(
         "key, value, message",
-        [("granularity", "external", "unknown granularity 'external'"), ("scheme", "foo", "unknown scheme 'foo'")],
-        ids=["granularity", "scheme"],
+        [
+            ("granularity", "external", "unknown granularity 'external'"),
+            ("scheme", "foo", "unknown scheme 'foo'"),
+            ("heads", 2, "heads and residual_fusion apply only to cross-attention fusion, not summation"),
+        ],
+        ids=["granularity", "scheme", "heads-without-cross-attention"],
     )
     def test_invalid_stored_config_names_the_checkpoint(self, trained, tmp_path, capsys, command, key, value, message):
         with open(trained["ckpt"], "rb") as stream:
@@ -838,6 +854,21 @@ class TestCheckpointRoundTrip:
 
 
 class TestProbes:
+    @pytest.mark.parametrize(
+        "command, argv",
+        [("embed", ["--text", "하다"]), ("probe-pairs", ["--pairs", PAIRS]),
+         ("probe-pca", ["--words", "하다,했다"]), ("probe-cohesion", ["--sets", SETS])],
+        ids=["embed", "probe-pairs", "probe-pca", "probe-cohesion"],
+    )
+    def test_verbose_echoes_the_checkpoint_config(self, trained, capsys, command, argv):
+        assert main([command, "--ckpt", trained["ckpt"], *argv]) == 0
+        quiet = capsys.readouterr()
+        assert main([command, "--ckpt", trained["ckpt"], *argv, "--verbose"]) == 0
+        verbose = capsys.readouterr()
+        stored = checkpoint.load_checkpoint(trained["ckpt"]).config["pipeline"]
+        assert verbose.out == quiet.out and quiet.err == ""
+        assert verbose.err == f"config: {json.dumps(stored, sort_keys=True)}\n"
+
     def test_probe_pairs_rows(self, trained, capsys):
         assert main(["probe-pairs", "--ckpt", trained["ckpt"], "--pairs", PAIRS]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -1162,6 +1193,72 @@ def test_out_refused_where_the_subcommand_writes_none(tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --out F" in captured.err
     assert not any(tmp_path.iterdir())
+
+
+# a run of each subcommand that reads neither --seed nor --verbose (vocab-train reads --verbose)
+UNREAD_FLAG_RUNS = {
+    "decompose": ["decompose", "한국", "--out", "F"],
+    "tokenize": ["tokenize", "한국", "--out", "F"],
+    "vocab-train": ["vocab-train", "--in", PAIRS, "--size", "200", "--out", "F"],
+    "encode": ["encode", "하다", "--vocab", "VOCAB", "--out", "F"],
+    "oracle-align": ["oracle-align", "추웠다", "--units", "춥다", "--out", "F"],
+    "oracle-stats": ["oracle-stats", "--in", CORPUS, "--json", "F"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in UNREAD_FLAG_RUNS for flag in (["--seed", "0"], ["--verbose"])
+     if (command, flag) != ("vocab-train", ["--verbose"])],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_flag_refused_where_the_subcommand_reads_none(tmp_path, monkeypatch, capsys, command, flag):
+    # each of these 11 was accepted and dropped: nothing was seeded, and nothing was echoed
+    vocab = tmp_path / "vocab.tsv"
+    save_vocab(train_vocab(["하다 했다"], 20), vocab)
+    argv = [str(vocab) if a == "VOCAB" else a for a in UNREAD_FLAG_RUNS[command]]
+    for run, extra, code in (("without", [], 0), ("with", flag, 2)):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main([*argv, *extra]) == code
+        captured = capsys.readouterr()
+    assert (tmp_path / "without" / "F").exists()
+    assert captured.out == "" and f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert not any((tmp_path / "with").iterdir())
+
+
+PIPELINE_FLAGS = {
+    "--scheme", "--dim", "--compression", "--fusion", "--granularity", "--heads", "--residual-fusion",
+    "--cls-bypass", "--config", "--seed", "--verbose",
+}
+MODEL_SOURCE_FLAGS = {"--ckpt", "--vocab", "--pairs-vocab", "--vocab-size"}
+SUBCOMMAND_OPTIONS = {
+    "decompose": {"text", "--out", "--scheme"},
+    "tokenize": {"text", "--out", "--scheme"},
+    "vocab-train": {"--in", "--size", "--mode", "--out", "--verbose"},
+    "encode": {"text", "--vocab", "--cls", "--out"},
+    "oracle-align": {"surface", "--units", "--in", "--delim", "--out"},
+    "oracle-stats": {"--in", "--top-k", "--partitions", "--json", "--csv"},
+    "gradcheck": {"--text", "--d", "--tol", *PIPELINE_FLAGS},
+    "train": {
+        "--pairs", "--log", "--vocab", "--vocab-size", "--objective", "--epochs", "--lr", "--batch-size",
+        "--margin", "--weight-decay", "--no-freeze-subword", "--out", *PIPELINE_FLAGS,
+    },
+    "embed": {"--text", "--out", *MODEL_SOURCE_FLAGS, *PIPELINE_FLAGS},
+    "probe-pairs": {"--pairs", "--out", *MODEL_SOURCE_FLAGS, *PIPELINE_FLAGS},
+    "probe-pca": {"--words", "--words-file", "--k", "--channel", "--out", *MODEL_SOURCE_FLAGS, *PIPELINE_FLAGS},
+    "probe-cohesion": {"--sets", "--out", *MODEL_SOURCE_FLAGS, *PIPELINE_FLAGS},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    # a new flag must be added here too, after checking that the subcommand reads it
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        name: {o for a in parser._actions for o in a.option_strings or [a.dest]} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert taken == SUBCOMMAND_OPTIONS
 
 
 def test_probe_pairs_loads_a_pair_file_given_twice_once(tmp_path, monkeypatch, capsys):

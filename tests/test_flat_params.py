@@ -201,7 +201,7 @@ class OneSequence:
 
 def reference_copy(pipe):
     """A second pipeline with pipe's values whose GRUs and embeddings run the reference code."""
-    ref = Pipeline.build(pipe.config, pipe.subword_vocab, seed=pipe.params.seed)
+    ref = Pipeline(pipe.config, pipe.subword_vocab, seed=pipe.params.seed)
     grus = {}
     for layer_name in GRU_NAMES:
         layer = getattr(ref.params, layer_name)
@@ -242,7 +242,7 @@ class TestBitwiseAgainstReference:
         for compression in COMPRESSIONS:
             for fusion in FUSIONS:
                 config = PipelineConfig(scheme=scheme, dim=dim, compression=compression, fusion=fusion)
-                pipe = Pipeline.build(config, VOCAB, seed=dim)
+                pipe = Pipeline(config, VOCAB, seed=dim)
                 ref, grus = reference_copy(pipe)
                 assert (compression == "principles") == (len(grus) == 3)
                 outs, grads = run_and_collect(pipe, {}, seed=1)
@@ -259,7 +259,7 @@ class TestBitwiseAgainstReference:
     )
     def test_twenty_adamw_steps(self, frozen):
         config = PipelineConfig(dim=8, fusion="cross-attention")
-        pipes = [Pipeline.build(config, VOCAB, seed=3) for _ in range(2)]
+        pipes = [Pipeline(config, VOCAB, seed=3) for _ in range(2)]
         groups = [without(pipe.params.group, frozen) for pipe in pipes]
         optimizers = [AdamW(groups[0], weight_decay=0.01), ReferenceAdamW(groups[1], weight_decay=0.01)]
         # A frozen u_r cuts each of gru_iv.u's 8 rows apart; a frozen conv.bias cuts once more.
@@ -270,7 +270,7 @@ class TestBitwiseAgainstReference:
                 out, cache = pipe.forward(TEXTS[step % len(TEXTS)])
                 pipe.backward(np.random.default_rng(step).normal(size=out.shape), cache)
                 optimizer.step(cosine_lr(step, 20, 0.05))
-        initial = Pipeline.build(config, VOCAB, seed=3).params.group
+        initial = Pipeline(config, VOCAB, seed=3).params.group
         for (name, t), (_, t_ref) in zip(pipes[0].params.group.items(), pipes[1].params.group.items()):
             assert np.array_equal(t.data, t_ref.data), name
             assert np.array_equal(t.data, initial[name].data) == (name in frozen), name
@@ -312,7 +312,7 @@ class TestBitwiseAgainstReference:
 class TestFlatBuffers:
     def test_every_tensor_views_the_flat_buffers(self):
         for compression in COMPRESSIONS:
-            pipe = Pipeline.build(PipelineConfig(dim=4, compression=compression), VOCAB, seed=0)
+            pipe = Pipeline(PipelineConfig(dim=4, compression=compression), VOCAB, seed=0)
             group = pipe.params.group
             assert group.data.size == group.grad.size == sum(t.data.size for _, t in group.items())
             for name, t in group.items():
@@ -346,7 +346,7 @@ class TestFlatBuffers:
 
     @pytest.mark.parametrize("name", ["w_z", "u_r", "b_n"])
     def test_in_place_gate_change_shows_in_forward(self, name):
-        pipe = Pipeline.build(PipelineConfig(dim=4), VOCAB, seed=1)
+        pipe = Pipeline(PipelineConfig(dim=4), VOCAB, seed=1)
         for gru in (GRULayer(4, np.random.default_rng(1)), pipe.params.gru_seq):
             x = np.random.default_rng(2).normal(size=(5, 4))
             before, _ = gru.forward(x)
@@ -358,7 +358,7 @@ class TestFlatBuffers:
             assert np.allclose(gru.forward(x)[0], before, atol=1e-15, rtol=0)
 
     def test_load_into_keeps_the_views(self, tmp_path):
-        pipe = Pipeline.build(PipelineConfig(dim=4, fusion="concatenation"), VOCAB, seed=6)
+        pipe = Pipeline(PipelineConfig(dim=4, fusion="concatenation"), VOCAB, seed=6)
         group = pipe.params.group
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, group, seed=6, config=pipe.config.to_dict())
@@ -372,7 +372,7 @@ class TestFlatBuffers:
         assert np.array_equal(pipe.params.gru_seq.w.data[:, :4], saved["gru_seq.w_z"])
 
     def test_zero_grads_clears_the_flat_grad(self):
-        pipe = Pipeline.build(PipelineConfig(dim=4), VOCAB, seed=0)
+        pipe = Pipeline(PipelineConfig(dim=4), VOCAB, seed=0)
         out, cache = pipe.forward("했다")
         pipe.backward(np.ones_like(out), cache)
         assert pipe.params.group.grad.any()
@@ -382,7 +382,7 @@ class TestFlatBuffers:
 
 class TestTrainableRuns:
     def test_frozen_table_splits_the_model_in_two(self):
-        pipe = Pipeline.build(PipelineConfig(dim=4), VOCAB, seed=0)
+        pipe = Pipeline(PipelineConfig(dim=4), VOCAB, seed=0)
         group = pipe.params.group
         assert len(group.runs()) == 1
         (table, _), (rest, rest_grad) = without(group, {"subword_emb.table"}).runs()

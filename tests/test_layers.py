@@ -584,38 +584,42 @@ class TestConv2x1:
         conv.kernel.data[0] = np.eye(3)
         conv.kernel.data[1] = 0.0
         conv.bias.data[:] = 0.0
-        x = np.random.default_rng(1).standard_normal((2, 5, 3))
-        out, _ = conv.forward(x)
-        assert out.shape == (1, 5, 3)
-        assert np.allclose(out[0], x[0])
+        a, b = np.random.default_rng(1).standard_normal((2, 5, 3))
+        out, _ = conv.forward(a, b)
+        assert out.shape == (5, 3)
+        assert np.allclose(out, a)
 
     def test_mean_kernel_returns_row_mean(self):
         conv = Conv2x1(3, np.random.default_rng(0))
         conv.kernel.data[0] = 0.5 * np.eye(3)
         conv.kernel.data[1] = 0.5 * np.eye(3)
         conv.bias.data[:] = 0.0
-        x = np.random.default_rng(1).standard_normal((2, 4, 3))
-        out, _ = conv.forward(x)
-        assert np.allclose(out[0], x.mean(axis=0))
+        a, b = np.random.default_rng(1).standard_normal((2, 4, 3))
+        out, _ = conv.forward(a, b)
+        assert np.allclose(out, (a + b) / 2)
 
-    def test_wrong_height_rejected(self):
+    def test_rows_of_unequal_shape_rejected(self):
         conv = Conv2x1(3, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            conv.forward(np.ones((3, 4, 3)))
+        # unequal lengths, unequal widths, then two equal rows of the wrong width or rank
+        for shapes in [((4, 3), (5, 3)), ((4, 3), (4, 2)), ((4, 2), (4, 2)), ((2, 4, 3), (2, 4, 3))]:
+            with pytest.raises(ShapeError, match="conv_2x1 needs two"):
+                conv.forward(*(np.ones(shape) for shape in shapes))
 
     def test_gradient(self):
         rng = np.random.default_rng(13)
         conv = Conv2x1(3, rng)
-        x = Tensor(rng.standard_normal((2, 4, 3)))
-        r = rng.standard_normal((1, 4, 3))
+        a, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((4, 3)))
+        r = rng.standard_normal((4, 3))
 
         def loss_fn(with_grad):
-            out, cache = conv.forward(x.data)
+            out, cache = conv.forward(a.data, b.data)
             if with_grad:
-                x.accumulate(conv.backward(r, cache))
+                grad_a, grad_b = conv.backward(r, cache)
+                a.accumulate(grad_a)
+                b.accumulate(grad_b)
             return float((out * r).sum())
 
-        check_layer_grads(conv, loss_fn, extra_inputs=[x])
+        check_layer_grads(conv, loss_fn, extra_inputs=[a, b])
 
 
 class TestCrossAttention:

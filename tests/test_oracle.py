@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamofuse import hangul, oracle
+from jamofuse.common import ConfigError
 from jamofuse.oracle import (
     CHARACTER,
     KEEP,
@@ -32,7 +33,6 @@ from jamofuse.oracle import (
     stats_report_csv,
     stats_report_json,
 )
-from jamofuse.tensor import ConfigError
 
 SYLLABLES = st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 BARE_JAMO = st.characters(min_codepoint=0x3131, max_codepoint=0x3163)

@@ -37,7 +37,7 @@ def pair_vocab():
 
 def build(vocab=None, **overrides):
     cfg = PipelineConfig(**{"dim": 6, **overrides})
-    return Pipeline.build(cfg, vocab if vocab is not None else small_vocab(), seed=11)
+    return Pipeline(cfg, vocab if vocab is not None else small_vocab(), seed=11)
 
 
 def batch_of_one(pipe, seq):
@@ -79,9 +79,8 @@ def _reference_stage1(self, e, seq):
             h_f[k] = h[s + wi + wv : s + w].sum(axis=0)
 
     h_iv, iv_cache = p.gru_iv.forward(x_iv)
-    stacked = np.stack([h_iv, h_f])
-    conv_out, conv_cache = p.conv.forward(stacked)
-    h_c = conv_out[0].copy()
+    conv_out, conv_cache = p.conv.forward(h_iv, h_f)
+    h_c = conv_out.copy()
     for k, s in enumerate(starts):
         if passthrough[k]:
             h_c[k] = h[s]
@@ -103,9 +102,8 @@ def _reference_backward_stage1(self, grad_hc, cache):
             grad_h[s] += grad_hc[k]
             grad_pooled[k] = 0.0
 
-    grad_stacked = p.conv.backward(grad_pooled[None, :, :], conv_cache)
-    grad_xiv = p.gru_iv.backward(grad_stacked[0], iv_cache)
-    grad_hf = grad_stacked[1]
+    grad_iv, grad_hf = p.conv.backward(grad_pooled, conv_cache)
+    grad_xiv = p.gru_iv.backward(grad_iv, iv_cache)
     for k, s in enumerate(starts):
         if passthrough[k]:
             grad_h[s] += grad_xiv[k]
@@ -234,11 +232,25 @@ class TestPipelineConfig:
             {"dim": "16"},
             {"heads": 1.0},
             {"cls_bypass": "yes"},
+            {"fusion": "summation", "heads": 2},
+            {"fusion": "concatenation", "residual_fusion": True},
         ],
     )
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             PipelineConfig(**{"dim": 16, **overrides}).validate()
+
+    def test_heads_and_residual_fusion_only_with_cross_attention(self):
+        # only CrossAttention reads them, so under another fusion they would be dropped
+        for fusion in ("summation", "concatenation"):
+            message = f"^heads and residual_fusion apply only to cross-attention fusion, not {fusion}$"
+            for overrides in ({"heads": 3}, {"residual_fusion": True}):
+                with pytest.raises(ConfigError, match=message):
+                    PipelineConfig(dim=4, fusion=fusion, **overrides).validate()
+            PipelineConfig(dim=4, fusion=fusion, heads=1, residual_fusion=False).validate()
+        with pytest.raises(ConfigError, match="^heads must divide dim, got 3 heads for dim 4$"):
+            PipelineConfig(dim=4, heads=3, fusion="cross-attention").validate()
+        PipelineConfig(dim=4, heads=2, fusion="cross-attention", residual_fusion=True).validate()
 
     def test_external_granularity_rejected(self):
         # a text's boundary map is passed to forward, not named by the config
@@ -400,7 +412,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_stage1_bitwise_equal(self, scheme, seed):
-        pipe = Pipeline.build(PipelineConfig(scheme=scheme, dim=6), small_vocab(), seed=seed)
+        pipe = Pipeline(PipelineConfig(scheme=scheme, dim=6), small_vocab(), seed=seed)
         for text in REFERENCE_TEXTS:
             new = _run_stage(
                 pipe,
@@ -430,7 +442,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_attention_pooling_matches(self, scheme, seed):
-        pipe = Pipeline.build(PipelineConfig(scheme=scheme, dim=6, compression="attention"), small_vocab(), seed=seed)
+        pipe = Pipeline(PipelineConfig(scheme=scheme, dim=6, compression="attention"), small_vocab(), seed=seed)
         for text in REFERENCE_TEXTS:
             _, ranges = pipe.unit_ranges(text)
             token_count = len(pipe.tokenizer.tokenize(text))
@@ -460,7 +472,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_linear_compression_matches(self, scheme, seed):
         cfg = PipelineConfig(scheme=scheme, dim=6, compression="linear", fusion="summation")
-        pipe = Pipeline.build(cfg, small_vocab(), seed=seed)
+        pipe = Pipeline(cfg, small_vocab(), seed=seed)
         for text in REFERENCE_TEXTS:
             last = [b - 1 for _, b in pipe.unit_ranges(text)[1]]
             out, grad_e, grads = _linear_through_pipeline(pipe, text, seed)
@@ -612,8 +624,8 @@ class TestForward:
     def test_seed_changes_output(self):
         vocab = small_vocab()
         cfg = PipelineConfig(dim=6)
-        a, _ = Pipeline.build(cfg, vocab, seed=1).forward("했다")
-        b, _ = Pipeline.build(cfg, vocab, seed=2).forward("했다")
+        a, _ = Pipeline(cfg, vocab, seed=1).forward("했다")
+        b, _ = Pipeline(cfg, vocab, seed=2).forward("했다")
         assert not np.allclose(a, b)
 
     @settings(max_examples=25, deadline=None)
@@ -903,7 +915,7 @@ class TestBackward:
         self.check_config(PipelineConfig(dim=4, cls_bypass=True), text="a했 b")
 
     def check_config(self, cfg, text="했다"):
-        report = check_pipeline(Pipeline.build(cfg, small_vocab(), seed=11), text, 3)
+        report = check_pipeline(Pipeline(cfg, small_vocab(), seed=11), text, 3)
         assert report.max_rel_error < 1e-4, str(report)
 
     def test_grad_shape_checked(self):
@@ -938,7 +950,7 @@ class TestPackedBatch:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_matches_one_text_at_a_time(self, scheme, compression, fusion, cls_bypass):
         cfg = PipelineConfig(scheme=scheme, dim=6, compression=compression, fusion=fusion, cls_bypass=cls_bypass)
-        pipe = Pipeline.build(cfg, small_vocab(), seed=5)
+        pipe = Pipeline(cfg, small_vocab(), seed=5)
         texts = [BATCH_TEXTS[k] for k in np.random.default_rng(len(scheme)).permutation(len(BATCH_TEXTS))]
         out, cache = pipe.forward(texts)
         grad = np.random.default_rng(1).normal(size=out.shape)
@@ -1068,7 +1080,7 @@ class TestPaddedFusion:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_unit_counts_1_to_15_and_empty_texts(self, monkeypatch, heads, residual, cls_bypass):
         cfg = PipelineConfig(dim=8, heads=heads, residual_fusion=residual, cls_bypass=cls_bypass, granularity="character")
-        pipe = Pipeline.build(cfg, small_vocab(), seed=heads)
+        pipe = Pipeline(cfg, small_vocab(), seed=heads)
         texts = [UNIT_COUNT_TEXTS[k] for k in np.random.default_rng(heads).permutation(len(UNIT_COUNT_TEXTS))]
         _, cache = pipe.forward(texts)
         assert sorted(np.diff(cache.unit_offsets).tolist()) == [0, 0, *range(1, 16)]
@@ -1088,7 +1100,7 @@ class TestPaddedFusion:
         records = load_pair_dataset(path).records
         forms = sorted({f for r in records for f in (r.form_a, r.form_b)})
         vocab = train_vocab([f"{r.form_a} {r.form_b}" for r in records], 200)
-        pipe = Pipeline.build(PipelineConfig(scheme="bts", dim=64, fusion="cross-attention"), vocab, seed=0)
+        pipe = Pipeline(PipelineConfig(scheme="bts", dim=64, fusion="cross-attention"), vocab, seed=0)
         rng = np.random.default_rng(901)
         texts = []
         while len(texts) < 32:
@@ -1120,7 +1132,7 @@ class TestPaddedFusion:
         # each text holds only its own U x U attention: a padded batch would hold
         # 24 x 400 x 400 weights in each of several arrays, over 100 MiB
         cfg = PipelineConfig(scheme="jamo", dim=16, fusion="cross-attention", granularity="character")
-        pipe = Pipeline.build(cfg, small_vocab(), seed=0)
+        pipe = Pipeline(cfg, small_vocab(), seed=0)
         texts = ["대한민국하다했다" * 50, *[f"{a}{b}" for a in "가나다" for b in "라마바사아자차카"][:23]]
         out, cache = pipe.forward(texts)  # fills the tokenization memo outside the traced call
         assert len(texts[0]) == 400 and len(out) == 400 + 23 * 2

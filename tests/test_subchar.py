@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jamofuse import hangul, subchar
+from jamofuse.common import ConfigError
 from jamofuse.subchar import (
     CLS,
     EMPTY_FINAL,
@@ -15,7 +16,6 @@ from jamofuse.subchar import (
     SubcharScheme,
     SubcharTokenizer,
 )
-from jamofuse.tensor import ConfigError
 
 TOKENIZERS = {name: SubcharTokenizer(name) for name in subchar.SCHEME_NAMES}
 BARE_LETTERS = "".join(sorted(set(hangul.CHOSEONG) | set(hangul.JUNGSEONG) | set(hangul.JONGSEONG[1:])))

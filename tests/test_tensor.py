@@ -3,15 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from jamofuse import oracle, pipeline, subchar, subword, tensor
-from jamofuse.checkpoint import (
-    CheckpointError,
-    csv_text,
-    load_checkpoint,
-    load_into,
-    save_checkpoint,
-    write_atomic,
-)
+from jamofuse import common, oracle, pipeline, subchar, subword
+from jamofuse.checkpoint import CheckpointError, load_checkpoint, load_into, restore, save_checkpoint
+from jamofuse.common import csv_text, write_atomic
 from jamofuse.gradcheck import grad_check
 from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.optim import AdamW, cosine_lr
@@ -50,7 +44,7 @@ def rand_tensor(rng, shape):
 
 def fusion_pipeline(fusion, seed):
     vocab = train_vocab(["대한 민국"], 20, mode="wordlist")
-    return Pipeline.build(PipelineConfig(dim=3, fusion=fusion), vocab, seed=seed)
+    return Pipeline(PipelineConfig(dim=3, fusion=fusion), vocab, seed=seed)
 
 
 def linear_op(lin, x):
@@ -200,12 +194,12 @@ class TestCoreOpGradients:
         conv = Conv2x1(2, np.random.default_rng(seed))
 
         def op(t):
-            out, cache = conv.forward(np.stack([t["a"].data, t["b"].data]))
+            out, cache = conv.forward(t["a"].data, t["b"].data)
 
             def backward(g):
-                grad = conv.backward(g, cache)
-                t["a"].accumulate(grad[0])
-                t["b"].accumulate(grad[1])
+                grad_a, grad_b = conv.backward(g, cache)
+                t["a"].accumulate(grad_a)
+                t["b"].accumulate(grad_b)
 
             return out, backward
 
@@ -224,8 +218,8 @@ class TestCoreOpGradients:
 
 class TestTensor:
     def test_one_config_error_type(self):
-        assert tensor.ConfigError is pipeline.ConfigError is subword.ConfigError
-        assert tensor.ConfigError is subchar.ConfigError is oracle.ConfigError
+        assert common.ConfigError is pipeline.ConfigError is subword.ConfigError
+        assert common.ConfigError is subchar.ConfigError is oracle.ConfigError
 
 
 class TestGradCheck:
@@ -357,7 +351,7 @@ class TestCheckpoint:
         other = ParamGroup()
         other.add("different", Tensor(np.zeros(2)))
         with pytest.raises(CheckpointError):
-            load_into(other, path)
+            restore(other, load_checkpoint(path), path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -41,7 +41,7 @@ def traced(run):
 
 def build():
     vocab = train_vocab(["하다 했다 가다 갔다", "먹다 먹었다 보다 봤다", "대한 민국"], 80)
-    return Pipeline.build(PipelineConfig(scheme="bts", dim=8, fusion="cross-attention"), vocab, seed=3)
+    return Pipeline(PipelineConfig(scheme="bts", dim=8, fusion="cross-attention"), vocab, seed=3)
 
 
 def test_word_vectors_counts_packed_rows_and_nests_stages():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jamofuse import training
-from jamofuse.checkpoint import load_into, save_checkpoint
+from jamofuse.checkpoint import load_checkpoint, restore, save_checkpoint
 from jamofuse.optim import AdamW
 from jamofuse.pipeline import ConfigError, Pipeline, PipelineConfig
 from jamofuse.subword import train_vocab
@@ -62,7 +62,7 @@ def tiny_pipeline(dim=8, seed=3, **overrides):
     corpus = ["하다 했다 가다 갔다", "먹다 먹었다 보다 봤다", "춥다 걷다 돕다 묻다"]
     vocab = train_vocab(corpus, 80)
     cfg = PipelineConfig(**{"dim": dim, "fusion": "summation", **overrides})
-    return Pipeline.build(cfg, vocab, seed=seed)
+    return Pipeline(cfg, vocab, seed=seed)
 
 
 class TestPairDataset:
@@ -214,7 +214,7 @@ class TestWordVectors:
         peaks = {}
         for compression in ("principles", "linear", "attention"):
             cfg = PipelineConfig(scheme="bts", dim=64, compression=compression, fusion="summation")
-            pipe = Pipeline.build(cfg, vocab, seed=0)
+            pipe = Pipeline(cfg, vocab, seed=0)
             word_vectors(pipe, texts)  # fills the tokenization memo outside the traced call
             word_vectors(pipe, texts[:1])  # and leaves the GRUs' memos on another call, so the traced one computes
             tracemalloc.start()
@@ -414,7 +414,7 @@ class TestTrain:
         log = train(pipe, two_tag_dataset(), config)
 
         fresh = tiny_pipeline(seed=99)  # different init, then restored from the checkpoint
-        load_into(fresh.params.group, path)
+        restore(fresh.params.group, load_checkpoint(path), path)
         recomputed = first_batch_loss(fresh, two_tag_dataset(), config)
         assert recomputed == log.first_batch_loss > 0.0
 

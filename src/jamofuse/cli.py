@@ -154,13 +154,14 @@ def _add_model_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ckpt", help="checkpoint file; its config and vocab are used")
     parser.add_argument("--vocab", help="subword vocab JSON (when no checkpoint)")
     parser.add_argument("--pairs-vocab", help="derive the vocab from this pair TSV")
-    parser.add_argument("--vocab-size", type=int, default=PAIRS_VOCAB_SIZE,
-                        help="target size when deriving a vocab from pairs")
+    parser.add_argument("--vocab-size", type=int,
+                        help=f"target size of the vocab --pairs-vocab derives (default {PAIRS_VOCAB_SIZE})")
 
 
-def _vocab_from_pairs(data: PairDataset, size: int) -> SubwordVocab:
+def _vocab_from_pairs(data: PairDataset, size: Optional[int]) -> SubwordVocab:
     from .subword import train_vocab
 
+    size = PAIRS_VOCAB_SIZE if size is None else size
     return train_vocab([f"{r.form_a} {r.form_b}" for r in data.records], size)
 
 
@@ -191,9 +192,9 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
     from .pipeline import Pipeline
     from .subword import load_vocab
 
-    if getattr(args, "ckpt", None):
+    if args.ckpt:
         # flags a checkpoint would override: its own pipeline config and vocab win
-        fixed = [*_defaults(), "config", "vocab", "pairs_vocab"]
+        fixed = [*_defaults(), "config", "vocab", "pairs_vocab", "vocab_size"]
         ignored = ["--" + key.replace("_", "-") for key in _given(args, fixed)]
         if ignored:
             raise ConfigError(f"--ckpt fixes the model and its vocab; drop {', '.join(ignored)}")
@@ -201,10 +202,15 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
         if args.verbose:
             print(f"config: {json.dumps(pipe.config.to_dict(), sort_keys=True)}", file=sys.stderr)
         return pipe
+    if args.vocab and args.pairs_vocab:
+        raise ConfigError("--vocab and --pairs-vocab each give the vocab; drop one")
+    if args.vocab_size is not None and not args.pairs_vocab:
+        raise ConfigError("--vocab-size sets the size of the vocab --pairs-vocab derives; "
+                          "drop it or give --pairs-vocab")
     config = _pipeline_config(args)
-    if getattr(args, "vocab", None):
+    if args.vocab:
         vocab = load_vocab(args.vocab)
-    elif getattr(args, "pairs_vocab", None):
+    elif args.pairs_vocab:
         from .training import load_pair_dataset
 
         vocab = _vocab_from_pairs(pairs or load_pair_dataset(args.pairs_vocab), args.vocab_size)
@@ -298,6 +304,8 @@ def cmd_oracle_align(args) -> int:
         raise ConfigError("--delim must not be empty: an action line needs a delimiter between its fields")
     if "\n" in args.delim or "\r" in args.delim:
         raise ConfigError(f"delimiter {args.delim!r} cannot be written back: it holds a line break")
+    if args.infile is not None and args.units is not None:
+        raise ConfigError("--units go with a surface argument; drop them with --in")
     if args.surface is not None:
         if not args.units:
             raise ConfigError("--units is required with a surface argument")
@@ -348,6 +356,8 @@ def cmd_train(args) -> int:
     from .subword import load_vocab
     from .training import TrainConfig, load_pair_dataset, train
 
+    if args.vocab and args.vocab_size is not None:
+        raise ConfigError("--vocab-size sets the size of the vocab derived from --pairs; drop it with --vocab")
     data = load_pair_dataset(args.pairs)
     config = _pipeline_config(args)
     vocab = load_vocab(args.vocab) if args.vocab else _vocab_from_pairs(data, args.vocab_size)
@@ -390,6 +400,8 @@ def cmd_probe_pairs(args) -> int:
 def cmd_probe_pca(args) -> int:
     from .training import pca_project
 
+    if args.words is not None and args.words_file is not None:
+        raise ConfigError("--words and --words-file each give the words; drop one")
     pipe = _load_pipeline(args)
     if args.words:
         words = [w.strip() for w in args.words.split(",") if w.strip()]
@@ -474,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="TSV of form_a, form_b, relation")
     p.add_argument("--log", action=_Output, help="write the per-epoch metric CSV here")
     p.add_argument("--vocab", help="subword vocab JSON; default derives from the pairs")
-    p.add_argument("--vocab-size", type=int, default=PAIRS_VOCAB_SIZE)
+    p.add_argument("--vocab-size", type=int,
+                   help=f"target size of the vocab derived from the pairs (default {PAIRS_VOCAB_SIZE})")
     p.add_argument("--objective")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)

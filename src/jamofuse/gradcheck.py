@@ -45,6 +45,13 @@ def grad_check(loss_fn: LossFn, params: Params) -> GradCheckReport:
     loss_fn(with_grad) must return the scalar loss; when with_grad is true it
     must also accumulate analytic gradients into the parameters. Parameters
     are perturbed in place and restored exactly.
+
+    For a loss over Pipeline.forward, the Pipeline memo serves the coordinates
+    in table rows the text never reads only when the caller ran that forward
+    before this check: the memo keeps the first repeat of the texts, which is
+    then the unperturbed call. Without that forward it keeps the first perturbed
+    call, and under stroke, cji and bts every later call computes.
+    check_pipeline runs that forward itself.
     """
     items = params.items() if isinstance(params, ParamGroup) else list(params)
 

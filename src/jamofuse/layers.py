@@ -38,13 +38,23 @@ class Embedding:
         return self.table.data[idx], idx
 
     def backward(self, grad_out: np.ndarray, cache: np.ndarray) -> None:
-        # Row-sparse: sum each used row's gradients from zero in lookup order, then
-        # add the sums to the table's rows, the same additions in the same order as
-        # a whole-table scatter.
+        # Row-sparse: sum each used row's gradients from zero in lookup order, in one
+        # bincount (scatter_add), then add the sums to the table's rows: the same
+        # additions in the same order as a whole-table scatter.
         used, place = distinct_ids(cache)
-        part = np.zeros((used.size, self.dim))
-        np.add.at(part, place, grad_out)
-        self.table.grad[used] += part
+        self.table.grad[used] += scatter_add(place, grad_out, used.size)
+
+
+def scatter_add(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) sums out[index[i]] += rows[i], each summed from zero in row order.
+
+    np.bincount adds its weights in array order, so over the bins index * d + column
+    it makes the same additions in the same order as numpy's unbuffered add into a
+    zeroed array (the `at` method of np.add), bit for bit, in one call.
+    """
+    d = rows.shape[1]
+    bins = (np.asarray(index, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 def distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +94,8 @@ class GRUCache(NamedTuple):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), written over x."""
+    return np.divide(1.0, np.add(np.exp(np.negative(x, x), x), 1.0, x), x)
 
 
 # Input projections x W + b are formed for runs of whole steps of at most this
@@ -156,7 +167,10 @@ class GRULayer:
     running rows, in reused buffers, and writes its state straight into the
     output; x W + b is formed (or gathered) for runs of steps at once, its
     z and r columns negated, so that exp(-(h U_zr + p_zr)) needs no negation
-    per step. The cache keeps only x, the table and the states.
+    per step. The cache keeps only x, the table and the states. Both time
+    loops cut their views of the step buffers to the running rows again only
+    when that count changes, and call numpy through local names, so a step
+    pays for little but its ufunc calls.
 
     Backward knows every previous state from the forward, so it runs in
     phases. It gathers the previous states h_{t-1} of all rows from the
@@ -164,7 +178,8 @@ class GRULayer:
     U[:, :2d] and a second (r * h_{t-1}) U[:, 2d:], each with the forward's
     per-step operand shapes, and the projections, sigmoid, tanh and the
     elementwise factors of the pre-activation gradients run on all rows at
-    once, so it sees the forward's values bit for bit. The reverse loop is
+    once, in place and in the forward's order of operations, so it sees the
+    forward's values bit for bit. The reverse loop is
     left with the carry recurrence only: for the running rows it writes the
     pre-activation gradients [dz|dr|dn] into one (rows, 3d) array g and
     carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T, in reused
@@ -263,6 +278,8 @@ class GRULayer:
             buf = None if len(blocks) == 1 else np.empty((block_rows, 3 * d))
         else:
             zr_buf, n_buf = np.empty((block_rows, 2 * d)), np.empty((block_rows, d))
+        matmul, add, multiply, subtract, divide, exp, tanh = (
+            np.matmul, np.add, np.multiply, np.subtract, np.divide, np.exp, np.tanh)
         for t0, t1 in blocks:
             base = offsets[t0]
             xb = x[base : offsets[t1]]
@@ -272,27 +289,26 @@ class GRULayer:
             else:  # ids checked above
                 neg_p_zr = np.take(neg_table_zr, xb, axis=0, out=zr_buf[: xb.shape[0]], mode="clip")
                 p_n = np.take(table_n, xb, axis=0, out=n_buf[: xb.shape[0]], mode="clip")
-            for t in range(t0, t1):
-                a, c = offsets[t] - base, offsets[t + 1] - base
+            for a, c in zip(offsets[t0:t1], offsets[t0 + 1 : t1 + 1]):
                 if c - a != rows:
                     rows = c - a
                     h, ones, gates, n, tmp = h[:rows], ones[:rows], gates[:rows], n[:rows], tmp[:rows]
                     z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
                 # backward's operations, done in place (IEEE addition commutes, so h U + p
                 # is p + h U): the values are bitwise those backward recomputes
-                np.matmul(h, neg_u_zr, gates)
-                np.add(gates, neg_p_zr[a:c], gates)
-                np.exp(gates, gates)
-                np.add(gates, ones, gates)
-                np.divide(ones, gates, gates)
+                matmul(h, neg_u_zr, gates)
+                add(gates, neg_p_zr[a - base : c - base], gates)
+                exp(gates, gates)
+                add(gates, ones, gates)
+                divide(ones, gates, gates)
                 # n = tanh((r * h) U_n + p_n)
-                np.matmul(np.multiply(r, h, tmp), u_n, n)
-                np.add(n, p_n[a:c], n)
-                np.tanh(n, n)
+                matmul(multiply(r, h, tmp), u_n, n)
+                add(n, p_n[a - base : c - base], n)
+                tanh(n, n)
                 # h = (1 - z) * n + z * h, written straight into the step's output rows
-                out = hs[base + a : base + c]
-                np.multiply(np.subtract(ones_d, z, out), n, out)
-                np.add(out, np.multiply(z, h, tmp), out)
+                out = hs[a:c]
+                multiply(subtract(ones_d, z, out), n, out)
+                add(out, multiply(z, h, tmp), out)
                 h = out
         hs.flags.writeable = False
         return hs, GRUCache(x, hs, batch_sizes, table)
@@ -310,7 +326,7 @@ class GRULayer:
         table_proj = None if table is None else self._project(table, None, None)
 
         # every step's previous states: row r of step t >= 1 follows row r - batch_sizes[t - 1]
-        sizes = np.diff(offsets)
+        sizes = np.ones(rows, np.int64) if batch_sizes is None else np.asarray(batch_sizes)
         h_prev = np.empty(hs.shape)
         h_prev[:first] = 0.0
         h_prev[first:] = hs[np.arange(first, rows) - np.repeat(sizes[:-1], sizes[1:])]
@@ -320,39 +336,48 @@ class GRULayer:
             self._project(x[offsets[t0] : offsets[t1]], table_proj, g[offsets[t0] :])
         g_zr, g_n = g[:, : 2 * d], g[:, 2 * d :]
         # the gates again: the forward's per-step products, then its elementwise ops on all rows
+        matmul, multiply, add = np.matmul, np.multiply, np.add
         gates = np.empty((rows, 2 * d))
         for a, c in spans:
-            np.matmul(h_prev[a:c], u_zr, gates[a:c])
-        gates = _sigmoid(gates + g_zr)
-        z, r = gates[:, :d], gates[:, d:]
-        rh = r * h_prev
+            matmul(h_prev[a:c], u_zr, gates[a:c])
+        _sigmoid(add(gates, g_zr, gates))
+        rh = gates[:, d:] * h_prev
         n = np.empty(hs.shape)
         for a, c in spans:
-            np.matmul(rh[a:c], u_n, n[a:c])
-        n = np.tanh(n + g_n)
-        # dn_pre = dh * f_n and [dz_pre|dr_pre] = [dh|dn_pre U_n^T] * f_zr
-        f_n = (1.0 - z) * (1.0 - n * n)
-        f_zr = np.concatenate([(h_prev - n) * z * (1.0 - z), h_prev * r * (1.0 - r)], axis=1)
+            matmul(rh[a:c], u_n, n[a:c])
+        np.tanh(add(n, g_n, n), n)
+        # dn_pre = dh * f_n and [dz_pre|dr_pre] = [dh|dn_pre U_n^T] * f_zr, where
+        # f_n = (1 - z) * (1 - n * n) and f_zr = [(h_prev - n) * z * (1 - z) | h_prev * r * (1 - r)]
+        one_minus = 1.0 - gates
+        f_zr = np.concatenate([h_prev - n, h_prev], axis=1)
+        f_zr *= gates
+        f_zr *= one_minus
+        f_n = one_minus[:, :d] * np.subtract(1.0, multiply(n, n, n), n)
 
         # the reverse loop runs only the carry recurrence; a sequence that ends at step t
-        # gets no carry from step t + 1
+        # gets no carry from step t + 1. The running-row views of the step buffers are
+        # taken again only when the running-row count changes, as in the forward
         dh_rh, both = np.empty((first, 2 * d)), np.empty((first, 2 * d))
         carry, tmp = np.empty((first, d)), np.empty((first, d))
         k = 0
-        for a, c in reversed(spans):
-            m = c - a
-            dh, d_rh = dh_rh[:m, :d], dh_rh[:m, d:]
-            np.add(grad_hs[a : a + k], carry[:k], dh[:k])
-            if k < m:
+        for a, m in zip(reversed(offsets[:-1]), reversed(sizes.tolist())):
+            c = a + m
+            if m != k or not k:  # the last step, or more rows run from here on: the first k get a carry
+                dh_rh_m, both_m, carry_m, tmp_m = dh_rh[:m], both[:m], carry[:m], tmp[:m]
+                dh, d_rh, both_z, both_r = dh_rh_m[:, :d], dh_rh_m[:, d:], both_m[:, :d], both_m[:, d:]
+                add(grad_hs[a : a + k], carry[:k], dh[:k])
                 dh[k:] = grad_hs[a + k : c]
-            np.multiply(dh, f_n[a:c], g_n[a:c])
-            np.matmul(g_n[a:c], u_n_t, d_rh)
-            np.multiply(dh_rh[:m], f_zr[a:c], g_zr[a:c])
+                k = m
+            else:
+                add(grad_hs[a:c], carry_m, dh)
+            gn, gzr = g_n[a:c], g_zr[a:c]
+            multiply(dh, f_n[a:c], gn)
+            matmul(gn, u_n_t, d_rh)
+            multiply(dh_rh_m, f_zr[a:c], gzr)
             # carry = dh * z + d_rh * r + [dz_pre|dr_pre] [U_z|U_r]^T
-            np.multiply(dh_rh[:m], gates[a:c], both[:m])
-            np.add(both[:m, :d], both[:m, d:], carry[:m])
-            np.add(carry[:m], np.matmul(g_zr[a:c], u_zr_t, tmp[:m]), carry[:m])
-            k = m
+            multiply(dh_rh_m, gates[a:c], both_m)
+            add(both_z, both_r, carry_m)
+            add(carry_m, matmul(gzr, u_zr_t, tmp_m), carry_m)
 
         inputs = x if table is None else table[x]  # the gathered input rows, needed only here
         self.w.grad += inputs.T @ g

@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from .common import COMPRESSIONS, FUSIONS, GRANULARITIES, ConfigError, csv_text
-from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear, distinct_ids
+from .layers import Conv2x1, CrossAttention, Embedding, GRUCache, GRULayer, Linear, distinct_ids, scatter_add
 from .subchar import SCHEME_NAMES, SubcharScheme, SubcharSequence, SubcharTokenizer
 from .subword import AlignmentError, BoundaryMap, SubwordVocab
 from .subword import encode as subword_encode
@@ -380,8 +380,7 @@ class Pipeline:
         return hs[last_indices], cache
 
     def backward_stage2(self, grad_hs: np.ndarray, cache: GRUCache, last_indices: np.ndarray) -> np.ndarray:
-        grad_states = np.zeros_like(cache.x)
-        np.add.at(grad_states, last_indices, grad_hs)
+        grad_states = scatter_add(last_indices, grad_hs, cache.x.shape[0])
         return self.params.gru_char.backward(grad_states, cache)
 
     def compress_attention(

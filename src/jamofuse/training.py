@@ -29,7 +29,7 @@ import numpy as np
 
 from .common import ConfigError, csv_text, open_text
 from .hangul import is_syllable
-from .layers import Linear
+from .layers import Linear, scatter_add
 from .optim import AdamW, cosine_lr
 from .pipeline import ForwardCache, Pipeline
 from .tensor import ParamGroup
@@ -286,20 +286,22 @@ def _contrastive_batch(
     b = [rows[rec.form_b] for rec, _ in pairs]
     # a pair without a negative stands in its own form_a; its negative terms are skipped
     n = [rows[neg.form_b] if neg else rows[rec.form_a] for rec, neg in pairs]
-    cos_p, dpa, dpb = cosines(vecs[a], vecs[b])
-    cos_n, dna, dnv = cosines(vecs[a], vecs[n])
+    # one cosine pass over the positive rows, then the negative ones; cosines works row
+    # by row, so each row's results are those of a pass of its own
+    k = len(pairs)
+    cos, d_a, d_bn = cosines(vecs[a + a], vecs[b + n])
+    cos_p, cos_n, dpa, dna, dpb, dnv = cos[:k], cos[k:], d_a[:k], d_a[k:], d_bn[:k], d_bn[k:]
     scale = 1.0 / len(batch)
     on_p, on_n = (cos_p < 1.0 - margin)[:, None], (cos_n > margin)[:, None]
     has = np.array([neg is not None for _, neg in pairs])
     ga = -dpa * on_p
     ga = np.where(has[:, None], ga + dna * on_n, ga)
-    # per pair the rows b, n and a, without n when the pair has no negative; np.add.at adds
-    # in this order, which sets the last bits of a row that several pairs touch
+    # per pair the rows b, n and a, without n when the pair has no negative; scatter_add
+    # adds in this order, which sets the last bits of a row that several pairs touch
     keep = np.stack([np.ones_like(has), has, np.ones_like(has)], axis=1)
     idx = np.stack([b, n, a], axis=1)[keep]
     vals = np.stack([-dpb * on_p * scale, dnv * on_n * scale, ga * scale], axis=1)[keep]
-    grads = np.zeros_like(vecs)
-    np.add.at(grads, idx, vals)
+    grads = scatter_add(idx, vals, len(vecs))
     # the hinges, pair after pair, added one by one (x if x > 0 else 0 is max(0.0, x))
     hinges = np.stack([(1.0 - margin) - cos_p, cos_n - margin], axis=1)[keep[:, :2]]
     total = reduce(operator.add, np.where(hinges > 0.0, hinges, 0.0).tolist(), 0.0)
@@ -327,8 +329,7 @@ def _classification_batch(
     total = sum(-float(np.log(p[label])) for p, (_, label) in zip(probs, examples))
     d_logits = probs.copy()
     d_logits[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
-    grads = np.zeros_like(vecs)
-    np.add.at(grads, which, head.backward(d_logits * scale, head_cache))
+    grads = scatter_add(which, head.backward(d_logits * scale, head_cache), len(vecs))
     _backward_words(pipe, cache, grads)
     return total * scale
 

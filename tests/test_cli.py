@@ -1227,6 +1227,67 @@ def test_flag_refused_where_the_subcommand_reads_none(tmp_path, monkeypatch, cap
     assert not any((tmp_path / "with").iterdir())
 
 
+# a run that reads every flag it is given, a flag that the run's mode would drop, and the refusal
+DROPPED_FLAG_RUNS = {
+    "embed-vocab-size-with-vocab": (
+        ["embed", "--vocab", "VOCAB", "--text", "하다", "--dim", "4", "--out", "F"], ["--vocab-size", "50"],
+        "--vocab-size sets the size of the vocab --pairs-vocab derives; drop it or give --pairs-vocab",
+    ),
+    "embed-vocab-size-with-ckpt": (
+        ["embed", "--ckpt", "CKPT", "--text", "하다", "--out", "F"], ["--vocab-size", "50"],
+        "--ckpt fixes the model and its vocab; drop --vocab-size",
+    ),
+    "probe-pairs-vocab-size-with-vocab": (
+        ["probe-pairs", "--pairs", PAIRS, "--vocab", "VOCAB", "--dim", "4", "--out", "F"], ["--vocab-size", "50"],
+        "--vocab-size sets the size of the vocab --pairs-vocab derives; drop it or give --pairs-vocab",
+    ),
+    "probe-pca-vocab-size-with-vocab": (
+        ["probe-pca", "--vocab", "VOCAB", "--words", "하다,했다", "--dim", "4", "--out", "F"], ["--vocab-size", "50"],
+        "--vocab-size sets the size of the vocab --pairs-vocab derives; drop it or give --pairs-vocab",
+    ),
+    "probe-cohesion-vocab-size-with-vocab": (
+        ["probe-cohesion", "--sets", SETS, "--vocab", "VOCAB", "--dim", "4", "--out", "F"], ["--vocab-size", "50"],
+        "--vocab-size sets the size of the vocab --pairs-vocab derives; drop it or give --pairs-vocab",
+    ),
+    "train-vocab-size-with-vocab": (
+        ["train", "--pairs", PAIRS, "--vocab", "VOCAB", "--epochs", "1", "--dim", "4", "--out", "F"],
+        ["--vocab-size", "50"],
+        "--vocab-size sets the size of the vocab derived from --pairs; drop it with --vocab",
+    ),
+    "oracle-align-units-with-in": (
+        ["oracle-align", "--in", CORPUS, "--out", "F"], ["--units", "하"],
+        "--units go with a surface argument; drop them with --in",
+    ),
+    "probe-pca-words-file-with-words": (
+        ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다", "--dim", "4", "--out", "F"],
+        ["--words-file", "WORDS"],
+        "--words and --words-file each give the words; drop one",
+    ),
+    "embed-pairs-vocab-with-vocab": (
+        ["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--dim", "4", "--out", "F"], ["--vocab", "VOCAB"],
+        "--vocab and --pairs-vocab each give the vocab; drop one",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DROPPED_FLAG_RUNS)
+def test_flag_refused_where_the_mode_drops_it(tmp_path, monkeypatch, trained, capsys, case):
+    # each of these was accepted and dropped: the run's output did not depend on it
+    vocab, words = tmp_path / "vocab.json", tmp_path / "words.txt"
+    save_vocab(train_vocab(["하다 했다"], 20), vocab)
+    words.write_text("하다\n했다\n", encoding="utf-8")
+    paths = {"VOCAB": str(vocab), "CKPT": trained["ckpt"], "WORDS": str(words)}
+    argv, flag, message = DROPPED_FLAG_RUNS[case]
+    for run, extra, code in (("without", [], 0), ("with", flag, 1)):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main([paths.get(a, a) for a in [*argv, *extra]]) == code
+        captured = capsys.readouterr()
+    assert (tmp_path / "without" / "F").exists()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not any((tmp_path / "with").iterdir())
+
+
 PIPELINE_FLAGS = {
     "--scheme", "--dim", "--compression", "--fusion", "--granularity", "--heads", "--residual-fusion",
     "--cls-bypass", "--config", "--seed", "--verbose",

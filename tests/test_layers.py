@@ -83,6 +83,68 @@ def _reference_gru_backward(self, grad_hs, cache):
     return grad_x
 
 
+def _stepwise_gru_forward(self, x, batch_sizes, table):
+    """The GRULayer._forward that walked step indices and called numpy's ufuncs through the module, kept
+    as the reference: the states hs, for valid inputs only."""
+    d = self.dim
+    offsets = layers._offsets(batch_sizes, x.shape[0])
+    u = self.u.data
+    # [z|r] = 1 / (1 + exp(-(h U_zr + p_zr))) is formed from -U_zr and -p_zr:
+    # h (-U) + (-p) is -(h U + p) bit for bit, as IEEE negation is exact
+    neg_u_zr, u_n = -u[:, : 2 * d], u[:, 2 * d :]
+    if table is not None:
+        table_proj = self._project(table, None, None)
+        neg_table_zr, table_n = -table_proj[:, : 2 * d], np.ascontiguousarray(table_proj[:, 2 * d :])
+
+    hs = np.empty((x.shape[0], d))
+    rows = offsets[1]
+    # step buffers, cut to the running rows as sequences end; the ones stand in for
+    # the scalar 1.0, which numpy converts on every call
+    h, ones = np.zeros((rows, d)), np.ones((rows, 2 * d))
+    gates, n, tmp = np.empty((rows, 2 * d)), np.empty((rows, d)), np.empty((rows, d))
+    z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
+    blocks = layers._step_blocks(offsets)
+    # a block's projections, in buffers that serve every block: -p_zr and p_n as
+    # columns of x W + b, or each gathered from the table into a buffer of its own
+    block_rows = x.shape[0] if len(blocks) == 1 else max(layers.PROJECTION_ROWS, rows)
+    if table is None:
+        buf = None if len(blocks) == 1 else np.empty((block_rows, 3 * d))
+    else:
+        zr_buf, n_buf = np.empty((block_rows, 2 * d)), np.empty((block_rows, d))
+    for t0, t1 in blocks:
+        base = offsets[t0]
+        xb = x[base : offsets[t1]]
+        if table is None:
+            proj = self._project(xb, None, buf)
+            neg_p_zr, p_n = np.negative(proj[:, : 2 * d], proj[:, : 2 * d]), proj[:, 2 * d :]
+        else:
+            neg_p_zr = np.take(neg_table_zr, xb, axis=0, out=zr_buf[: xb.shape[0]], mode="clip")
+            p_n = np.take(table_n, xb, axis=0, out=n_buf[: xb.shape[0]], mode="clip")
+        for t in range(t0, t1):
+            a, c = offsets[t] - base, offsets[t + 1] - base
+            if c - a != rows:
+                rows = c - a
+                h, ones, gates, n, tmp = h[:rows], ones[:rows], gates[:rows], n[:rows], tmp[:rows]
+                z, r, ones_d = gates[:, :d], gates[:, d:], ones[:, :d]
+            # backward's operations, done in place (IEEE addition commutes, so h U + p
+            # is p + h U): the values are bitwise those backward recomputes
+            np.matmul(h, neg_u_zr, gates)
+            np.add(gates, neg_p_zr[a:c], gates)
+            np.exp(gates, gates)
+            np.add(gates, ones, gates)
+            np.divide(ones, gates, gates)
+            # n = tanh((r * h) U_n + p_n)
+            np.matmul(np.multiply(r, h, tmp), u_n, n)
+            np.add(n, p_n[a:c], n)
+            np.tanh(n, n)
+            # h = (1 - z) * n + z * h, written straight into the step's output rows
+            out = hs[base + a : base + c]
+            np.multiply(np.subtract(ones_d, z, out), n, out)
+            np.add(out, np.multiply(z, h, tmp), out)
+            h = out
+    return hs
+
+
 def _stepwise_gru_backward(self, grad_hs, cache):
     """The GRULayer.backward that recomputed each step's gates inside its time loop, kept as the reference."""
     d = self.dim
@@ -167,6 +229,62 @@ class TestEmbedding:
             return float((out * r).sum())
 
         check_layer_grads(emb, loss_fn)
+
+
+def _add_at_scatter(index, rows, n):
+    """The np.add.at scatter into zeros that scatter_add replaced, kept as the reference."""
+    out = np.zeros((n, rows.shape[1]))
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, as in scatter_add
+        np.add.at(out, np.asarray(index, dtype=np.int64), rows)
+    return out
+
+
+class TestScatterAdd:
+    """scatter_add against np.add.at into zeros: the same bytes."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_repeated_ids_bitwise(self, dim):
+        # many rows per bin, so the order of each bin's additions shows in its last bits
+        rng = np.random.default_rng(dim)
+        index = rng.integers(0, 7, 200)
+        rows = rng.standard_normal((200, dim)) * 10.0 ** rng.integers(-8, 9, (200, 1))
+        assert _add_at_scatter(index, rows, 9).tobytes() == layers.scatter_add(index, rows, 9).tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0, -0.0], [-0.0, 0.0], [np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0], [1.0, -np.nan]],
+        ids=["negative-zeros", "signed-zeros", "inf", "inf-minus-inf", "nan", "negative-nan"],
+    )
+    def test_special_values_bitwise(self, values):
+        index = np.array([2, 0, 2, 2])
+        rows = np.array([[values[0], 1.0], [values[1], values[0]], [values[1], -0.0], [0.5, values[1]]])
+        assert _add_at_scatter(index, rows, 4).tobytes() == layers.scatter_add(index, rows, 4).tobytes()
+
+    def test_empty_index(self):
+        out = layers.scatter_add(np.array([], dtype=np.int64), np.empty((0, 3)), 4)
+        assert out.shape == (4, 3) and out.tobytes() == _add_at_scatter([], np.empty((0, 3)), 4).tobytes()
+        assert layers.scatter_add([], np.empty((0, 3)), 0).shape == (0, 3)
+
+    @pytest.mark.parametrize("objective", ["contrastive-pairs", "tag-classification"])
+    def test_train_bitwise_with_add_at_at_every_call_site(self, monkeypatch, objective):
+        from jamofuse import pipeline, training
+        from jamofuse.subword import train_vocab
+
+        data = training.PairDataset([
+            training.PairRecord("하다", "했다", "verb-past"), training.PairRecord("가다", "갔다", "verb-past"),
+            training.PairRecord("춥다", "추움", "noun-derivation"), training.PairRecord("걷다", "걸음", "noun-derivation"),
+            training.PairRecord("먹다", "먹었다", "verb-past"),
+        ])
+        vocab = train_vocab(["하다 했다 가다 갔다", "춥다 추움 걷다 걸음 먹다 먹었다"], 60)
+        config = training.TrainConfig(objective=objective, epochs=3, lr=0.05, batch_size=4, seed=2)
+        runs = []
+        for scatter in (layers.scatter_add, _add_at_scatter):
+            for module in (layers, pipeline, training):  # Embedding.backward, backward_stage2, both batches
+                monkeypatch.setattr(module, "scatter_add", scatter)
+            pipe = pipeline.Pipeline(pipeline.PipelineConfig(dim=8, fusion="summation"), vocab, seed=4)
+            log = training.train(pipe, data, config)
+            runs.append((log.to_csv(), pipe.params.group.data.tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestLinear:
@@ -422,6 +540,30 @@ class TestGRUBackwardAgainstStepwise:
             runs.append((backward(gru, grad, cache), gru.w.grad.copy(), gru.u.grad.copy(), gru.b.grad.copy()))
         for a, b in zip(*runs):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestGRUForwardAgainstStepwise:
+    """GRULayer's forward against the stepwise forward it replaced: the same bits."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[26], [9, 7, 7, 3, 1], [60, 55, 40, 20, 9, 3]],
+        ids=["one-sequence", "packed", "over-projection-rows"],
+    )
+    @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_bitwise_equal(self, lengths, table, dim):
+        rng = np.random.default_rng(dim + len(lengths))
+        gru = GRULayer(dim, rng)
+        sizes = np.array([sum(n > t for n in lengths) for t in range(lengths[0])])
+        if len(lengths) > 5:
+            assert sizes.sum() > layers.PROJECTION_ROWS
+        sizes = None if len(lengths) == 1 else sizes
+        rows = rng.standard_normal((11, dim))
+        ids = rng.integers(0, len(rows), lengths[0] if sizes is None else sizes.sum())
+        x, table_arg = (ids, rows) if table else (rows[ids], None)
+        hs, _ = gru.forward(x, sizes, table=table_arg)
+        assert hs.tobytes() == _stepwise_gru_forward(gru, x, sizes, table_arg).tobytes()
 
 
 def count_computes(monkeypatch) -> list:

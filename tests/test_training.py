@@ -255,7 +255,7 @@ def scalar_cosine_with_grads(u, v):
 
 
 def per_pair_contrastive(vecs, a, b, n, has, margin, scale):
-    """The per-pair loop that _contrastive_batch's np.add.at replaced, kept as the reference:
+    """The per-pair loop that _contrastive_batch's one scatter replaced, kept as the reference:
     (the hinge total, the gradient on the word vectors)."""
     cos_p, dpa, dpb = cosines(vecs[a], vecs[b])
     cos_n, dna, dnv = cosines(vecs[a], vecs[n])

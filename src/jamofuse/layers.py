@@ -4,11 +4,7 @@ Every layer owns a ParamGroup, keeps forward state in an explicit cache
 returned to the caller, and implements backward(grad_out, cache) -> grad_in,
 accumulating parameter gradients as a side effect. Backward reads a cache and
 never changes it, so interleaved forwards (e.g. both words of a training
-pair) stay independent. The one cache a layer keeps itself is the GRU's memo
-of its last call, which it hands out again only for a call with the same
-input and weight bits; its arrays are read-only. Pipeline.forward keeps a
-memo of a whole forward on the same contract (see there), and these layers
-run only for the calls it does not serve.
+pair) stay independent.
 """
 
 from __future__ import annotations
@@ -123,22 +119,6 @@ def _step_blocks(offsets: list[int]) -> list[tuple[int, int]]:
     return blocks
 
 
-def _bits(a) -> Optional[tuple[str, tuple[int, ...], bytes]]:
-    """(dtype, shape, a private copy of the bytes) of an array, or None."""
-    if a is None:
-        return None
-    a = np.asarray(a)
-    return a.dtype.str, a.shape, a.tobytes()
-
-
-def _array(bits: Optional[tuple[str, tuple[int, ...], bytes]]) -> Optional[np.ndarray]:
-    """The read-only array over the bytes that _bits copied, or None."""
-    if bits is None:
-        return None
-    dtype, shape, data = bits
-    return np.frombuffer(data, dtype).reshape(shape)
-
-
 class GRULayer:
     """Single unidirectional gated recurrent unit layer, hidden size = input size.
 
@@ -185,19 +165,6 @@ class GRULayer:
     carries dh through dn U_n^T and [dz|dr] [U_z|U_r]^T, in reused
     buffers. The block gradients and the (rows, d) input gradient are
     whole-batch matmuls and column sums of g after the loop.
-
-    The layer keeps one memo: private byte copies of the last call's x,
-    batch_sizes and table and of W, U and b, with that call's (hs, cache).
-    A call whose inputs and weights hold the same bytes gets that pair back;
-    bytes, not values, since -0.0 == 0.0 and NaN != NaN. Any other call
-    computes and replaces the entry, and only a call that succeeds is kept.
-    A gradient check perturbs one coordinate at a time, so many of its calls
-    repeat the last one: every coordinate of the layers after this one and
-    of the inputs it does not read, such as the subword table
-    (Pipeline.forward's memo serves the table rows no layer reads before
-    they get here). The cache holds read-only arrays over the copies, and
-    hs is read-only, so neither the caller nor backward can change what a
-    later call gets.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -213,7 +180,6 @@ class GRULayer:
                 self.params.add(f"{name}_{gate}", block.view((slice(None), cols)))
             self.b.data[cols] = uniform_init(rng, (dim,), dim)
             self.params.add(f"b_{gate}", self.b.view(cols))
-        self._last: Optional[tuple[tuple, tuple[np.ndarray, GRUCache]]] = None  # (key, result) of the last call
 
     def _project(self, x: np.ndarray, table_proj: Optional[np.ndarray], buf: Optional[np.ndarray]) -> np.ndarray:
         """x W + b of a block of rows, written into the first rows of buf when one is given.
@@ -229,18 +195,6 @@ class GRULayer:
 
     def forward(
         self, x: np.ndarray, batch_sizes: Optional[np.ndarray] = None, table: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, GRUCache]:
-        key = (_bits(x), _bits(batch_sizes), _bits(table), self.w.data.tobytes(), self.u.data.tobytes(),
-               self.b.data.tobytes())
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        self._last = None
-        result = self._forward(*map(_array, key[:3]))
-        self._last = key, result
-        return result
-
-    def _forward(
-        self, x: np.ndarray, batch_sizes: Optional[np.ndarray], table: Optional[np.ndarray]
     ) -> tuple[np.ndarray, GRUCache]:
         d = self.dim
         if table is None:
@@ -310,7 +264,6 @@ class GRULayer:
                 multiply(subtract(ones_d, z, out), n, out)
                 add(out, multiply(z, h, tmp), out)
                 h = out
-        hs.flags.writeable = False
         return hs, GRUCache(x, hs, batch_sizes, table)
 
     def backward(self, grad_hs: np.ndarray, cache: GRUCache) -> np.ndarray:

@@ -21,7 +21,7 @@ pool first and project once per unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import re
@@ -281,9 +281,6 @@ class Pipeline:
         self.config = config
         # text -> (tokenized text, unit ids, unit ranges), with read-only arrays
         self._memo: dict[str, tuple[SubcharSequence, tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
-        # Pipeline.forward's memo: (texts, the table places they read, those bytes and the other
-        # tensors', result); the last three are None until a call repeats the texts
-        self._last: Optional[tuple] = None
 
     @staticmethod
     def build(config: PipelineConfig, subword_vocab: SubwordVocab, seed: int) -> "Pipeline":
@@ -467,70 +464,7 @@ class Pipeline:
         principles GRUs run the batch as packed sequences (PackedBatch); a
         single text is the batch of one. Cross-attention fusion holds heads x
         U x U attention weights for each text of U units, and no more.
-
-        The pipeline keeps one memo, on the GRU memo's contract: bytes, not
-        values, and read-only results. It holds the texts of the last call, a
-        str as the batch of one, so a call with other texts pays one tuple
-        comparison. The first call that repeats them keeps its result, with
-        byte copies of what the forward reads: the subchar_emb rows of the
-        texts' tokens (and the <cls> row under cls_bypass), the subword_emb
-        rows of their units, and every other tensor of the group, whole. A
-        later repeat whose bytes equal the kept ones gets the kept result, and
-        any other repeat computes and returns its result unkept. When a
-        forward runs before a gradient check, as `gradcheck.check_pipeline`
-        runs one to size its direction, the check's unperturbed call is the
-        first repeat, and most perturbed coordinates sit in table rows the
-        text never reads. A call given boundary maps bypasses the memo and
-        empties it, and a call that raises leaves it as it was.
         """
-        if external_boundary is not None:
-            self._last = None
-            return self._forward(texts, external_boundary)
-        key = (texts,) if isinstance(texts, str) else tuple(texts)
-        if self._last is None or self._last[0] != key:
-            result = self._forward(key, None)
-            self._last = key, None, None, None
-            return result
-        _, reads, kept_bits, kept = self._last
-        if kept is None:
-            result = self._forward(key, None)
-            _read_only(result)
-            reads = self._reads(result[1])
-            self._last = key, reads, self._read_bits(reads), result
-            return result
-        if self._read_bits(reads) == kept_bits:
-            return kept
-        return self._forward(key, None)
-
-    def _reads(self, cache: ForwardCache) -> np.ndarray:
-        """The places in the flat parameter buffer of the table rows that a forward of cache's texts reads.
-
-        The group lays its tensors out in order, so subchar_emb's table comes
-        first and subword_emb's second.
-        """
-        p = self.params
-        rows = [np.zeros(0, dtype=np.int64)]
-        if cache.tokens is not None:
-            rows.append(cache.tokens)
-        if cache.cls:
-            rows.append([self.tokenizer.vocab.cls_id])
-        if cache.subword_ids is not None:
-            rows.append(cache.subword_ids + p.subchar_emb.vocab_size)
-        rows, _ = distinct_ids(np.concatenate(rows))
-        return (rows[:, None] * self.config.dim + np.arange(self.config.dim)).ravel()
-
-    def _read_bits(self, reads: np.ndarray) -> tuple[bytes, bytes]:
-        """Copies of the bytes a forward reads: the table places given, then every tensor after the tables."""
-        p = self.params
-        tables = p.subchar_emb.table.data.size + p.subword_emb.table.data.size
-        return np.take(p.group.data, reads).tobytes(), p.group.data[tables:].tobytes()
-
-    def _forward(
-        self,
-        texts: Union[str, Sequence[str]],
-        external_boundary: Union[None, BoundaryMap, Sequence[Optional[BoundaryMap]]],
-    ) -> tuple[np.ndarray, ForwardCache]:
-        """Pipeline.forward without its memo."""
         cfg = self.config
         d, w = cfg.dim, self.tokenizer.scheme.width
         if isinstance(texts, str):
@@ -621,19 +555,6 @@ class Pipeline:
                 labels.append("<cls>")
             labels += [chars[i:j] for i, j in cache.ranges[a:b]]
         return labels
-
-
-def _read_only(obj: object) -> None:
-    """Marks every array that obj holds read-only: obj itself, and the arrays in its tuples, lists
-    and dataclass fields, at any depth."""
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            _read_only(item)
-    elif is_dataclass(obj):
-        for item in vars(obj).values():
-            _read_only(item)
 
 
 def _whitespace_runs(text: str) -> list[tuple[int, int]]:

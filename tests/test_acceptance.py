@@ -195,7 +195,7 @@ def test_criterion_5_gradient_fidelity():
             for seed in (0, 1, 2):
                 cfg = PipelineConfig(scheme=scheme, dim=4, fusion=fusion)
                 pipe = Pipeline(cfg, vocab, seed=seed)
-                # every coordinate: those in table rows 하다 never reads are served from the Pipeline memo
+                # every coordinate: grad_check serves those in table rows 하다 never reads from its first call
                 report = check_pipeline(pipe, "하다", seed)
                 worst = max(worst, report.max_rel_error)
                 assert report.max_rel_error < 1e-4, f"{scheme}/{fusion}/{seed}: {report}"

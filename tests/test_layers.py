@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jamofuse.gradcheck import check_pipeline, grad_check
-from jamofuse import layers
+from jamofuse import gradcheck, layers
 from jamofuse.layers import Conv2x1, CrossAttention, Embedding, GRULayer, Linear
 from jamofuse.tensor import ShapeError, Tensor
 
@@ -377,7 +377,6 @@ class TestGRULayer:
 
     def test_long_batches_project_in_blocks(self, monkeypatch):
         # two layers with the same weights, with whole-batch and with 5-row input projections
-        # (one layer would serve the second forward from its memo)
         rng = np.random.default_rng(15)
         xs = [rng.standard_normal((n, 4)) for n in (9, 7, 7, 3, 1)]
         x, sizes, rows = pack_sequences(xs)
@@ -567,19 +566,20 @@ class TestGRUForwardAgainstStepwise:
 
 
 def count_computes(monkeypatch) -> list:
-    """Wraps GRULayer's compute method: the returned list grows by one for each call it computes."""
-    computed, compute = [], GRULayer._forward
+    """Wraps GRULayer.forward as the class holds it, which grad_check's reuse calls only for the calls
+    it computes: the returned list grows by one for each call that computes."""
+    computed, compute = [], GRULayer.forward
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         computed.append(self)
-        return compute(self, *args)
+        return compute(self, *args, **kwargs)
 
-    monkeypatch.setattr(GRULayer, "_forward", counted)
+    monkeypatch.setattr(GRULayer, "forward", counted)
     return computed
 
 
 def copied_layer(gru):
-    """A fresh layer with gru's weights and an empty memo."""
+    """A fresh layer with gru's weights, which has made no call yet."""
     fresh = GRULayer(gru.dim, np.random.default_rng(99))
     for block in ("w", "u", "b"):
         getattr(fresh, block).data[...] = getattr(gru, block).data
@@ -610,31 +610,39 @@ def assert_same_bits(runs_a, runs_b):
 
 
 class TestGRUMemo:
-    """GRULayer's memo of its last call: served only for the same input and weight bytes."""
+    """grad_check's reuse of each GRU's first call in a check: served only for the same input and weight bytes."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Runs the test inside grad_check's reuse; grows by one for each GRU forward that computes."""
+        computed = count_computes(monkeypatch)
+        with gradcheck._reuse():
+            yield computed
 
     @pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
-    def test_hit_matches_a_fresh_layer(self, monkeypatch, table):
+    def test_hit_matches_a_fresh_layer(self, computed, table):
         gru, x, sizes, table_arg, grad = memo_case(table)
-        computed = count_computes(monkeypatch)
         first = gru.forward(x, sizes, table=table_arg)
-        # equal copies of every input hit the memo
+        # equal copies of every input are served the first call's result
         copies = (x.copy(), sizes.copy(), None if table_arg is None else table_arg.copy())
         hit = forward_backward(gru, *copies, grad)
         assert len(computed) == 1 and gru.forward(*copies[:2], table=copies[2])[0] is first[0]
         assert_same_bits(hit, forward_backward(copied_layer(gru), x, sizes, table_arg, grad))
         assert len(computed) == 2
 
-    def test_results_are_read_only_and_keep_no_caller_array(self):
+    def test_results_are_read_only_and_keep_no_caller_array(self, computed):
         gru, x, sizes, table, _ = memo_case(True)
         hs, cache = gru.forward(x, sizes, table=table)
         for a in (hs, *cache):
             assert not a.flags.writeable
         assert cache.x is not x and cache.batch_sizes is not sizes and cache.table is not table
+        gru.b.data[0] += 0.5
+        computed_hs, _ = gru.forward(x, sizes, table=table)  # not kept: the layer's own, writable result
+        assert len(computed) == 2 and computed_hs.flags.writeable
 
     @pytest.mark.parametrize("changed", ["x", "batch_sizes", "table", "w", "u", "b"])
-    def test_in_place_change_recomputes(self, monkeypatch, changed):
+    def test_in_place_change_recomputes(self, computed, changed):
         gru, x, sizes, table, grad = memo_case(True)
-        computed = count_computes(monkeypatch)
         gru.forward(x, sizes, table=table)
         if changed == "x":
             x[2] = 2 if x[2] != 2 else 3
@@ -648,10 +656,9 @@ class TestGRUMemo:
         assert_same_bits(forward_backward(gru, x, sizes, table, grad), fresh)
         assert len(computed) == 3
 
-    def test_signed_zero_is_a_different_input(self, monkeypatch):
+    def test_signed_zero_is_a_different_input(self, computed):
         gru = GRULayer(2, np.random.default_rng(0))
-        computed = count_computes(monkeypatch)
-        for x in (np.zeros((3, 2)), np.full((3, 2), -0.0), np.full((3, 2), -0.0)):
+        for x in (np.full((3, 2), -0.0), np.zeros((3, 2)), np.full((3, 2), -0.0)):
             gru.forward(x)
         assert len(computed) == 2
         gru.b.data[0] = -gru.b.data[0]
@@ -664,18 +671,16 @@ class TestGRUMemo:
         gru.forward(np.full((3, 2), -0.0))
         assert len(computed) == 4
 
-    def test_nan_input_repeats(self, monkeypatch):
+    def test_nan_input_repeats(self, computed):
         gru = GRULayer(2, np.random.default_rng(0))
-        computed = count_computes(monkeypatch)
         x = np.ones((3, 2))
         x[1, 0] = np.nan
         first, _ = gru.forward(x)
         again, _ = gru.forward(x.copy())
         assert len(computed) == 1 and again is first and np.isnan(first[1:]).all()
 
-    def test_a_failed_call_is_not_kept(self, monkeypatch):
+    def test_a_failed_call_is_not_kept(self, computed):
         gru = GRULayer(4, np.random.default_rng(0))
-        computed = count_computes(monkeypatch)
         for _ in range(2):
             with pytest.raises(ShapeError, match="out of range"):
                 gru.forward(np.array([0, 11, 3]), table=np.ones((11, 4)))
@@ -683,19 +688,21 @@ class TestGRUMemo:
             with pytest.raises(ShapeError, match="batch sizes"):
                 gru.forward(np.ones((4, 4)), np.array([2, 1]))
         assert len(computed) == 4
+        first, _ = gru.forward(np.ones((4, 4)))  # the first call that returns is the one kept
+        assert gru.forward(np.ones((4, 4)))[0] is first and len(computed) == 5
 
-    def test_interleaved_forwards_match_fresh_layers(self, monkeypatch):
-        # forwards A, B, A on one layer, then both backwards, against a fresh layer for each forward
+    def test_interleaved_forwards_match_fresh_layers(self, computed):
+        # forwards A, B, A on one layer, then both backwards, against a fresh layer for each forward;
+        # A is kept and served again, B computes
         gru, x_a, sizes, _, grad_a = memo_case(False)
         rng = np.random.default_rng(22)
         x_b, grad_b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        computed = count_computes(monkeypatch)
         fresh_a, fresh_b, reference = copied_layer(gru), copied_layer(gru), copied_layer(gru)
         gru.params.zero_grads()
-        _, cache_a = gru.forward(x_a, sizes)
+        first, cache_a = gru.forward(x_a, sizes)
         hs_b, cache_b = gru.forward(x_b)
         hs_a, cache_a = gru.forward(x_a, sizes)
-        assert len(computed) == 3
+        assert len(computed) == 2 and hs_a is first
         grads = [gru.backward(grad_a, cache_a), gru.backward(grad_b, cache_b)]
         ref_a, ref_b = fresh_a.forward(x_a, sizes), fresh_b.forward(x_b)
         ref_grads = [reference.backward(grad_a, ref_a[1]), reference.backward(grad_b, ref_b[1])]
@@ -703,8 +710,8 @@ class TestGRUMemo:
         assert_same_bits([gru.w.grad, gru.u.grad, gru.b.grad], [reference.w.grad, reference.u.grad, reference.b.grad])
 
     def test_gradient_check_is_mostly_served_from_the_memo(self, monkeypatch):
-        # each loss call runs the three principles GRUs once, unless the pipeline's own
-        # memo serves the whole forward; either way at most 30% of those runs compute
+        # each loss call runs the three principles GRUs once, unless the check serves the
+        # pipeline's whole forward; either way at most 30% of those runs compute
         from jamofuse.pipeline import Pipeline, PipelineConfig
         from jamofuse.subchar import SCHEME_NAMES
         from jamofuse.subword import train_vocab

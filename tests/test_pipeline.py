@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamofuse import pipeline
-from jamofuse.gradcheck import check_pipeline
+from jamofuse import gradcheck, pipeline
+from jamofuse.gradcheck import check_pipeline, grad_check
 from jamofuse.layers import CrossAttention
 from jamofuse.pipeline import (
     COMPRESSIONS,
@@ -710,7 +710,7 @@ class TestMemo:
 
 
 def fresh_copy(pipe):
-    """A pipeline with pipe's configuration and parameter values, and empty memos."""
+    """A pipeline with pipe's configuration and parameter values, which has made no call yet."""
     fresh = Pipeline(pipe.config, pipe.subword_vocab, pipe.params.seed)
     fresh.params.group.data[...] = pipe.params.group.data
     return fresh
@@ -735,31 +735,43 @@ def arrays_in(obj):
     return []
 
 
+def count_forwards(monkeypatch) -> list:
+    """Wraps Pipeline.forward as the class holds it, which grad_check's reuse calls only for the calls
+    it computes: the returned list grows by one for each call that computes."""
+    computed, compute = [], Pipeline.forward
+
+    def counted(self, *args, **kwargs):
+        computed.append(args[0])
+        return compute(self, *args, **kwargs)
+
+    monkeypatch.setattr(Pipeline, "forward", counted)
+    return computed
+
+
 class TestPipelineMemo:
-    """Pipeline.forward's memo of the first call that repeats the last texts: served only when the
-    texts repeat and every parameter byte the forward reads repeats."""
+    """grad_check's reuse of a pipeline's first call in a check: served only when the texts repeat
+    and every parameter byte the forward reads repeats."""
 
     TEXT = "하다"
 
     @pytest.fixture
     def computed(self, monkeypatch):
-        """Grows by one for each forward that computes."""
-        computed, compute = [], Pipeline._forward
-
-        def counted(self, *args):
-            computed.append(args[0])
-            return compute(self, *args)
-
-        monkeypatch.setattr(Pipeline, "_forward", counted)
-        return computed
+        """Runs the test inside grad_check's reuse; grows by one for each forward that computes."""
+        computed = count_forwards(monkeypatch)
+        with gradcheck._reuse():
+            yield computed
 
     @staticmethod
     def kept(compression="principles"):
-        """A pipeline (cls_bypass, cross-attention) whose memo holds the result of TEXT, and that result's cache."""
+        """A pipeline (cls_bypass, cross-attention) that has kept the result of TEXT, and that result's cache."""
         pipe = build(compression=compression, cls_bypass=True, fusion="cross-attention")
-        pipe.forward(TestPipelineMemo.TEXT)
         _, cache = pipe.forward(TestPipelineMemo.TEXT)
         return pipe, cache
+
+    @staticmethod
+    def first_token_row(pipe):
+        """The subchar_emb row of TEXT's first token, which every compression reads."""
+        return pipe.params.subchar_emb.table.data[pipe.tokenizer.tokenize(TestPipelineMemo.TEXT).tokens[0]]
 
     @pytest.mark.parametrize("compression", COMPRESSIONS)
     def test_an_unread_table_row_hits(self, computed, compression):
@@ -774,7 +786,7 @@ class TestPipelineMemo:
         if compression == "linear":  # linear reads only the token rows of each unit's last character
             first_char = set(cache.seqs[0].tokens.tolist()) - subchar_rows
             unread.append((p.subchar_emb.table, min(first_char)))
-        assert len(computed) == 2
+        assert len(computed) == 1
         computed.clear()
         first, _ = pipe.forward(self.TEXT)
         for table, row in unread:
@@ -791,7 +803,7 @@ class TestPipelineMemo:
         tensor = pipe.params.subword_emb.table if table == "subword_emb" else pipe.params.subchar_emb.table
         tensor.data[row, 1] += 0.25
         assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
-        assert len(computed) == 4
+        assert len(computed) == 3
 
     @pytest.mark.parametrize("compression", COMPRESSIONS)
     def test_any_other_tensor_recomputes(self, computed, compression):
@@ -806,14 +818,13 @@ class TestPipelineMemo:
 
     def test_signed_zero_in_a_read_row_recomputes(self, computed):
         pipe = build(cls_bypass=True, fusion="cross-attention")
-        _, cache = pipe.forward(self.TEXT)
-        row = pipe.params.subchar_emb.table.data[cache.tokens[0]]
+        row = self.first_token_row(pipe)
         row[2] = 0.0
         kept, _ = pipe.forward(self.TEXT)
-        assert pipe.forward(self.TEXT)[0] is kept and len(computed) == 2
+        assert pipe.forward(self.TEXT)[0] is kept and len(computed) == 1
         row[2] = -0.0
         assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
-        assert len(computed) == 4
+        assert len(computed) == 3
 
     @pytest.mark.parametrize("before, after, served", [
         (["하다", "했다"], ["했다", "하다"], False),
@@ -823,22 +834,20 @@ class TestPipelineMemo:
     ], ids=["order", "list", "str-then-list", "list-then-str"])
     def test_other_texts_recompute(self, computed, before, after, served):
         pipe = build(cls_bypass=True)
-        pipe.forward(before)
         first, _ = pipe.forward(before)
         again = out_and_grads(pipe, after)
-        assert len(computed) == (2 if served else 3) and again == out_and_grads(fresh_copy(pipe), after)
-        # other texts let go of the kept result
-        assert (pipe.forward(before)[0] is first) == served
+        assert len(computed) == (1 if served else 2) and again == out_and_grads(fresh_copy(pipe), after)
+        # other texts leave the first call kept
+        assert pipe.forward(before)[0] is first
 
     def test_nan_in_a_read_row_repeats(self, computed):
         pipe = build(cls_bypass=True, fusion="cross-attention")
-        _, cache = pipe.forward(self.TEXT)
-        pipe.params.subchar_emb.table.data[cache.tokens[0], 0] = np.nan
+        self.first_token_row(pipe)[0] = np.nan
         first, _ = pipe.forward(self.TEXT)
         again, _ = pipe.forward(self.TEXT)
-        assert len(computed) == 2 and again is first and np.isnan(first).any()
+        assert len(computed) == 1 and again is first and np.isnan(first).any()
 
-    def test_a_miss_keeps_the_first_repeat(self, computed):
+    def test_a_miss_leaves_the_kept_call(self, computed):
         pipe, _ = self.kept()
         computed.clear()
         kept, cache = pipe.forward(self.TEXT)
@@ -854,49 +863,75 @@ class TestPipelineMemo:
     @pytest.mark.parametrize("cls_bypass", [False, True])
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("compression", COMPRESSIONS)
-    def test_results_are_read_only(self, compression, fusion, cls_bypass):
+    def test_results_are_read_only(self, computed, compression, fusion, cls_bypass):
         pipe = build(compression=compression, fusion=fusion, cls_bypass=cls_bypass)
         texts = ["하다 했다", "", "대한 ab"]
-        pipe.forward(texts)
         result = pipe.forward(texts)
-        assert result is pipe.forward(texts)
+        assert result is pipe.forward(texts) and len(computed) == 1
         arrays = arrays_in(result)
         assert len(arrays) > 5 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             result[0][0, 0] = 1.0
 
-    def test_a_boundary_map_bypasses_and_empties_the_memo(self, computed):
-        pipe, _ = self.kept()
+    def test_a_boundary_map_computes_and_is_not_kept(self, computed):
+        pipe = build(cls_bypass=True, fusion="cross-attention")
         boundary = BoundaryMap([(0, 1), (1, 2)])
         mapped = [pipe.forward(self.TEXT, boundary)[0] for _ in range(2)]
-        assert len(computed) == 4 and mapped[0] is not mapped[1]
-        assert pipe._last is None
-        out, _ = pipe.forward(self.TEXT)
-        assert len(computed) == 5 and out.shape == (2, 6)  # the map's two units are not kept as the text's one
+        assert len(computed) == 2 and mapped[0] is not mapped[1] and mapped[0].flags.writeable
+        kept, _ = pipe.forward(self.TEXT)  # the first call without a map is the one kept
+        assert pipe.forward(self.TEXT)[0] is kept and len(computed) == 3
+        assert kept.shape == (2, 6)  # the map's two units are not kept as the text's one
+        assert pipe.forward(self.TEXT, boundary)[0].shape == (3, 6) and len(computed) == 4
 
     def test_a_call_that_raises_is_not_kept(self, computed, monkeypatch):
-        pipe, cache = self.kept()
-        pipe.params.subchar_emb.table.data[cache.tokens[0], 0] += 1.0
-        with monkeypatch.context() as patch:
-            patch.setattr(Pipeline, "fuse", lambda *args: 1 / 0)
-            for _ in range(2):
-                with pytest.raises(ZeroDivisionError):
-                    pipe.forward(self.TEXT)
-        assert len(computed) == 4 and pipe._last[3][1] is cache  # still the earlier result
+        pipe = build(cls_bypass=True, fusion="cross-attention")
+        row = self.first_token_row(pipe)
+        original = row[0]
+        for kept_before in (False, True):
+            row[0] = original + 1.0 if kept_before else original
+            with monkeypatch.context() as patch:
+                patch.setattr(Pipeline, "fuse", lambda *args: 1 / 0)
+                for _ in range(2):
+                    with pytest.raises(ZeroDivisionError):
+                        pipe.forward(self.TEXT)
+            if not kept_before:  # no call had returned, so the next one is the one kept
+                row[0] = original
+                kept, cache = pipe.forward(self.TEXT)
+        assert len(computed) == 5
         assert out_and_grads(pipe, self.TEXT) == out_and_grads(fresh_copy(pipe), self.TEXT)
-        assert len(computed) == 6
+        assert len(computed) == 7
+        row[0] = original
+        assert pipe.forward(self.TEXT)[1] is cache and len(computed) == 7  # still the earlier result
 
-    def test_gradient_check_is_mostly_served_from_the_memo(self, computed):
-        # check_pipeline's leading forward makes its unperturbed call the one the memo keeps,
-        # which then serves every coordinate in a table row the text never reads
+    def test_gradient_check_is_mostly_served_from_the_memo(self, monkeypatch):
+        # the check keeps its unperturbed call, which then serves every coordinate in a
+        # table row the text never reads
         text = "하다"
-        vocab = train_vocab([text], 16, mode="charlist")
+        vocab, computed = train_vocab([text], 16, mode="charlist"), count_forwards(monkeypatch)
         for scheme in SCHEME_NAMES:
             computed.clear()
             report = check_pipeline(Pipeline(PipelineConfig(scheme=scheme, dim=4, fusion="summation"), vocab, 0), text, 0)
             loss_calls = 2 * report.coords_checked + 1
             assert report.max_rel_error < 1e-6 and loss_calls > 1000, scheme
             assert len(computed) - 1 <= 0.5 * loss_calls, (scheme, len(computed), loss_calls)
+
+    @pytest.mark.parametrize("scheme", ["stroke", "cji", "bts"])
+    def test_a_raw_grad_check_is_mostly_served(self, monkeypatch, scheme):
+        # no forward runs before the check: the check keeps its own first call, the unperturbed one
+        pipe = Pipeline(PipelineConfig(scheme=scheme, dim=4, fusion="summation"), train_vocab([self.TEXT], 16, mode="charlist"), 0)
+        direction = np.random.default_rng(0).normal(size=(len(pipe.unit_ranges(self.TEXT)[1]), 4))
+
+        def loss_fn(with_grad):
+            out, cache = pipe.forward(self.TEXT)
+            if with_grad:
+                pipe.backward(direction, cache)
+            return float((direction * out).sum())
+
+        computed = count_forwards(monkeypatch)
+        report = grad_check(loss_fn, pipe.params.group)
+        loss_calls = 2 * report.coords_checked + 1
+        assert report.max_rel_error < 1e-6 and loss_calls > 1000, scheme
+        assert len(computed) <= 0.5 * loss_calls, (scheme, len(computed), loss_calls)
 
 
 class TestBackward:
@@ -1065,7 +1100,6 @@ class TestPaddedFusion:
 
     def assert_matches_per_text_loop(self, pipe, texts, monkeypatch):
         out, grads = forward_and_grads(pipe, texts)
-        pipe.forward("")  # other texts: the pipeline's memo lets go of the batch, so the patched fuse runs
         with monkeypatch.context() as patch:
             patch.setattr(Pipeline, "fuse", per_text_fuse)
             patch.setattr(Pipeline, "backward_fuse", per_text_backward_fuse)
@@ -1136,7 +1170,6 @@ class TestPaddedFusion:
         texts = ["대한민국하다했다" * 50, *[f"{a}{b}" for a in "가나다" for b in "라마바사아자차카"][:23]]
         out, cache = pipe.forward(texts)  # fills the tokenization memo outside the traced call
         assert len(texts[0]) == 400 and len(out) == 400 + 23 * 2
-        pipe.forward("하다")  # and leaves the pipeline's and the GRUs' memos on another call, so the traced one computes
         attentions, attend = [], CrossAttention.forward
         monkeypatch.setattr(CrossAttention, "forward", lambda self, *args: attentions.append(1) or attend(self, *args))
         tracemalloc.start()

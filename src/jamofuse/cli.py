@@ -6,9 +6,10 @@ output path is checked before any work, and file outputs are written
 atomically so interrupted runs leave nothing behind.
 Configuration precedence is flags over config file over the library's defaults
 (a flag left out takes the default of the field or parameter it sets). Only the
-six subcommands that build a model (gradcheck, train, embed, probe-*) take --seed;
-they and vocab-train take --verbose, which echoes the effective configuration to
-stderr (vocab-train: the vocab's mode and size; gradcheck: per-parameter errors).
+six subcommands that build a model (gradcheck, train, embed, probe-*) take --seed,
+refused next to --ckpt as the checkpoint holds the model's seed; they and
+vocab-train take --verbose, which echoes the effective configuration to stderr
+(vocab-train: the vocab's mode and size; gradcheck: per-parameter errors).
 
 Each subcommand imports the modules it runs inside its cmd_* function, and the
 parser needs only `common`, so `--help`, `oracle-align`, `oracle-stats`,
@@ -145,7 +146,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cls-bypass", action="store_true", default=None,
                         dest="cls_bypass", help="prepend the CLS embedding untouched")
     parser.add_argument("--config", help="key = value file with pipeline settings")
-    parser.add_argument("--seed", type=int, default=0, help="seeds a fresh model's weights and every random draw")
+    # no default here, so that _load_pipeline can tell a --seed given next to --ckpt; a model's seed defaults to 0
+    parser.add_argument("--seed", type=int, help="seeds a fresh model's weights and every random draw (default 0)")
     parser.add_argument("--verbose", action="store_true",
                         help="echo the effective config to stderr (gradcheck: each parameter's worst relative error)")
 
@@ -194,7 +196,7 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
 
     if args.ckpt:
         # flags a checkpoint would override: its own pipeline config and vocab win
-        fixed = [*_defaults(), "config", "vocab", "pairs_vocab", "vocab_size"]
+        fixed = [*_defaults(), "config", "seed", "vocab", "pairs_vocab", "vocab_size"]
         ignored = ["--" + key.replace("_", "-") for key in _given(args, fixed)]
         if ignored:
             raise ConfigError(f"--ckpt fixes the model and its vocab; drop {', '.join(ignored)}")
@@ -218,7 +220,7 @@ def _load_pipeline(args, pairs: Optional[PairDataset] = None) -> Pipeline:
         raise ConfigError("need --ckpt, --vocab, or --pairs-vocab to build the model")
     if args.verbose:
         print(f"config: {json.dumps(config.to_dict(), sort_keys=True)}", file=sys.stderr)
-    return Pipeline(config, vocab, seed=args.seed)
+    return Pipeline(config, vocab, seed=args.seed or 0)
 
 
 # subcommands ------------------------------------------------------------------
@@ -341,7 +343,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("--text must not be empty: an empty text has no output rows to check")
     config = _pipeline_config(args)
     vocab = train_vocab([args.text], max(16, len(set(args.text)) + 8), mode="charlist")
-    report = check_pipeline(Pipeline(config, vocab, seed=args.seed), args.text, args.seed)
+    seed = args.seed or 0
+    report = check_pipeline(Pipeline(config, vocab, seed=seed), args.text, seed)
     print(f"max_rel_error={report.max_rel_error:.3e} worst={report.worst_param} "
           f"coords={report.coords_checked} tol={args.tol:.1e}")
     if args.verbose:
@@ -361,14 +364,15 @@ def cmd_train(args) -> int:
     data = load_pair_dataset(args.pairs)
     config = _pipeline_config(args)
     vocab = load_vocab(args.vocab) if args.vocab else _vocab_from_pairs(data, args.vocab_size)
-    pipe = Pipeline(config, vocab, seed=args.seed)
+    seed = args.seed or 0
+    pipe = Pipeline(config, vocab, seed=seed)
     train_config = TrainConfig(**_given(args, TrainConfig().to_dict()))
     effective = {"pipeline": config.to_dict(), "train": train_config.to_dict()}
     if args.verbose:
         print(f"config: {json.dumps(effective, sort_keys=True)}", file=sys.stderr)
     log = train(pipe, data, train_config)
     echo = {**effective, "subword_vocab": {"mode": vocab.mode, "entries": vocab.entries}}
-    save_checkpoint(args.out, pipe.params.group, seed=args.seed, config=echo)
+    save_checkpoint(args.out, pipe.params.group, seed=seed, config=echo)
     if args.log:
         write_atomic(args.log, log.to_csv().encode("utf-8"))
     last = log.epochs[-1]

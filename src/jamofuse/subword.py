@@ -9,10 +9,11 @@ encoding is greedy longest-match, never crossing whitespace.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .common import ConfigError, open_text, write_atomic
 
@@ -89,14 +90,6 @@ def _char_inventory(texts: list[str]) -> list[str]:
     return sorted({ch for text in texts for ch in text})
 
 
-def _pair_counts(words: dict[tuple[str, ...], int]) -> Counter:
-    counts: Counter = Counter()
-    for symbols, freq in words.items():
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
     merged: list[str] = []
     i = 0
@@ -110,6 +103,50 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, .
     return tuple(merged)
 
 
+def _merges(words: Counter) -> Iterator[str]:
+    """The symbol each bpe-lite merge makes, in order, over words (symbol tuple -> frequency).
+
+    Each merge joins the most frequent adjacent pair (ties: the smallest pair)
+    in every word, left to right and without overlap. The pairs are counted
+    once; after that a merge re-merges only the words that hold its pair,
+    found through a pair -> word index, and updates the counts of the pairs
+    those words lose and gain. A heap of (-count, pair) finds the best pair;
+    an entry whose count is no longer current is skipped when popped.
+    """
+    symbols = list(words)
+    freqs = [words[w] for w in symbols]
+    counts: Counter = Counter()
+    holders: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, (word, freq) in enumerate(zip(symbols, freqs)):
+        for pair in zip(word, word[1:]):
+            counts[pair] += freq
+            holders[pair].add(i)
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, best = heapq.heappop(heap)
+        if counts[best] != -count:
+            continue
+        changed = set()
+        for i in holders.pop(best):
+            old = Counter(zip(symbols[i], symbols[i][1:]))
+            symbols[i] = _merge_word(symbols[i], best)
+            new = Counter(zip(symbols[i], symbols[i][1:]))
+            for pair in old.keys() | new.keys():
+                delta = new[pair] - old[pair]
+                if delta:
+                    counts[pair] += delta * freqs[i]
+                    changed.add(pair)
+                if pair in new:
+                    holders[pair].add(i)
+                elif pair != best:  # best's whole entry was popped
+                    holders[pair].discard(i)
+        for pair in changed:
+            if counts[pair] > 0:
+                heapq.heappush(heap, (-counts[pair], pair))
+        yield best[0] + best[1]
+
+
 def train_vocab(corpus: Iterable[str], target_size: int, mode: str = "bpe-lite") -> SubwordVocab:
     """Build a vocabulary from a text stream.
 
@@ -117,7 +154,9 @@ def train_vocab(corpus: Iterable[str], target_size: int, mode: str = "bpe-lite")
     frequent adjacent pair (ties: higher frequency first, then lexicographic
     pair order); wordlist adds whole whitespace-words by frequency; charlist
     stops at the character inventory. All modes keep every corpus character
-    encodable and are deterministic for a fixed corpus + settings.
+    encodable and are deterministic for a fixed corpus + settings. A learned
+    token that spells a special (`<unk>` in the text, say) is skipped, as is
+    one already in the vocab, so every id stays used once.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown vocab mode {mode!r}, expected one of {MODES}")
@@ -131,39 +170,21 @@ def train_vocab(corpus: Iterable[str], target_size: int, mode: str = "bpe-lite")
     if target_size < base:
         raise ConfigError(f"target size {target_size} below base inventory {base}")
 
-    tokens = list(chars)
-    existing = set(tokens)
+    tokens = dict.fromkeys(SPECIALS + chars)  # keys in id order; setting a key already there keeps its id
     if mode == "wordlist":
         word_freq = Counter(w for t in texts for w in t.split())
-        ranked = sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0]))
-        for word, _ in ranked:
-            if len(tokens) + len(SPECIALS) >= target_size:
-                break
-            if word not in existing:
-                tokens.append(word)
-                existing.add(word)
+        candidates = (word for word, _ in sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0])))
     elif mode == "bpe-lite":
-        words: dict[tuple[str, ...], int] = Counter()
-        for t in texts:
-            for w in t.split():
-                words[tuple(w)] += 1
-        words = dict(words)
-        while len(tokens) + len(SPECIALS) < target_size:
-            counts = _pair_counts(words)
-            if not counts:
-                break
-            best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            merged = best[0] + best[1]
-            collapsed: Counter = Counter()
-            for sym, f in words.items():
-                collapsed[_merge_word(sym, best)] += f
-            words = dict(collapsed)
-            if merged not in existing:
-                tokens.append(merged)
-                existing.add(merged)
+        candidates = _merges(Counter(tuple(w) for t in texts for w in t.split()))
+    else:
+        candidates = iter(())
+    while len(tokens) < target_size:
+        token = next(candidates, None)
+        if token is None:
+            break
+        tokens[token] = None
 
-    entries = {tok: i for i, tok in enumerate(SPECIALS + tokens)}
-    return SubwordVocab(mode, entries)
+    return SubwordVocab(mode, {token: i for i, token in enumerate(tokens)})
 
 
 def encode(text: str, vocab: SubwordVocab, add_cls: bool = False) -> tuple[list[int], BoundaryMap]:

@@ -213,6 +213,20 @@ class TestVocabAndEncode:
         assert first[1] == "<cls>"
         assert (first[2], first[3]) == ("0", "0")
 
+    @pytest.mark.parametrize("mode", ["bpe-lite", "wordlist"])
+    def test_vocab_train_on_text_that_spells_a_special(self, tmp_path, capsys, mode):
+        # a merge or a word that spells <unk> or <cls> gave the special's string a second id, and
+        # the vocab was refused with "vocab ids must be the integers 0..20, each used once"
+        corpus, vocab_path = tmp_path / "corpus.txt", tmp_path / "vocab.tsv"
+        corpus.write_text("<unk> <unk> <cls> x\n", encoding="utf-8")
+        assert main(["vocab-train", "--in", str(corpus), "--size", "40", "--mode", mode,
+                     "--out", str(vocab_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        vocab = load_vocab(vocab_path)
+        assert list(vocab.entries)[:len(SPECIALS)] == SPECIALS
+        assert main(["encode", "<unk>x", "--vocab", str(vocab_path)]) == 0
+        assert "".join(line.split("\t")[1] for line in capsys.readouterr().out.splitlines()) == "<unk>x"
+
     def test_vocab_train_requires_out(self, capsys):
         assert main(["vocab-train", "--in", "x.txt", "--size", "10"]) == 2
 
@@ -1262,6 +1276,14 @@ DROPPED_FLAG_RUNS = {
         ["probe-pca", "--pairs-vocab", PAIRS, "--words", "하다,했다", "--dim", "4", "--out", "F"],
         ["--words-file", "WORDS"],
         "--words and --words-file each give the words; drop one",
+    ),
+    "embed-seed-with-ckpt": (
+        ["embed", "--ckpt", "CKPT", "--text", "하다", "--out", "F"], ["--seed", "0"],
+        "--ckpt fixes the model and its vocab; drop --seed",
+    ),
+    "probe-pca-seed-with-ckpt": (
+        ["probe-pca", "--ckpt", "CKPT", "--words", "하다,했다", "--out", "F"], ["--seed", "1"],
+        "--ckpt fixes the model and its vocab; drop --seed",
     ),
     "embed-pairs-vocab-with-vocab": (
         ["embed", "--pairs-vocab", PAIRS, "--text", "하다", "--dim", "4", "--out", "F"], ["--vocab", "VOCAB"],

@@ -1,9 +1,12 @@
 import re
+from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jamofuse import subword
+from jamofuse.oracle import read_jsonl_records
 from jamofuse.subword import (
     CLS,
     SPECIALS,
@@ -18,6 +21,7 @@ from jamofuse.subword import (
     save_vocab,
     train_vocab,
 )
+from jamofuse.training import load_pair_dataset
 
 
 def small_vocab(corpus, extra=0, mode="bpe-lite"):
@@ -223,3 +227,114 @@ def test_encode_boundary_covers_text_property(words, extra):
     ids, boundary = encode(text, vocab)
     boundary.validate(len(text))
     assert decode(ids, vocab) == text
+
+
+def _pair_counts(words):
+    counts = Counter()
+    for symbols, freq in words.items():
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freq
+    return counts
+
+
+def _stepwise_bpe_lite(corpus, target_size):
+    """The bpe-lite train_vocab that recounted every pair and re-merged every word after each merge, kept
+    as the reference: for a corpus in which no merge spells a special token."""
+    texts = [line.rstrip("\n") for line in corpus]
+    texts = [t for t in texts if t]
+    chars = sorted({ch for text in texts for ch in text})
+    tokens = list(chars)
+    existing = set(tokens)
+    words = Counter()
+    for t in texts:
+        for w in t.split():
+            words[tuple(w)] += 1
+    words = dict(words)
+    while len(tokens) + len(SPECIALS) < target_size:
+        counts = _pair_counts(words)
+        if not counts:
+            break
+        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merged = best[0] + best[1]
+        collapsed = Counter()
+        for sym, f in words.items():
+            collapsed[subword._merge_word(sym, best)] += f
+        words = dict(collapsed)
+        if merged not in existing:
+            tokens.append(merged)
+            existing.add(merged)
+    entries = {tok: i for i, tok in enumerate(SPECIALS + tokens)}
+    return SubwordVocab("bpe-lite", entries)
+
+
+def assert_same_vocab(corpus, size, directory):
+    reference, trained = _stepwise_bpe_lite(corpus, size), train_vocab(corpus, size)
+    assert list(trained.entries.items()) == list(reference.entries.items())
+    save_vocab(reference, directory / "reference.vocab")
+    save_vocab(trained, directory / "trained.vocab")
+    assert (directory / "trained.vocab").read_bytes() == (directory / "reference.vocab").read_bytes()
+
+
+# lines of runs of one letter (aaa, bb) from an alphabet of 2-4 letters, cut by spaces and tabs: runs
+# overlap under a merge, and a small alphabet makes many pairs tie on their count
+ab_lines = st.integers(min_value=2, max_value=4).flatmap(lambda k: st.lists(
+    st.lists(
+        st.tuples(st.sampled_from("abcd"[:k] + " \t"), st.integers(min_value=1, max_value=4)).map(lambda r: r[0] * r[1]),
+        min_size=1, max_size=12,
+    ).map("".join),
+    min_size=1, max_size=5,
+))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(corpus=ab_lines, extra=st.integers(min_value=0, max_value=40))
+def test_bpe_lite_equals_the_stepwise_reference(tmp_path_factory, corpus, extra):
+    # extra runs from the base inventory to past the point where no word has two symbols left
+    if not any(line.strip() for line in corpus):
+        return
+    base = len(SPECIALS) + len({ch for line in corpus for ch in line})
+    assert_same_vocab(corpus, base + extra, tmp_path_factory.mktemp("vocab"))
+
+
+def bundled_pair_corpus():
+    data = load_pair_dataset(str(resources.files("jamofuse.data") / "verb_past_pairs.tsv"))
+    return [f"{r.form_a} {r.form_b}" for r in data.records]
+
+
+def bundled_surfaces():
+    with (resources.files("jamofuse.data") / "inflections.jsonl").open(encoding="utf-8") as stream:
+        return [surface for surface, _ in read_jsonl_records(stream)]
+
+
+@pytest.mark.parametrize(
+    "corpus, size", [(bundled_pair_corpus, 200), (bundled_pair_corpus, 400), (bundled_surfaces, 300)],
+    ids=["pairs-200", "pairs-400", "surfaces-300"],
+)
+def test_bpe_lite_equals_the_stepwise_reference_on_bundled_data(tmp_path, corpus, size):
+    assert_same_vocab(corpus(), size, tmp_path)
+
+
+def test_a_merge_re_merges_only_the_words_that_hold_its_pair(monkeypatch):
+    # 40 distinct two-syllable words, each adjacent pair in one word: a merge touches one word, so 40
+    # merges make 40 calls; re-merging every word after every merge made 40 x 40
+    syllables = [chr(0xAC00 + i) for i in range(80)]
+    words = [syllables[2 * i] + syllables[2 * i + 1] for i in range(40)]
+    calls = []
+    merge_word = subword._merge_word
+
+    def counted(symbols, pair):
+        calls.append(symbols)
+        return merge_word(symbols, pair)
+
+    monkeypatch.setattr(subword, "_merge_word", counted)
+    vocab = train_vocab([" ".join(words)], len(SPECIALS) + 81 + 40)
+    assert [t for t in vocab.entries if len(t) == 2] == sorted(words)
+    assert len(calls) == 40
+
+
+@pytest.mark.parametrize("mode", ["bpe-lite", "wordlist"])
+def test_learned_tokens_never_repeat_a_special(mode):
+    # the merge or the word <unk> took a second id, and the vocab was refused
+    vocab = train_vocab(["<unk> <unk> <cls> x"], 40, mode)
+    assert list(vocab.entries)[: len(SPECIALS)] == SPECIALS
+    assert vocab.size == {"bpe-lite": 21, "wordlist": 15}[mode]  # bpe-lite adds <u, <un, <unk, <c, <cl, <cls
